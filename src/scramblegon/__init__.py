@@ -19,6 +19,7 @@ from .invariants import (
 from .divisors import (
     Divisor, BurnResult, zero_divisor, fire, fire_set, dhar_burn,
     q_reduce, is_q_reduced, has_positive_rank, rank, gonality,
+    CandidateBudgetError,
 )
 from .scrambles import (
     Scramble, ScrambleOrder, BoundReport, BruteForceResult,

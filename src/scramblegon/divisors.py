@@ -237,6 +237,24 @@ def rank(divisor, cap):
     return result
 
 
+# Bytes the int64 chip matrix of one degree's candidate box may take.  The
+# search's peak memory is several times this: burn masks, matrix products and
+# the enumeration's intermediate copies come on top.
+CANDIDATE_BOX_BUDGET = 256 * 2**20
+
+
+class CandidateBudgetError(ValueError):
+    """A gonality search would build a candidate box over CANDIDATE_BOX_BUDGET."""
+
+
+def _box_rows(bounds, total_max):
+    """Row count of _bounded_vectors(bounds, total_max), without building it."""
+    ways = [1] + [0] * total_max  # ways[s]: rows of the columns so far summing to s
+    for b in bounds:
+        ways = [sum(ways[max(0, s - b):s + 1]) for s in range(total_max + 1)]
+    return sum(ways)
+
+
 def _bounded_vectors(bounds, total_max):
     """All nonnegative integer rows x with x[i] <= bounds[i] and sum(x) <= total_max."""
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -261,6 +279,11 @@ def _reduced_effective_divisors(g, degree, basepoint=0):
     n = g.n
     vals = g.valences()
     bounds = [int(vals[v]) - 1 for v in range(n) if v != basepoint]
+    box_bytes = _box_rows(bounds, degree) * n * 8
+    if box_bytes > CANDIDATE_BOX_BUDGET:
+        raise CandidateBudgetError(
+            "the degree-%d candidate box would take %.1f MiB of chips, over the "
+            "%d MiB candidate-box budget" % (degree, box_bytes / 2**20, CANDIDATE_BOX_BUDGET >> 20))
     rows, sums = _bounded_vectors(bounds, degree)
     chips = np.zeros((rows.shape[0], n), dtype=np.int64)
     others = [v for v in range(n) if v != basepoint]
@@ -308,7 +331,9 @@ def gonality(g, lower_hint=None, upper_hint=None):
     Searches degrees from a connectivity lower bound up to n - alpha for
     simple graphs (2|E| for true multigraphs), enumerating only q0-reduced
     effective candidates: every divisor class of positive rank has an
-    effective q0-reduced representative, so the pruning is lossless.
+    effective q0-reduced representative, so the pruning is lossless.  Raises
+    CandidateBudgetError, before building it, when a degree's candidate box
+    would exceed CANDIDATE_BOX_BUDGET.
     """
     if not inv.is_connected(g):
         raise ValueError("gonality needs a connected graph")

@@ -6,6 +6,7 @@ connectivity is taken on the underlying simple graph with the convention
 kappa(K_n) = n - 1 and kappa = lambda = 0 for disconnected graphs.
 """
 
+import math
 from collections import deque
 
 import networkx as nx
@@ -108,26 +109,79 @@ def bridges(g):
     return sorted(out)
 
 
-def min_cut_between(g, side_a, side_b):
-    """Minimum edge cut separating vertex set side_a from side_b.
+def min_cut_between(g, side_a, side_b, limit=math.inf):
+    """Minimum edge cut separating vertex set side_a from side_b, stopping
+    early once the cut is known to be at least `limit`.
 
-    Returns (value, source_side) where source_side is the A of a minimum cut
-    with side_a <= A and A disjoint from side_b.  Sides must be disjoint and
-    nonempty.
+    Augmenting paths (Edmonds-Karp) on the multiplicity matrix, searched
+    breadth-first from all of side_a at once, so side_a and side_b act as
+    contracted source and sink.  Returns (value, source_side):
+
+    - when the cut is below `limit`, value is exact and source_side is the
+      maximal A of a minimum cut: side_a <= A, A disjoint from side_b, A
+      holding every vertex that cannot reach side_b in the final residual
+      graph;
+    - otherwise the search stops as soon as the flow reaches `limit` and
+      returns (value, None) with value >= limit.
+
+    Sides must be disjoint and nonempty.
     """
     sa, sb = set(side_a), set(side_b)
     if not sa or not sb or sa & sb:
         raise ValueError("sides must be disjoint nonempty vertex sets")
-    nxg = to_networkx(g)
-    big = int(g.mult.sum()) + 1
-    nxg.add_node("src")
-    nxg.add_node("dst")
-    for v in sa:
-        nxg.add_edge("src", v, capacity=big)
+    n = g.n
+    if not all(0 <= v < n for v in sa | sb):
+        raise ValueError("vertex out of range")
+    residual = g.mult.tolist()
+    nbrs = [[v for v, k in enumerate(row) if k] for row in residual]
+    sinks = [False] * n
     for v in sb:
-        nxg.add_edge("dst", v, capacity=big)
-    value, (src_side, _) = nx.minimum_cut(nxg, "src", "dst")
-    return int(value), frozenset(v for v in src_side if v != "src")
+        sinks[v] = True
+    sources = list(sa)
+    value = 0
+    while value < limit:
+        parent = [-1] * n
+        for s in sources:
+            parent[s] = s
+        queue = list(sources)
+        end = -1
+        for u in queue:
+            row = residual[u]
+            for v in nbrs[u]:
+                if parent[v] < 0 and row[v]:
+                    parent[v] = u
+                    if sinks[v]:
+                        end = v
+                        break
+                    queue.append(v)
+            if end >= 0:
+                break
+        if end < 0:
+            break
+        push = math.inf
+        v = end
+        while parent[v] != v:
+            u = parent[v]
+            push = min(push, residual[u][v])
+            v = u
+        v = end
+        while parent[v] != v:
+            u = parent[v]
+            residual[u][v] -= push
+            residual[v][u] += push
+            v = u
+        value += push
+    if value >= limit:
+        return value, None
+    # vertices that still reach side_b, found backwards from it
+    reach = sinks
+    queue = list(sb)
+    for v in queue:
+        for u in nbrs[v]:
+            if not reach[u] and residual[u][v]:
+                reach[u] = True
+                queue.append(u)
+    return value, frozenset(v for v in range(n) if not reach[v])
 
 
 def independence_number(g, require_simple=False):

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import invariants as inv
 from . import divisors as dv
 from . import multigraph as mg
@@ -114,14 +112,19 @@ def hitting_number(scramble):
 def egg_cut_number(scramble):
     """Minimum egg-cut over disjoint egg pairs, via max-flow with the two
     eggs contracted to source and sink.  (inf, None) when no two eggs are
-    disjoint."""
+    disjoint.
+
+    Returns (value, (A, value)) with A the maximal source side of the first
+    pair, in egg order, whose cut attains the minimum.  Each flow is capped
+    at the running minimum: a pair that cannot cut below it cannot replace
+    the witness, so it is abandoned as soon as its flow reaches it."""
     g = scramble.host
     best = math.inf
     witness = None
     for a, b in itertools.combinations(scramble.eggs, 2):
         if a & b:
             continue
-        value, side = inv.min_cut_between(g, a, b)
+        value, side = inv.min_cut_between(g, a, b, limit=best)
         if value < best:
             best = value
             witness = (frozenset(side), value)
@@ -304,12 +307,6 @@ def brute_force_sn(g, max_eggs=None):
     if n > 16:
         raise ValueError("brute-force oracle is exponential; refusing n > 16")
     full = (1 << n) - 1
-    mult = g.mult
-
-    boundary = np.zeros(1 << n, dtype=np.int64)
-    for mask in range(1, full):
-        members = np.array([(mask >> v) & 1 for v in range(n)], dtype=bool)
-        boundary[mask] = mult[np.ix_(members, ~members)].sum()
 
     def comp_masks(avoid_mask):
         """Components of the graph minus the avoided vertices, as bitmasks."""
@@ -330,10 +327,8 @@ def brute_force_sn(g, max_eggs=None):
             comps.append(comp)
         return comps
 
-    @lru_cache(maxsize=None)
-    def pair_cut(a, b):
-        return int(min(boundary[m] for m in range(1, full)
-                       if m & a == a and m & b == 0))
+    def members(mask):
+        return [v for v in range(n) if mask >> v & 1]
 
     capped = [False]
 
@@ -343,30 +338,40 @@ def brute_force_sn(g, max_eggs=None):
         options = {c: comp_masks(c) for c in constraints}
         chosen = []
 
+        @lru_cache(maxsize=None)
+        def cut_reaches_k(a, b):
+            return inv.min_cut_between(g, members(a), members(b), limit=k)[0] >= k
+
         def compatible(e, f):
-            return e & f or pair_cut(min(e, f), max(e, f)) >= k
+            return e & f or cut_reaches_k(min(e, f), max(e, f))
 
         def backtrack(todo):
-            open_constraints = [c for c in todo
-                                if not any(e & c == 0 for e in chosen)]
-            if not open_constraints:
+            """todo maps each constraint that no chosen egg avoids, in
+            constraint order, to its options compatible with every chosen
+            egg; the first shortest list is branched on."""
+            if not todo:
                 return True
-            def candidates(c):
-                return [e for e in options[c] if all(compatible(e, f) for f in chosen)]
-            c = min(open_constraints, key=lambda c: len(candidates(c)))
-            cands = candidates(c)
-            if cands and max_eggs is not None and len(set(chosen)) >= max_eggs:
+            cands = min(todo.values(), key=len)
+            if max_eggs is not None and len(set(chosen)) >= max_eggs:
                 capped[0] = True
                 return False
             for e in cands:
-                chosen.append(e)
-                if backtrack(open_constraints):
-                    return True
-                chosen.pop()
+                narrowed = {}
+                for c, listed in todo.items():
+                    if e & c:
+                        listed = [f for f in listed if compatible(f, e)]
+                        if not listed:
+                            break  # a dead end: no egg is left for c
+                        narrowed[c] = listed
+                else:
+                    chosen.append(e)
+                    if backtrack(narrowed):
+                        return True
+                    chosen.pop()
             return False
 
-        if backtrack(constraints):
-            return [frozenset(v for v in range(n) if e >> v & 1) for e in set(chosen)]
+        if backtrack(options):
+            return [frozenset(members(e)) for e in set(chosen)]
         return None
 
     best = 1

@@ -8,6 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 
 from scramblegon import divisors as dv
@@ -50,6 +51,34 @@ def brute_egg_cut(g, eggs):
         if any(e <= a for e in eggs) and any(e <= b for e in eggs):
             best = min(best, inv.edge_boundary(g, a))
     return best
+
+
+def networkx_min_cut(g, side_a, side_b):
+    """(value, source side) of networkx's minimum cut with side_a and side_b
+    contracted to a super source and a super sink of infinite capacity."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    for u, v, k in g.edges():
+        nxg.add_edge(u, v, capacity=k)
+    big = int(g.mult.sum()) + 1
+    for v in side_a:
+        nxg.add_edge("src", v, capacity=big)
+    for v in side_b:
+        nxg.add_edge("dst", v, capacity=big)
+    value, (src_side, _) = nx.minimum_cut(nxg, "src", "dst")
+    return int(value), frozenset(v for v in src_side if v != "src")
+
+
+def networkx_egg_cut_number(scramble):
+    """Minimum egg-cut and its witness with one uncapped networkx flow per
+    disjoint egg pair, the first minimal pair in egg order giving the side."""
+    best, witness = math.inf, None
+    for a, b in itertools.combinations(scramble.eggs, 2):
+        if not a & b:
+            value, side = networkx_min_cut(scramble.host, a, b)
+            if value < best:
+                best, witness = value, (side, value)
+    return best, witness
 
 
 def laplacian_equivalent(g, chips_a, chips_b):
@@ -136,6 +165,17 @@ def connected_graph_corpus(max_n=5, max_edges=8):
                 seen.add(key)
                 graphs.append(g)
     return graphs
+
+
+def random_connected_multigraph(rng, n, p, max_mult=3):
+    """Rejection-sample a connected multigraph, each present edge with a
+    multiplicity drawn from 1..max_mult."""
+    while True:
+        edges = [(u, v, rng.randint(1, max_mult))
+                 for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = mg.from_edge_list(n, edges)
+        if inv.is_connected(g):
+            return g
 
 
 def random_connected_graph(rng, n, p):

@@ -171,6 +171,13 @@ def test_error_exit_codes(capsys, tmp_path):
     assert "error" in err
 
 
+def test_over_budget_gonality_exits_2(capsys, tmp_path):
+    path = write_graph(tmp_path, "c5c5.mel", mg.cartesian_product(mg.cycle(5), mg.cycle(5)))
+    code, _, err = run(capsys, "gonality", path, "--lower", "9")
+    assert code == 2
+    assert "candidate-box budget" in err
+
+
 def test_threads_flag_is_accepted(capsys, tmp_path):
     path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
     code, out, _ = run(capsys, "--threads", "4", "--machine", "gonality", path)

@@ -174,3 +174,23 @@ def test_gonality_hints_do_not_change_the_answer():
     g = mg.complete_bipartite(3, 3)
     assert dv.gonality(g)[0] == 3
     assert dv.gonality(g, lower_hint=1, upper_hint=5)[0] == 3
+
+
+def test_box_row_count_matches_enumeration():
+    rng = random.Random(83)
+    for _ in range(20):
+        bounds = [rng.randrange(0, 4) for _ in range(rng.randrange(0, 7))]
+        total = rng.randrange(0, 9)
+        rows, _ = dv._bounded_vectors(bounds, total)
+        assert dv._box_rows(bounds, total) == rows.shape[0]
+
+
+def test_gonality_refuses_an_over_budget_box_without_building_it(monkeypatch):
+    def refuse(bounds, total_max):
+        raise AssertionError("the candidate box was built")
+
+    monkeypatch.setattr(dv, "_bounded_vectors", refuse)
+    c5c5 = mg.cartesian_product(mg.cycle(5), mg.cycle(5))
+    # the degree-9 box has 35,723,880 rows: ~6.8 GiB of int64 chips
+    with pytest.raises(dv.CandidateBudgetError, match="budget"):
+        dv.gonality(c5c5, lower_hint=9)

@@ -68,6 +68,63 @@ def test_min_cut_between_respects_multiplicities():
     assert side in ({0, 1}, frozenset({0, 1}))
 
 
+def _random_host(rng, i):
+    """Alternately a simple G(n,p), possibly disconnected, and a connected
+    multigraph with multiplicities up to 3."""
+    n = rng.randrange(2, 10)
+    if i % 2:
+        return oracles.random_connected_multigraph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+    return mg.random_graph(n, rng.choice([0.3, 0.6]), seed=rng.randrange(1 << 30))
+
+
+def _random_sides(rng, n):
+    verts = list(range(n))
+    rng.shuffle(verts)
+    ka = rng.randrange(1, n)
+    kb = rng.randrange(1, n - ka + 1)
+    return set(verts[:ka]), set(verts[ka:ka + kb])
+
+
+def test_min_cut_between_matches_bipartition_enumeration():
+    rng = random.Random(67)
+    for i in range(60):
+        g = _random_host(rng, i)
+        a, b = _random_sides(rng, g.n)
+        value, side = inv.min_cut_between(g, a, b)
+        assert value == oracles.brute_egg_cut(g, [a, b])
+        assert a <= side and not side & b
+        assert inv.edge_boundary(g, side) == value
+
+
+def test_min_cut_between_matches_networkx_value_and_side():
+    rng = random.Random(71)
+    for i in range(60):
+        g = _random_host(rng, i)
+        a, b = _random_sides(rng, g.n)
+        assert inv.min_cut_between(g, a, b) == oracles.networkx_min_cut(g, a, b)
+
+
+def test_min_cut_between_limit_is_exact_below_or_stops_at_it():
+    rng = random.Random(73)
+    for i in range(40):
+        g = _random_host(rng, i)
+        a, b = _random_sides(rng, g.n)
+        exact, side = inv.min_cut_between(g, a, b)
+        for limit in range(exact + 3):
+            value, capped_side = inv.min_cut_between(g, a, b, limit=limit)
+            if exact < limit:
+                assert (value, capped_side) == (exact, side)
+            else:
+                assert capped_side is None and limit <= value <= exact
+
+
+def test_min_cut_between_validation():
+    g = mg.cycle(4)
+    for a, b in (([], [1]), ([0], []), ([0, 1], [1, 2]), ([0], [4]), ([-1], [2])):
+        with pytest.raises(ValueError):
+            inv.min_cut_between(g, a, b)
+
+
 def test_is_connected_subset():
     g = mg.cycle(6)
     assert inv.is_connected_subset(g, {0, 1, 2})

@@ -67,6 +67,23 @@ def test_egg_cut_number_against_brute_force():
             assert inv.edge_boundary(g, side) == value
 
 
+def test_egg_cut_number_witness_matches_uncapped_networkx_flows():
+    rng = random.Random(79)
+    scrambles = [sc.product_scramble(mg.cycle(4), mg.cycle(5), 2),
+                 sc.edge_scramble(mg.cone(mg.cycle(5), 2)),
+                 sc.vertex_scramble(mg.cone(mg.cycle(5), 2))]
+    for i in range(24):
+        n = rng.randrange(3, 9)
+        if i % 2:
+            g = oracles.random_connected_multigraph(rng, n, 0.6)
+        else:
+            g = oracles.random_connected_graph(rng, n, rng.choice([0.5, 0.8]))
+        scrambles += [sc.edge_scramble(g), sc.vertex_scramble(g),
+                      sc.Scramble(g, random_eggs(rng, g, rng.randrange(2, 8)))]
+    for s in scrambles:
+        assert sc.egg_cut_number(s) == oracles.networkx_egg_cut_number(s)
+
+
 def test_egg_cut_is_infinite_without_disjoint_eggs():
     g = mg.cycle(5)
     s = sc.Scramble(g, [{0, 1}, {1, 2}])
