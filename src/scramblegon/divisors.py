@@ -99,15 +99,30 @@ class BurnResult:
         return "BurnResult(burned=%s, unburned=%s)" % (sorted(self.burned), sorted(self.unburned))
 
 
-def _burn_mask(mult, chips, q):
-    """Vertices burned by a fire started at q.
+def _burn_rows(mult, chips, q):
+    """Vertices burned by a fire started at q, for every row of a chip matrix.
 
     A vertex burns once its burning incident edges outnumber its chips; the
-    closure is monotone, so the iteration order is irrelevant.  chips[q] is
+    closure is monotone, so the iteration order is irrelevant.  chips[:, q] is
     never consulted.
     """
-    n = mult.shape[0]
-    burned = np.zeros(n, dtype=bool)
+    # float32 products take BLAS, many times faster than integer matmul, and
+    # are exact while every valence is below 2**24
+    if mult.sum(axis=1).max() < 2**24:
+        mult = mult.astype(np.float32)
+    burned = np.zeros(chips.shape, dtype=bool)
+    burned[:, q] = True
+    while True:
+        fresh = ~burned & (burned @ mult > chips)
+        if not fresh.any():
+            return burned
+        burned |= fresh
+
+
+def _burn_mask(mult, chips, q):
+    """_burn_rows for one chip vector; on a single row the integer product
+    costs less than the batch set-up."""
+    burned = np.zeros(mult.shape[0], dtype=bool)
     burned[q] = True
     while True:
         fresh = ~burned & (mult @ burned > chips)
@@ -237,14 +252,19 @@ def rank(divisor, cap):
     return result
 
 
-# Bytes the int64 chip matrix of one degree's candidate box may take.  The
-# search's peak memory is several times this: burn masks, matrix products and
-# the enumeration's intermediate copies come on top.
+# Bytes the int64 chip matrix of one degree's full candidate box would take.
+# The box is streamed CHUNK_ROWS rows at a time and never built whole, so
+# memory is bounded by the chunk; the budget now bounds the work of one degree,
+# and refuses the same (graph, degree) pairs as when the box was materialised.
 CANDIDATE_BOX_BUDGET = 256 * 2**20
+
+# Candidate rows filtered together: of 1,024 to 8,192, 2,048 was fastest on
+# the benchmark's gonality ladder (products and cones on 9-15 vertices).
+CHUNK_ROWS = 2048
 
 
 class CandidateBudgetError(ValueError):
-    """A gonality search would build a candidate box over CANDIDATE_BOX_BUDGET."""
+    """A gonality search would scan a candidate box over CANDIDATE_BOX_BUDGET."""
 
 
 def _box_rows(bounds, total_max):
@@ -256,49 +276,72 @@ def _box_rows(bounds, total_max):
 
 
 def _bounded_vectors(bounds, total_max):
-    """All nonnegative integer rows x with x[i] <= bounds[i] and sum(x) <= total_max."""
+    """All nonnegative integer rows x with x[i] <= bounds[i] and sum(x) <= total_max,
+    in lexicographic order, and their sums."""
     rows = np.zeros((1, 0), dtype=np.int64)
     sums = np.zeros(1, dtype=np.int64)
     for b in bounds:
         counts = np.minimum(b, total_max - sums) + 1
-        rows = np.repeat(rows, counts, axis=0)
-        sums = np.repeat(sums, counts)
-        new_col = np.concatenate([np.arange(c, dtype=np.int64) for c in counts])
-        rows = np.hstack([rows, new_col[:, None]])
-        sums = sums + new_col
+        starts = np.cumsum(counts) - counts
+        new_col = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+        rows = np.hstack([np.repeat(rows, counts, axis=0), new_col[:, None]])
+        sums = np.repeat(sums, counts) + new_col
     return rows, sums
 
 
-def _reduced_effective_divisors(g, degree, basepoint=0):
-    """All q0-reduced effective divisors of the given degree, as a chip matrix.
+def _box_chunks(bounds, total_max):
+    """The rows of _bounded_vectors(bounds, total_max), in its order, in chunks
+    of at most CHUNK_ROWS rows.
 
-    Away from the basepoint a q0-reduced divisor carries at most val(v) - 1
-    chips (a heavier vertex could never burn), so the candidate space is the
-    bounded box below; a batch Dhar filter keeps exactly the reduced ones.
+    The columns split into a head and the longest tail (one column at least)
+    whose own box fits in a chunk.  In order, the rows are each head row
+    followed by every tail row whose sum fits the head's remaining budget.  The
+    head rows are streamed the same way, so each level holds its tail box and
+    a chunk of rows, never the whole box.
+    """
+    k = max(len(bounds) - 1, 0)
+    while k and _box_rows(bounds[k - 1:], total_max) <= CHUNK_ROWS:
+        k -= 1
+    tails, tail_sums = _bounded_vectors(bounds[k:], total_max)
+    # fits[first[t]:first[t + 1]]: indices of the tail rows with sum <= t
+    fits = [np.flatnonzero(tail_sums <= t) for t in range(total_max + 1)]
+    first = np.cumsum([0] + [f.size for f in fits])
+    fits = np.concatenate(fits)
+    head_chunks = _box_chunks(bounds[:k], total_max) if k else [np.zeros((1, 0), dtype=np.int64)]
+    for heads in head_chunks:
+        budget = total_max - heads.sum(axis=1)
+        counts = first[budget + 1] - first[budget]
+        ends = np.cumsum(counts)
+        shift = first[budget] - (ends - counts)  # row r of head h takes tail fits[shift[h] + r]
+        total = int(ends[-1])
+        for start in range(0, total, CHUNK_ROWS):
+            r = np.arange(start, min(start + CHUNK_ROWS, total))
+            h = np.searchsorted(ends, r, side="right")
+            yield np.hstack([heads[h], tails[fits[shift[h] + r]]])
+
+
+def _reduced_effective_divisors(g, degree):
+    """The 0-reduced effective divisors of the given degree that keep a chip on
+    vertex 0, as chip matrices of at most CHUNK_ROWS rows, ordered by chips[1:].
+
+    Away from the basepoint 0 a 0-reduced divisor carries at most val(v) - 1
+    chips (a heavier vertex could never burn), so the candidates are the rows
+    of a bounded box; only rows of total <= degree - 1 are scanned, as a
+    positive-rank divisor keeps a chip on 0 in its 0-reduced form.  A batch
+    Dhar filter keeps exactly the reduced ones.
     """
     n = g.n
-    vals = g.valences()
-    bounds = [int(vals[v]) - 1 for v in range(n) if v != basepoint]
+    bounds = [int(val) - 1 for val in g.valences()[1:]]
     box_bytes = _box_rows(bounds, degree) * n * 8
     if box_bytes > CANDIDATE_BOX_BUDGET:
         raise CandidateBudgetError(
             "the degree-%d candidate box would take %.1f MiB of chips, over the "
             "%d MiB candidate-box budget" % (degree, box_bytes / 2**20, CANDIDATE_BOX_BUDGET >> 20))
-    rows, sums = _bounded_vectors(bounds, degree)
-    chips = np.zeros((rows.shape[0], n), dtype=np.int64)
-    others = [v for v in range(n) if v != basepoint]
-    chips[:, others] = rows
-    chips[:, basepoint] = degree - sums
-
-    mult = g.mult
-    burned = np.zeros((chips.shape[0], n), dtype=bool)
-    burned[:, basepoint] = True
-    while True:
-        fresh = ~burned & (burned @ mult > chips)
-        if not fresh.any():
-            break
-        burned |= fresh
-    return chips[burned.all(axis=1)]
+    for rows in _box_chunks(bounds, degree - 1):
+        chips = np.empty((rows.shape[0], n), dtype=np.int64)
+        chips[:, 0] = degree - rows.sum(axis=1)
+        chips[:, 1:] = rows
+        yield chips[_burn_rows(g.mult, chips, 0).all(axis=1)]
 
 
 def _batch_reduce_effective(mult, chips, q):
@@ -308,14 +351,7 @@ def _batch_reduce_effective(mult, chips, q):
     vals = mult.sum(axis=1)
     active = np.arange(chips.shape[0])
     while active.size:
-        sub = chips[active]
-        burned = np.zeros_like(sub, dtype=bool)
-        burned[:, q] = True
-        while True:
-            fresh = ~burned & (burned @ mult > sub)
-            if not fresh.any():
-                break
-            burned |= fresh
+        burned = _burn_rows(mult, chips[active], q)
         alive = ~burned.all(axis=1)
         if not alive.any():
             break
@@ -329,11 +365,15 @@ def gonality(g, lower_hint=None, upper_hint=None):
     """Exact gonality with a positive-rank witness divisor.
 
     Searches degrees from a connectivity lower bound up to n - alpha for
-    simple graphs (2|E| for true multigraphs), enumerating only q0-reduced
-    effective candidates: every divisor class of positive rank has an
-    effective q0-reduced representative, so the pruning is lossless.  Raises
-    CandidateBudgetError, before building it, when a degree's candidate box
-    would exceed CANDIDATE_BOX_BUDGET.
+    simple graphs (2|E| for true multigraphs), enumerating only 0-reduced
+    effective candidates with a chip on vertex 0: every divisor class of
+    positive rank has such a representative, so the pruning is lossless.
+    Each degree's candidates are streamed in a fixed order and the search
+    stops at the first positive-rank one, so the witness is the 0-reduced
+    positive-rank divisor of minimal degree with the lexicographically least
+    chips[1:], whatever the hints.  Raises CandidateBudgetError, before
+    scanning it, when a degree's candidate box would exceed
+    CANDIDATE_BOX_BUDGET.
     """
     if not inv.is_connected(g):
         raise ValueError("gonality needs a connected graph")
@@ -352,16 +392,18 @@ def gonality(g, lower_hint=None, upper_hint=None):
         raise ValueError("lower hint %d exceeds upper hint %d" % (lower, upper))
 
     mult = g.mult
-    for degree in range(lower, upper + 1):
-        candidates = _reduced_effective_divisors(g, degree)
-        # positive rank <=> every q-reduction keeps a chip on q; filter the
-        # whole batch one basepoint at a time, cheapest rejections first
-        for q in range(n):
-            if not candidates.shape[0]:
-                break
-            reduced = _batch_reduce_effective(mult, candidates, q)
-            candidates = candidates[reduced[:, q] >= 1]
-        if candidates.shape[0]:
-            return degree, Divisor(g, candidates[0])
+    # on two or more vertices no divisor of degree < 1 has positive rank
+    for degree in range(max(lower, 1), upper + 1):
+        for candidates in _reduced_effective_divisors(g, degree):
+            # positive rank <=> every q-reduction keeps a chip on q, which holds
+            # at q = 0 already; filter one basepoint at a time, cheapest
+            # rejections first
+            for q in range(1, n):
+                if not candidates.shape[0]:
+                    break
+                reduced = _batch_reduce_effective(mult, candidates, q)
+                candidates = candidates[reduced[:, q] >= 1]
+            if candidates.shape[0]:
+                return degree, Divisor(g, candidates[0])
     raise RuntimeError("no positive-rank divisor of degree <= %d found; "
                        "an upper hint below the true gonality?" % upper)

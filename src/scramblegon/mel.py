@@ -61,10 +61,7 @@ def parse_mel(text):
         if k < 1:
             raise MelError(lineno, "multiplicity must be >= 1 in %r" % line)
         edges.append((u, v, k))
-    try:
-        return from_edge_list(n, edges)
-    except ValueError as exc:  # pragma: no cover - parse checks above should catch all
-        raise MelError(lines[0][0], str(exc)) from None
+    return from_edge_list(n, edges)
 
 
 def write_mel(g):

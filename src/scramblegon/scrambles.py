@@ -207,7 +207,8 @@ def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
         if order > lower:
             lower, lsrc = order, "edge scramble"
     if g.n <= gonality_budget:
-        upper, usrc = dv.gonality(g)[0], "gonality"
+        # sn <= gon, so the scramble lower bound is a sound starting degree
+        upper, usrc = dv.gonality(g, lower_hint=lower)[0], "gonality"
     else:
         upper, usrc = g.n, "vertex count"
     if use_brute:

@@ -184,3 +184,20 @@ def random_connected_graph(rng, n, p):
         g = mg.random_graph(n, p, seed=rng.randrange(1 << 30))
         if inv.is_connected(g):
             return g
+
+
+def lex_least_gonality_witness(g):
+    """(gonality, chips) of the 0-reduced positive-rank divisor of minimal
+    degree with the lexicographically least chips[1:], found by 0-reducing
+    every effective divisor of each degree, enumerated as vertex multisets."""
+    n = g.n
+    for degree in itertools.count(1):
+        reduced = set()
+        for probe in itertools.combinations_with_replacement(range(n), degree):
+            chips = np.zeros(n, dtype=np.int64)
+            for v in probe:
+                chips[v] += 1
+            reduced.add(tuple(dv.q_reduce(dv.Divisor(g, chips), 0).chips.tolist()))
+        witnesses = [c for c in reduced if dv.has_positive_rank(dv.Divisor(g, c))]
+        if witnesses:
+            return degree, list(min(witnesses, key=lambda c: c[1:]))

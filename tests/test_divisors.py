@@ -148,6 +148,15 @@ def test_batch_reduction_matches_single_reduction():
             assert np.array_equal(batch[i], single)
 
 
+def test_batch_burn_is_exact_past_float32_precision():
+    g = mg.from_edge_list(3, [(0, 1, 1), (1, 2, 2**24 + 1)])
+    rows = np.array([[0, 0, 2**24], [0, 0, 2**24 + 1], [0, 5, 2**24], [0, 0, 0]], dtype=np.int64)
+    for q in range(g.n):
+        batch = dv._burn_rows(g.mult, rows, q)
+        for i in range(rows.shape[0]):
+            assert np.array_equal(batch[i], dv._burn_mask(g.mult, rows[i], q))
+
+
 def test_gonality_known_values_and_witness():
     cases = [
         (mg.path(6), 1), (mg.cycle(7), 2), (mg.complete(5), 4),
@@ -174,6 +183,43 @@ def test_gonality_hints_do_not_change_the_answer():
     g = mg.complete_bipartite(3, 3)
     assert dv.gonality(g)[0] == 3
     assert dv.gonality(g, lower_hint=1, upper_hint=5)[0] == 3
+
+
+def test_gonality_witness_is_the_lexicographically_least_reduced_one():
+    rng = random.Random(41)
+    graphs = [oracles.random_connected_graph(rng, rng.randrange(2, 8), 0.5) for _ in range(18)]
+    graphs += [oracles.random_connected_multigraph(rng, rng.randrange(2, 6), 0.5) for _ in range(14)]
+    for g in graphs:
+        value, witness = dv.gonality(g)
+        assert (value, witness.chips.tolist()) == oracles.lex_least_gonality_witness(g)
+
+
+def test_gonality_witness_does_not_depend_on_the_chunk_size(monkeypatch):
+    rng = random.Random(47)
+    graphs = [mg.hypercube(3), mg.complete_bipartite(3, 3), mg.cone(mg.cycle(4), 4),
+              mg.from_edge_list(4, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 0, 1), (0, 2, 1)])]
+    graphs += [oracles.random_connected_multigraph(rng, 6, 0.5) for _ in range(3)]
+
+    def results():
+        return [(value, witness.chips.tobytes()) for value, witness in map(dv.gonality, graphs)]
+
+    expected = results()
+    for chunk in (1, 7):
+        monkeypatch.setattr(dv, "CHUNK_ROWS", chunk)
+        assert results() == expected
+
+
+def test_box_chunks_concatenate_to_the_box(monkeypatch):
+    rng = random.Random(89)
+    for chunk in (1, 7, dv.CHUNK_ROWS):
+        monkeypatch.setattr(dv, "CHUNK_ROWS", chunk)
+        for _ in range(15):
+            bounds = [rng.randrange(0, 4) for _ in range(rng.randrange(0, 9))]
+            total = rng.randrange(0, 9)
+            chunks = list(dv._box_chunks(bounds, total))
+            assert all(1 <= c.shape[0] <= chunk for c in chunks)
+            rows, _ = dv._bounded_vectors(bounds, total)
+            assert np.array_equal(np.vstack(chunks), rows)
 
 
 def test_box_row_count_matches_enumeration():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+from scramblegon import divisors as dv
 from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
 from scramblegon import scrambles as sc
@@ -135,6 +136,22 @@ def test_sn_bounds_structure():
     assert (tree.lower, tree.upper) == (1, 1)
     cyc = sc.sn_bounds(mg.cycle(9))
     assert (cyc.lower, cyc.upper) == (2, 2)
+
+
+def test_sn_bounds_starts_the_gonality_search_at_the_scramble_bound(monkeypatch):
+    hints = []
+    search = dv.gonality
+
+    def spy(g, lower_hint=None, upper_hint=None):
+        hints.append(lower_hint)
+        return search(g, lower_hint=lower_hint, upper_hint=upper_hint)
+
+    monkeypatch.setattr(dv, "gonality", spy)
+    q3 = mg.hypercube(3)
+    report = sc.sn_bounds(q3)
+    assert hints and all(h is not None and h >= sc.scramble_order(sc.vertex_scramble(q3)).order
+                         for h in hints)
+    assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
 
 
 def test_sn_bounds_user_scramble_can_raise_lower():
