@@ -48,6 +48,18 @@ def _require(checks, ok):
         raise HypothesisError("hypothesis failure: " + "; ".join(failed))
 
 
+def _thm41(n_g, n_h, lam_g, lam_h, k):
+    return min(k * n_h, n_g * lam_h, (n_g - 2 * k + 2) * lam_h + 2 * lam_g)
+
+
+def _cor42(n_g, n_h, lam_g, lam_h):
+    return max(min(n_h, n_g * lam_h), min(n_g, n_h * lam_g))
+
+
+def _prop43(n_g, n_h, lam_h, delta_g):
+    return min(2 * n_h, n_g * lam_h, (n_g - 2) * lam_h + 2 * delta_g)
+
+
 def thm41_lower(g, h, k):
     """sn(G [] H) >= min(k|V(H)|, |V(G)|lam(H), (|V(G)|-2k+2)lam(H)+2lam(G))
     for kappa(G) >= k >= 1 and |V(G)| >= 2k-1, both factors connected."""
@@ -59,8 +71,7 @@ def thm41_lower(g, h, k):
     checks.append(HypothesisCheck("kappa(G) >= k", "%d >= %d" % (kappa, k), kappa >= k))
     checks.append(HypothesisCheck("|V(G)| >= 2k-1", "%d >= %d" % (g.n, 2 * k - 1), g.n >= 2 * k - 1))
     _require(checks, all(c.passed for c in checks))
-    lam_g, lam_h = inv.edge_connectivity(g), inv.edge_connectivity(h)
-    return min(k * h.n, g.n * lam_h, (g.n - 2 * k + 2) * lam_h + 2 * lam_g)
+    return _thm41(g.n, h.n, inv.edge_connectivity(g), inv.edge_connectivity(h), k)
 
 
 def cor42_lower(g, h):
@@ -69,8 +80,7 @@ def cor42_lower(g, h):
         raise HypothesisError("both factors need at least 2 vertices")
     if not (inv.is_connected(g) and inv.is_connected(h)):
         raise HypothesisError("both factors must be connected")
-    lam_g, lam_h = inv.edge_connectivity(g), inv.edge_connectivity(h)
-    return max(min(h.n, g.n * lam_h), min(g.n, h.n * lam_g))
+    return _cor42(g.n, h.n, inv.edge_connectivity(g), inv.edge_connectivity(h))
 
 
 def prop43_lower(g, h):
@@ -81,8 +91,7 @@ def prop43_lower(g, h):
     kappa = inv.vertex_connectivity(g)
     if kappa < 2:
         raise HypothesisError("need kappa(G) >= 2, got %d" % kappa)
-    lam_h = inv.edge_connectivity(h)
-    return min(2 * h.n, g.n * lam_h, (g.n - 2) * lam_h + 2 * inv.min_degree(g))
+    return _prop43(g.n, h.n, inv.edge_connectivity(h), inv.min_degree(g))
 
 
 def product_gon_upper(g, h, gon_g=None, gon_h=None, budget=12):
@@ -104,16 +113,12 @@ def product_gon_upper(g, h, gon_g=None, gon_h=None, budget=12):
     return min(terms)
 
 
-def _factor_gon(g, supplied, budget):
+def _factor_gon(g, supplied, budget, lower_hint=None):
     if supplied is not None:
         return supplied
     if g.n <= budget:
-        return dv.gonality(g)[0]
+        return dv.gonality(g, lower_hint=lower_hint)[0]
     return None
-
-
-def _is_tree(g):
-    return g.is_simple() and inv.is_connected(g) and g.edge_count() == g.n - 1
 
 
 def _is_complete_simple(g):
@@ -122,7 +127,7 @@ def _is_complete_simple(g):
 
 def _complete_bipartite_parts(g):
     """(m, n) with m <= n when g is a complete bipartite simple graph, else None."""
-    if not g.is_simple() or g.n < 2 or not inv.is_connected(g):
+    if not g.is_simple() or g.n < 2:
         return None
     color = {0: 0}
     stack = [0]
@@ -134,6 +139,8 @@ def _complete_bipartite_parts(g):
                 stack.append(u)
             elif color[u] == color[v]:
                 return None
+    if len(color) < g.n:  # disconnected
+        return None
     parts = [sorted(v for v in color if color[v] == c) for c in (0, 1)]
     for u in parts[0]:
         for v in parts[1]:
@@ -160,9 +167,13 @@ class _FactorStats:
 
 
 def _stats(g, gon, budget):
-    return _FactorStats(graph=g, n=g.n, lam=inv.edge_connectivity(g),
+    """Invariants of a connected factor, each computed once."""
+    lam = inv.edge_connectivity(g)
+    # the gonality search's own default start, min(lam, n), passed on
+    return _FactorStats(graph=g, n=g.n, lam=lam,
                         kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
-                        gon=_factor_gon(g, gon, budget), tree=_is_tree(g))
+                        gon=_factor_gon(g, gon, budget, lower_hint=max(1, min(lam, g.n))),
+                        tree=g.is_simple() and g.edge_count() == g.n - 1)
 
 
 def _check(checks, description, value, passed):
@@ -356,24 +367,26 @@ def certify_product(g, h, gon_g=None, gon_h=None, budget=12):
                 return Certificate(statement=statement_id, hypotheses=checks,
                                    value=value, orientation=orientation)
     return Certificate(statement="open", hypotheses=[], value=None,
-                       bounds=_open_bounds(stats_g, stats_h, budget))
+                       bounds=_open_bounds(stats_g, stats_h))
 
 
-def _open_bounds(stats_g, stats_h, budget):
+def _open_bounds(stats_g, stats_h):
+    # both factors are connected (checked by certify_product), and the kappa
+    # loop below keeps to the hypotheses of Thm 4.1 and Prop 4.3
     lower, lsrc = 0, "trivial"
     for a, b, tag in ((stats_g, stats_h, "G,H"), (stats_h, stats_g, "H,G")):
         if a.n >= 2 and b.n >= 2:
-            value = cor42_lower(a.graph, b.graph)
+            value = _cor42(a.n, b.n, a.lam, b.lam)
             if value > lower:
                 lower, lsrc = value, "k=1 product scramble (%s)" % tag
         if a.kappa >= 2:
-            value = prop43_lower(a.graph, b.graph)
+            value = _prop43(a.n, b.n, b.lam, a.delta)
             if value > lower:
                 lower, lsrc = value, "k=2 product scramble (%s)" % tag
         for k in range(1, a.kappa + 1):
             if a.n < 2 * k - 1:
                 break
-            value = thm41_lower(a.graph, b.graph, k)
+            value = _thm41(a.n, b.n, a.lam, b.lam, k)
             if value > lower:
                 lower, lsrc = value, "k=%d product scramble (%s)" % (k, tag)
     terms = []

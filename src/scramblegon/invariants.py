@@ -4,22 +4,16 @@ exact independence number.
 Edge connectivity and min cuts respect edge multiplicities throughout; vertex
 connectivity is taken on the underlying simple graph with the convention
 kappa(K_n) = n - 1 and kappa = lambda = 0 for disconnected graphs.
+
+Every flow here (min cuts between vertex sets, edge connectivity, and the
+local vertex connectivities on the vertex-split digraph) runs on one capped
+augmenting-path kernel, `_augment`; bridges come from a low-link DFS.
 """
 
 import math
 from collections import deque
 
-import networkx as nx
 import numpy as np
-
-
-def to_networkx(g):
-    """Weighted simple nx.Graph; multiplicity stored as weight and capacity."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    for u, v, k in g.edges():
-        nxg.add_edge(u, v, weight=k, capacity=k)
-    return nxg
 
 
 def min_degree(g):
@@ -82,62 +76,20 @@ def edge_boundary(g, vertices):
     return int(g.mult[np.ix_(mask, ~mask)].sum())
 
 
-def edge_connectivity(g):
-    if g.n == 1 or not is_connected(g):
-        return 0
-    value, _ = nx.stoer_wagner(to_networkx(g))
-    return int(value)
+def _adjacency(rows):
+    return [[v for v, k in enumerate(row) if k] for row in rows]
 
 
-def vertex_connectivity(g):
-    if g.n == 1 or not is_connected(g):
-        return 0
-    simple = g.underlying_simple()
-    if (simple.mult.sum(axis=1) == g.n - 1).all():
-        # every pair adjacent: Menger has no non-adjacent pair to cut
-        return g.n - 1
-    return int(nx.node_connectivity(to_networkx(simple)))
+def _augment(residual, nbrs, sources, sinks, limit):
+    """Push augmenting paths from `sources` to the vertices flagged in `sinks`
+    until none is left or the flow reaches `limit`; returns the flow value.
 
-
-def bridges(g):
-    """Cut edges; a parallel class of multiplicity >= 2 is never a bridge."""
-    simple = to_networkx(g.underlying_simple())
-    out = []
-    for u, v in nx.bridges(simple):
-        if g.mult[u, v] == 1:
-            out.append((min(u, v), max(u, v)))
-    return sorted(out)
-
-
-def min_cut_between(g, side_a, side_b, limit=math.inf):
-    """Minimum edge cut separating vertex set side_a from side_b, stopping
-    early once the cut is known to be at least `limit`.
-
-    Augmenting paths (Edmonds-Karp) on the multiplicity matrix, searched
-    breadth-first from all of side_a at once, so side_a and side_b act as
-    contracted source and sink.  Returns (value, source_side):
-
-    - when the cut is below `limit`, value is exact and source_side is the
-      maximal A of a minimum cut: side_a <= A, A disjoint from side_b, A
-      holding every vertex that cannot reach side_b in the final residual
-      graph;
-    - otherwise the search stops as soon as the flow reaches `limit` and
-      returns (value, None) with value >= limit.
-
-    Sides must be disjoint and nonempty.
+    `residual` is a list-of-lists capacity matrix, possibly directed, updated
+    in place; `nbrs[u]` must list every v with a positive residual[u][v] or
+    residual[v][u].  Paths are shortest ones (Edmonds-Karp), searched
+    breadth-first from all sources at once.
     """
-    sa, sb = set(side_a), set(side_b)
-    if not sa or not sb or sa & sb:
-        raise ValueError("sides must be disjoint nonempty vertex sets")
-    n = g.n
-    if not all(0 <= v < n for v in sa | sb):
-        raise ValueError("vertex out of range")
-    residual = g.mult.tolist()
-    nbrs = [[v for v, k in enumerate(row) if k] for row in residual]
-    sinks = [False] * n
-    for v in sb:
-        sinks[v] = True
-    sources = list(sa)
+    n = len(residual)
     value = 0
     while value < limit:
         parent = [-1] * n
@@ -171,6 +123,130 @@ def min_cut_between(g, side_a, side_b, limit=math.inf):
             residual[v][u] += push
             v = u
         value += push
+    return value
+
+
+def edge_connectivity(g):
+    """Minimum edge cut counted with multiplicity: the least cut between
+    vertex 0 and some other vertex, each flow capped at the running minimum,
+    which starts at the minimum degree."""
+    n = g.n
+    rows = g.mult.tolist()
+    nbrs = _adjacency(rows)
+    best = min_degree(g)
+    for v in range(1, n):
+        sinks = [False] * n
+        sinks[v] = True
+        best = min(best, _augment([row[:] for row in rows], nbrs, [0], sinks, best))
+    return best
+
+
+def vertex_connectivity(g):
+    """Vertex connectivity of the underlying simple graph by Even's scheme.
+
+    A minimum separator S leaves some vertex of index <= |S| outside it, and
+    the lowest-index such vertex i has every vertex of another component of
+    G - S above it.  So local connectivities from i = 0, 1, ... to each
+    higher non-neighbour j, while i <= best, reach kappa; each flow is capped
+    at the running minimum, which starts at the minimum degree.
+    """
+    n = g.n
+    if n == 1:
+        return 0
+    adj = _adjacency(g.mult.tolist())
+    if all(len(a) == n - 1 for a in adj):
+        # every pair adjacent: Menger has no non-adjacent pair to cut
+        return n - 1
+    # split digraph: v_in = 2v -> v_out = 2v+1 with capacity 1, u_out -> v_in
+    # for each edge uv; flows run from s_out to t_in, so s and t are uncapped
+    split = [[0] * (2 * n) for _ in range(2 * n)]
+    nbrs = []
+    for v in range(n):
+        split[2 * v][2 * v + 1] = 1
+        for u in adj[v]:
+            split[2 * v + 1][2 * u] = 1
+        nbrs.append([2 * v + 1] + [2 * u + 1 for u in adj[v]])
+        nbrs.append([2 * v] + [2 * u for u in adj[v]])
+    best = min(len(a) for a in adj)
+    i = 0
+    while i <= best:
+        ai = set(adj[i])
+        for j in range(i + 1, n):
+            if j not in ai:
+                sinks = [False] * (2 * n)
+                sinks[2 * j] = True
+                best = min(best, _augment([row[:] for row in split], nbrs,
+                                          [2 * i + 1], sinks, best))
+        i += 1
+    return best
+
+
+def bridges(g):
+    """Cut edges; a parallel class of multiplicity >= 2 is never a bridge.
+
+    One iterative low-link DFS over the underlying simple graph."""
+    rows = g.mult.tolist()
+    adj = _adjacency(rows)
+    n = g.n
+    order = [-1] * n
+    low = [0] * n
+    count = 0
+    out = []
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, rest = stack[-1]
+            for u in rest:
+                if u == parent:
+                    continue
+                if order[u] < 0:
+                    order[u] = low[u] = count
+                    count += 1
+                    stack.append((u, v, iter(adj[u])))
+                    break
+                low[v] = min(low[v], order[u])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > order[parent] and rows[parent][v] == 1:
+                        out.append((min(parent, v), max(parent, v)))
+    return sorted(out)
+
+
+def min_cut_between(g, side_a, side_b, limit=math.inf):
+    """Minimum edge cut separating vertex set side_a from side_b, stopping
+    early once the cut is known to be at least `limit`.
+
+    Augmenting paths (Edmonds-Karp) on the multiplicity matrix, searched
+    breadth-first from all of side_a at once, so side_a and side_b act as
+    contracted source and sink.  Returns (value, source_side):
+
+    - when the cut is below `limit`, value is exact and source_side is the
+      maximal A of a minimum cut: side_a <= A, A disjoint from side_b, A
+      holding every vertex that cannot reach side_b in the final residual
+      graph;
+    - otherwise the search stops as soon as the flow reaches `limit` and
+      returns (value, None) with value >= limit.
+
+    Sides must be disjoint and nonempty.
+    """
+    sa, sb = set(side_a), set(side_b)
+    if not sa or not sb or sa & sb:
+        raise ValueError("sides must be disjoint nonempty vertex sets")
+    n = g.n
+    if not all(0 <= v < n for v in sa | sb):
+        raise ValueError("vertex out of range")
+    residual = g.mult.tolist()
+    nbrs = _adjacency(residual)
+    sinks = [False] * n
+    for v in sb:
+        sinks[v] = True
+    value = _augment(residual, nbrs, list(sa), sinks, limit)
     if value >= limit:
         return value, None
     # vertices that still reach side_b, found backwards from it

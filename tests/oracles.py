@@ -53,6 +53,45 @@ def brute_egg_cut(g, eggs):
     return best
 
 
+def brute_vertex_connectivity(g):
+    """kappa of the underlying simple graph by removing vertex subsets,
+    smallest first, until the rest is disconnected; n - 1 when no subset of
+    at most n - 2 vertices does it (complete graphs and n = 1)."""
+    n = g.n
+    adj = [sum(1 << v for v in range(n) if g.mult[u, v]) for u in range(n)]
+    for size in range(n - 1):
+        for removed in itertools.combinations(range(n), size):
+            rest = (1 << n) - 1
+            for v in removed:
+                rest &= ~(1 << v)
+            seen = rest & -rest
+            frontier = seen
+            while frontier:
+                v = frontier.bit_length() - 1
+                frontier &= ~(1 << v)
+                new = adj[v] & rest & ~seen
+                seen |= new
+                frontier |= new
+            if seen != rest:
+                return size
+    return n - 1
+
+
+def networkx_connectivity(g):
+    """(edge connectivity, vertex connectivity, bridges) from networkx:
+    stoer_wagner with multiplicities as weights, node_connectivity on the
+    underlying simple graph and its bridges of multiplicity 1; 0 and 0 on one
+    vertex or a disconnected graph."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    for u, v, k in g.edges():
+        nxg.add_edge(u, v, weight=k)
+    cut_edges = sorted((min(u, v), max(u, v)) for u, v in nx.bridges(nxg) if g.mult[u, v] == 1)
+    if g.n == 1 or not nx.is_connected(nxg):
+        return 0, 0, cut_edges
+    return int(nx.stoer_wagner(nxg)[0]), nx.node_connectivity(nxg), cut_edges
+
+
 def networkx_min_cut(g, side_a, side_b):
     """(value, source side) of networkx's minimum cut with side_a and side_b
     contracted to a super source and a super sink of infinite capacity."""

@@ -83,6 +83,32 @@ def test_certify_open_case_reports_bounds():
     assert cert.bounds.lower <= cert.bounds.upper
 
 
+def test_open_bounds_equal_the_best_public_lower_formula():
+    # budget 0 leaves the factor gonalities unknown, so most pairs stay open;
+    # their lower bound must be the best public formula whose hypotheses hold
+    factors = [mg.path(3), mg.cycle(2), mg.cycle(4), mg.cycle(5), mg.complete(4),
+               mg.complete_bipartite(2, 3), mg.star(4), mg.hypercube(3), mg.complete(5),
+               mg.from_edge_list(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1)])]
+    opened = 0
+    for g in factors:
+        for h in factors:
+            cert = ct.certify_product(g, h, budget=0)
+            if cert.certified:
+                continue
+            opened += 1
+            values = [0]
+            for a, b in ((g, h), (h, g)):
+                formulas = [ct.cor42_lower, ct.prop43_lower]
+                formulas += [lambda a, b, k=k: ct.thm41_lower(a, b, k) for k in range(1, a.n + 1)]
+                for formula in formulas:
+                    try:
+                        values.append(formula(a, b))
+                    except ct.HypothesisError:
+                        pass
+            assert cert.bounds.lower == max(values)
+    assert opened >= 50
+
+
 def test_certify_accepts_supplied_gonalities_over_budget():
     g = mg.cycle(16)
     h = mg.cycle(20)

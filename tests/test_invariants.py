@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
+import scramblegon
 from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
 
@@ -49,6 +53,61 @@ def test_bridges():
     # a doubled edge is never a bridge
     g = mg.from_edge_list(3, [(0, 1, 2), (1, 2, 1)])
     assert [tuple(sorted(b)) for b in inv.bridges(g)] == [(1, 2)]
+
+
+def two_k4s_at_0():
+    """Two K4s sharing vertex 0, so 0 is adjacent to every other vertex and
+    {0} is the only minimum separator: Even's scheme must go past i = 0."""
+    return mg.from_edge_list(7, [(u, v, 1) for part in ([0, 1, 2, 3], [0, 4, 5, 6])
+                                 for i, u in enumerate(part) for v in part[i + 1:]])
+
+
+def _connectivity_cases():
+    """Fixed shapes, then random simple graphs (possibly disconnected) and
+    multigraphs with multiplicities up to 3 (connected or not)."""
+    rng = random.Random(89)
+    two_k4s = two_k4s_at_0()
+    cases = [mg.path(1), mg.path(2), mg.cycle(2), two_k4s, petersen(),
+             mg.from_edge_list(4, [(0, 1, 1), (2, 3, 1)]),
+             mg.from_edge_list(5, [(1, 2, 2), (2, 3, 1)]),
+             mg.from_edge_list(3, [(0, 1, 3), (1, 2, 3), (0, 2, 3)])]
+    cases += [mg.complete(n) for n in range(2, 7)]
+    cases += [mg.random_tree(n, seed=rng.randrange(1 << 30)) for n in range(2, 9)]
+    cases += [mg.relabel(two_k4s, rng.sample(range(7), 7)) for _ in range(3)]
+    for i in range(90):
+        n = rng.randrange(2, 9)
+        g = mg.random_graph(n, rng.choice([0.2, 0.4, 0.6, 0.9]), seed=rng.randrange(1 << 30))
+        if i % 3 == 1:
+            g = oracles.random_connected_multigraph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+        elif i % 3 == 2:
+            g = mg.from_edge_list(n, [(u, v, rng.randint(1, 3)) for u, v, _ in g.edges()])
+        cases.append(g)
+    return cases
+
+
+def test_connectivity_and_bridges_match_networkx_and_brute_force():
+    for g in _connectivity_cases():
+        got = (inv.edge_connectivity(g), inv.vertex_connectivity(g), inv.bridges(g))
+        assert got == oracles.networkx_connectivity(g)
+        assert got[1] == oracles.brute_vertex_connectivity(g)
+        if g.n >= 2:
+            assert got[0] == oracles.brute_egg_cut(g, [{v} for v in range(g.n)])
+
+
+def test_vertex_connectivity_finds_a_separator_through_vertex_0():
+    g = two_k4s_at_0()
+    assert inv.min_degree(g) == 3
+    assert inv.vertex_connectivity(g) == 1
+    assert inv.edge_connectivity(g) == 3
+
+
+def test_import_does_not_load_networkx():
+    code = "import sys, scramblegon; print('networkx' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scramblegon.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_edge_boundary():
