@@ -12,6 +12,8 @@ same number, so the order only affects provenance.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import divisors as dv
 from . import invariants as inv
 from . import multigraph as mg
@@ -126,28 +128,18 @@ def _is_complete_simple(g):
 
 
 def _complete_bipartite_parts(g):
-    """(m, n) with m <= n when g is a complete bipartite simple graph, else None."""
-    if not g.is_simple() or g.n < 2:
+    """(m, n) with m <= n when g is a complete bipartite simple graph, else None.
+
+    The parts can only be the parity classes of the distances from vertex 0;
+    g must reach every vertex and equal the 0/1 pattern those classes span."""
+    dist = inv._bfs(inv._adjacency(g.mult), 0)
+    if g.n < 2 or len(dist) < g.n:
         return None
-    color = {0: 0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u not in color:
-                color[u] = 1 - color[v]
-                stack.append(u)
-            elif color[u] == color[v]:
-                return None
-    if len(color) < g.n:  # disconnected
+    odd = np.array([dist[v] % 2 for v in range(g.n)], dtype=bool)
+    if not (g.mult == (odd[:, None] != odd[None, :])).all():
         return None
-    parts = [sorted(v for v in color if color[v] == c) for c in (0, 1)]
-    for u in parts[0]:
-        for v in parts[1]:
-            if g.mult[u, v] != 1:
-                return None
-    sizes = sorted((len(parts[0]), len(parts[1])))
-    return (sizes[0], sizes[1])
+    m = int(odd.sum())
+    return tuple(sorted((m, g.n - m)))
 
 
 def _is_doubled_pair(g):
@@ -398,7 +390,6 @@ def _open_bounds(stats_g, stats_h):
         upper, usrc = min(terms), "factor gonality"
     else:
         upper, usrc = stats_g.n * stats_h.n, "vertex count"
-    upper = max(upper, lower)
     return BoundReport("gon", lower, upper, lsrc, usrc)
 
 

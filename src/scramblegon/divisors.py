@@ -6,7 +6,6 @@ Equivalence is always decided through the unique q-reduced representative.
 """
 
 import itertools
-from collections import deque
 
 import numpy as np
 
@@ -34,11 +33,6 @@ class Divisor:
 
     def __getitem__(self, v):
         return int(self.chips[v])
-
-    def with_chips(self, v, delta):
-        c = np.array(self.chips)
-        c[v] += delta
-        return Divisor(self.graph, c)
 
     def __eq__(self, other):
         return (isinstance(other, Divisor) and self.graph == other.graph
@@ -143,20 +137,6 @@ def dhar_burn(divisor, q):
     return BurnResult(verts[burned].tolist(), verts[~burned].tolist())
 
 
-def _bfs_distances(mult, q):
-    n = mult.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[q] = 0
-    queue = deque([q])
-    while queue:
-        v = queue.popleft()
-        for u in np.nonzero(mult[v])[0]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(int(u))
-    return dist
-
-
 def _reduce_chips(mult, chips, q, script=None):
     """In-place-style q-reduction of a raw chip vector; returns the new vector.
 
@@ -166,9 +146,11 @@ def _reduce_chips(mult, chips, q, script=None):
     the usual Dhar loop, firing the unburned set until everything burns.
     """
     chips = np.array(chips, dtype=np.int64)
-    dist = _bfs_distances(mult, q)
-    if (dist < 0).any():
+    n = mult.shape[0]
+    reached = inv._bfs(inv._adjacency(mult), q)
+    if len(reached) < n:
         raise ValueError("q-reduction needs a connected host graph")
+    dist = np.array([reached[v] for v in range(n)])
 
     for layer in range(int(dist.max()), 0, -1):
         on_layer = dist == layer

@@ -5,13 +5,15 @@ Edge connectivity and min cuts respect edge multiplicities throughout; vertex
 connectivity is taken on the underlying simple graph with the convention
 kappa(K_n) = n - 1 and kappa = lambda = 0 for disconnected graphs.
 
-Every flow here (min cuts between vertex sets, edge connectivity, and the
+Every graph traversal (components, connected vertex sets, the BFS layers of
+q-reduction, bridge sides, complete-bipartite parts) runs on one BFS routine,
+`_bfs`.  Every flow (min cuts between vertex sets, edge connectivity, and the
 local vertex connectivities on the vertex-split digraph) runs on one capped
-augmenting-path kernel, `_augment`; bridges come from a low-link DFS.
+augmenting-path kernel, `_augment`; kappa is found by Esfahanian-Hakimi.
+Bridges come from a low-link DFS.
 """
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -20,24 +22,45 @@ def min_degree(g):
     return int(g.valences().min())
 
 
-def components(g):
-    """Connected components as a list of frozensets, sorted by smallest member."""
-    seen = [False] * g.n
+def _adjacency(mult):
+    """Neighbour lists, ascending, of a numpy multiplicity matrix."""
+    return [row.nonzero()[0].tolist() for row in mult]
+
+
+def _bfs(nbrs, source, allowed=None):
+    """Breadth-first distances from `source` over the adjacency lists `nbrs`,
+    as a dict holding the vertices reached in visiting order.  With `allowed`
+    (a flag per vertex) the search stays on the flagged vertices."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:
+        d = dist[v] + 1
+        for u in nbrs[v]:
+            if u not in dist and (allowed is None or allowed[u]):
+                dist[u] = d
+                queue.append(u)
+    return dist
+
+
+def components(g, vertices=None):
+    """Connected components of g, or of its subgraph induced on `vertices`,
+    as a list of frozensets sorted by smallest member."""
+    n = g.n
+    vs = range(n) if vertices is None else sorted(set(vertices))
+    if vs and not 0 <= vs[0] <= vs[-1] < n:
+        raise ValueError("vertex out of range")
+    left = [False] * n
+    for v in vs:
+        left[v] = True
+    # the search reads the neighbour lists of kept vertices only
+    nbrs = dict(zip(vs, _adjacency(g.mult[list(vs)])))
     out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    comp.add(u)
-                    queue.append(u)
-        out.append(frozenset(comp))
+    for s in vs:
+        if left[s]:
+            comp = _bfs(nbrs, s, left)
+            for v in comp:
+                left[v] = False
+            out.append(frozenset(comp))
     return out
 
 
@@ -47,21 +70,7 @@ def is_connected(g):
 
 def is_connected_subset(g, vertices):
     """True when the induced subgraph on `vertices` is nonempty and connected."""
-    vs = set(vertices)
-    if not vs:
-        return False
-    if not all(0 <= v < g.n for v in vs):
-        raise ValueError("vertex out of range")
-    start = next(iter(vs))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u in vs and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen == vs
+    return len(components(g, vertices)) == 1
 
 
 def edge_boundary(g, vertices):
@@ -74,10 +83,6 @@ def edge_boundary(g, vertices):
     mask = np.zeros(g.n, dtype=bool)
     mask[vs] = True
     return int(g.mult[np.ix_(mask, ~mask)].sum())
-
-
-def _adjacency(rows):
-    return [[v for v, k in enumerate(row) if k] for row in rows]
 
 
 def _augment(residual, nbrs, sources, sinks, limit):
@@ -132,7 +137,7 @@ def edge_connectivity(g):
     which starts at the minimum degree."""
     n = g.n
     rows = g.mult.tolist()
-    nbrs = _adjacency(rows)
+    nbrs = _adjacency(g.mult)
     best = min_degree(g)
     for v in range(1, n):
         sinks = [False] * n
@@ -142,18 +147,21 @@ def edge_connectivity(g):
 
 
 def vertex_connectivity(g):
-    """Vertex connectivity of the underlying simple graph by Even's scheme.
+    """Vertex connectivity of the underlying simple graph (Esfahanian-Hakimi).
 
-    A minimum separator S leaves some vertex of index <= |S| outside it, and
-    the lowest-index such vertex i has every vertex of another component of
-    G - S above it.  So local connectivities from i = 0, 1, ... to each
-    higher non-neighbour j, while i <= best, reach kappa; each flow is capped
-    at the running minimum, which starts at the minimum degree.
+    Take a vertex v (one of minimum degree, which leaves the fewest flows)
+    and a minimum separator S.  If v is not in S it is cut from some
+    non-neighbour; if it is, v has a neighbour in every component of G - S
+    (else S - v would separate), so two non-adjacent neighbours of v are cut
+    by S.  So local connectivities from v to each non-neighbour and between
+    each non-adjacent pair of neighbours reach kappa; each flow is capped at
+    the running minimum, which starts at the minimum degree.
     """
     n = g.n
     if n == 1:
         return 0
-    adj = _adjacency(g.mult.tolist())
+    rows = g.mult.tolist()
+    adj = _adjacency(g.mult)
     if all(len(a) == n - 1 for a in adj):
         # every pair adjacent: Menger has no non-adjacent pair to cut
         return n - 1
@@ -168,16 +176,13 @@ def vertex_connectivity(g):
         nbrs.append([2 * v + 1] + [2 * u + 1 for u in adj[v]])
         nbrs.append([2 * v] + [2 * u for u in adj[v]])
     best = min(len(a) for a in adj)
-    i = 0
-    while i <= best:
-        ai = set(adj[i])
-        for j in range(i + 1, n):
-            if j not in ai:
-                sinks = [False] * (2 * n)
-                sinks[2 * j] = True
-                best = min(best, _augment([row[:] for row in split], nbrs,
-                                          [2 * i + 1], sinks, best))
-        i += 1
+    v = next(x for x in range(n) if len(adj[x]) == best)
+    pairs = [(v, w) for w in range(n) if w != v and not rows[v][w]]
+    pairs += [(x, y) for i, x in enumerate(adj[v]) for y in adj[v][i + 1:] if not rows[x][y]]
+    for s, t in pairs:
+        sinks = [False] * (2 * n)
+        sinks[2 * t] = True
+        best = min(best, _augment([row[:] for row in split], nbrs, [2 * s + 1], sinks, best))
     return best
 
 
@@ -186,7 +191,7 @@ def bridges(g):
 
     One iterative low-link DFS over the underlying simple graph."""
     rows = g.mult.tolist()
-    adj = _adjacency(rows)
+    adj = _adjacency(g.mult)
     n = g.n
     order = [-1] * n
     low = [0] * n
@@ -242,7 +247,7 @@ def min_cut_between(g, side_a, side_b, limit=math.inf):
     if not all(0 <= v < n for v in sa | sb):
         raise ValueError("vertex out of range")
     residual = g.mult.tolist()
-    nbrs = _adjacency(residual)
+    nbrs = _adjacency(g.mult)
     sinks = [False] * n
     for v in sb:
         sinks[v] = True

@@ -232,27 +232,13 @@ def _split_sn_bounds(g, gonality_budget, use_brute, max_eggs):
     cut_edges = inv.bridges(g)
     if cut_edges and g.n > 2:
         u, v = cut_edges[0]
-        side = _bridge_side(g, u, v)
+        # u's side of the bridge uv is u's component in G - v
+        side = next(c for c in inv.components(g, set(range(g.n)) - {v}) if u in c)
         parts = [_split_sn_bounds(mg.induced_subgraph(g, side), gonality_budget, use_brute, max_eggs),
                  _split_sn_bounds(mg.induced_subgraph(g, set(range(g.n)) - side),
                                   gonality_budget, use_brute, max_eggs)]
         return _combine_max(parts, "bridge split")
     return _core_sn_bounds(g, gonality_budget, use_brute, max_eggs)
-
-
-def _bridge_side(g, u, v):
-    """Vertices on u's side after deleting the bridge uv (u included)."""
-    side = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in g.neighbors(x):
-            if (x, y) in ((u, v), (v, u)):
-                continue
-            if y not in side:
-                side.add(y)
-                stack.append(y)
-    return side
 
 
 def _combine_max(parts, label):
@@ -282,8 +268,7 @@ def sn_bounds(g, extra_scrambles=(), gonality_budget=12, use_brute=False, max_eg
         order = scramble_order(scramble).order
         if order > lower:
             lower, lsrc = order, "user scramble"
-    upper = max(report.upper, lower)
-    return BoundReport("sn", lower, upper, lsrc, report.upper_source)
+    return BoundReport("sn", lower, report.upper, lsrc, report.upper_source)
 
 
 @dataclass
@@ -307,26 +292,11 @@ def brute_force_sn(g, max_eggs=None):
     n = g.n
     if n > 16:
         raise ValueError("brute-force oracle is exponential; refusing n > 16")
-    full = (1 << n) - 1
 
     def comp_masks(avoid_mask):
         """Components of the graph minus the avoided vertices, as bitmasks."""
-        left = full & ~avoid_mask
-        comps = []
-        while left:
-            v = (left & -left).bit_length() - 1
-            comp = 1 << v
-            stack = [v]
-            left &= ~(1 << v)
-            while stack:
-                x = stack.pop()
-                for y in g.neighbors(x):
-                    if left >> y & 1:
-                        left &= ~(1 << y)
-                        comp |= 1 << y
-                        stack.append(y)
-            comps.append(comp)
-        return comps
+        rest = [v for v in range(n) if not avoid_mask >> v & 1]
+        return [sum(1 << v for v in comp) for comp in inv.components(g, rest)]
 
     def members(mask):
         return [v for v in range(n) if mask >> v & 1]

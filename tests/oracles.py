@@ -92,6 +92,33 @@ def networkx_connectivity(g):
     return int(nx.stoer_wagner(nxg)[0]), nx.node_connectivity(nxg), cut_edges
 
 
+def networkx_graph(g):
+    """The underlying simple graph of g as an nx.Graph on 0..n-1."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from((u, v) for u, v, _ in g.edges())
+    return nxg
+
+
+def networkx_components(g, vertices):
+    """Components of the subgraph induced on `vertices`, sorted by smallest
+    member, from networkx."""
+    sub = networkx_graph(g).subgraph(vertices)
+    return sorted((frozenset(c) for c in nx.connected_components(sub)), key=min)
+
+
+def networkx_complete_bipartite_parts(g):
+    """(m, n) with m <= n when g is simple, connected, bipartite and has every
+    edge between its two colour classes, from networkx; else None."""
+    nxg = networkx_graph(g)
+    if g.n < 2 or not g.is_simple() or not nx.is_connected(nxg) or not nx.is_bipartite(nxg):
+        return None
+    a, b = nx.bipartite.sets(nxg)
+    if nxg.number_of_edges() != len(a) * len(b):
+        return None
+    return tuple(sorted((len(a), len(b))))
+
+
 def networkx_min_cut(g, side_a, side_b):
     """(value, source side) of networkx's minimum cut with side_a and side_b
     contracted to a super source and a super sink of infinite capacity."""

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -107,6 +109,45 @@ def test_open_bounds_equal_the_best_public_lower_formula():
                         pass
             assert cert.bounds.lower == max(values)
     assert opened >= 50
+
+
+def test_open_bounds_raise_on_a_factor_gonality_below_the_lower_bound():
+    # gon(Q3) = 4; supplied as 1 it puts the factor-gonality upper bound 8
+    # under the product-scramble lower bound 18, which must not be reported
+    q3 = mg.hypercube(3)
+    with pytest.raises(ValueError, match="lower 18 > upper 8"):
+        ct._open_bounds(ct._stats(q3, 1, 12), ct._stats(q3, 1, 12))
+
+
+def _bipartite_cases():
+    """Relabelled K_{m,n}, the doubled edge, near misses (an edge removed,
+    added inside a part or doubled, an isolated vertex added) and random
+    graphs and multigraphs."""
+    rng = random.Random(37)
+    cases = [mg.path(1), mg.cycle(2), mg.from_edge_list(2, [(0, 1, 1)])]
+    for m in range(1, 5):
+        for n in range(m, 6):
+            edges = [(u, m + v, 1) for u in range(m) for v in range(n)]
+            variants = [edges, edges[1:], edges + [(m, m + n - 1, 1)] if n > 1 else edges[1:],
+                        [(u, v, 2 if i == 0 else k) for i, (u, v, k) in enumerate(edges)]]
+            for i, variant in enumerate(variants):
+                g = mg.from_edge_list(m + n, variant)
+                cases.append(mg.relabel(g, rng.sample(range(g.n), g.n)))
+            cases.append(mg.from_edge_list(m + n + 1, edges))
+    for i in range(60):
+        g = mg.random_graph(rng.randrange(2, 9), rng.choice([0.3, 0.6, 0.9]), seed=rng.randrange(1 << 30))
+        if i % 2:
+            g = mg.from_edge_list(g.n, [(u, v, rng.randint(1, 2)) for u, v, _ in g.edges()])
+        cases.append(g)
+    return cases
+
+
+def test_complete_bipartite_parts_match_networkx():
+    for g in _bipartite_cases():
+        assert ct._complete_bipartite_parts(g) == oracles.networkx_complete_bipartite_parts(g)
+    assert ct._complete_bipartite_parts(mg.relabel(mg.complete_bipartite(2, 3), [4, 0, 2, 1, 3])) == (2, 3)
+    assert ct._complete_bipartite_parts(mg.cycle(2)) is None
+    assert ct._complete_bipartite_parts(mg.cycle(4)) == (2, 2)
 
 
 def test_certify_accepts_supplied_gonalities_over_budget():

@@ -78,6 +78,18 @@ def test_q_reduce_output_is_reduced_and_script_replays():
         assert replay == reduced
 
 
+def test_q_reduce_script_follows_the_bfs_layers():
+    # distance layers from q = 0: {1, 5}, {2, 4}, {3}.  The debt on layer 2 is
+    # cleared by firing the ball {0, 1, 5} twice, then layer 1 by firing {0}
+    # three times; Dhar's loop fires the three unburned sets after that
+    g = mg.from_edge_list(6, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 1), (4, 5, 2),
+                              (5, 0, 1), (1, 4, 1)])
+    reduced, script = dv.q_reduce(dv.Divisor(g, [3, 1, -2, 0, -2, 1]), 0, with_script=True)
+    assert reduced.chips.tolist() == [0, 0, 0, 1, 0, 0]
+    assert [sorted(s) for s in script] == [[0, 1, 5], [0, 1, 5], [0], [0], [0],
+                                           [1, 2, 3, 4], [4, 5], [1, 2, 3, 4, 5]]
+
+
 def test_q_reduced_form_is_an_equivalence_invariant():
     rng = random.Random(13)
     for _ in range(15):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 
 import oracles
@@ -57,9 +58,20 @@ def test_bridges():
 
 def two_k4s_at_0():
     """Two K4s sharing vertex 0, so 0 is adjacent to every other vertex and
-    {0} is the only minimum separator: Even's scheme must go past i = 0."""
+    {0} is the only minimum separator: the flows must start away from vertex
+    0, here from the minimum-degree vertex 1 to its non-neighbours."""
     return mg.from_edge_list(7, [(u, v, 1) for part in ([0, 1, 2, 3], [0, 4, 5, 6])
                                  for i, u in enumerate(part) for v in part[i + 1:]])
+
+
+def two_k6s_and_a_hub():
+    """Two K6s and a 4-valent hub (vertex 12) joined to two vertices of each.
+    The hub is the one minimum-degree vertex and {12} the only minimum
+    separator, so kappa = 1 shows only in a flow between two neighbours of
+    the hub; the hub's flows to its non-neighbours all carry 2."""
+    k6s = [(u, v, 1) for base in (0, 6) for u in range(base, base + 6)
+           for v in range(u + 1, base + 6)]
+    return mg.from_edge_list(13, k6s + [(12, v, 1) for v in (0, 1, 6, 7)])
 
 
 def _connectivity_cases():
@@ -67,7 +79,7 @@ def _connectivity_cases():
     multigraphs with multiplicities up to 3 (connected or not)."""
     rng = random.Random(89)
     two_k4s = two_k4s_at_0()
-    cases = [mg.path(1), mg.path(2), mg.cycle(2), two_k4s, petersen(),
+    cases = [mg.path(1), mg.path(2), mg.cycle(2), two_k4s, two_k6s_and_a_hub(), petersen(),
              mg.from_edge_list(4, [(0, 1, 1), (2, 3, 1)]),
              mg.from_edge_list(5, [(1, 2, 2), (2, 3, 1)]),
              mg.from_edge_list(3, [(0, 1, 3), (1, 2, 3), (0, 2, 3)])]
@@ -99,6 +111,65 @@ def test_vertex_connectivity_finds_a_separator_through_vertex_0():
     assert inv.min_degree(g) == 3
     assert inv.vertex_connectivity(g) == 1
     assert inv.edge_connectivity(g) == 3
+
+
+def test_vertex_connectivity_cuts_between_neighbours_of_the_minimum_degree_vertex():
+    g = two_k6s_and_a_hub()
+    assert inv.min_degree(g) == 4
+    assert inv.vertex_connectivity(g) == 1
+
+
+def test_vertex_connectivity_runs_the_esfahanian_hakimi_flows(monkeypatch):
+    # K6 [] K6: 25 non-neighbours of a vertex plus 25 non-adjacent pairs of
+    # its neighbours (row against column)
+    flows = []
+    augment = inv._augment
+
+    def counting(*args):
+        flows.append(args)
+        return augment(*args)
+
+    monkeypatch.setattr(inv, "_augment", counting)
+    g = mg.cartesian_product(mg.complete(6), mg.complete(6))
+    assert inv.vertex_connectivity(g) == 10
+    assert nx.node_connectivity(oracles.networkx_graph(g)) == 10
+    assert len(flows) <= 50
+
+
+def _random_subsets(rng, n):
+    """Random vertex subsets of 0..n-1, the empty set and the full set."""
+    subsets = [[], list(range(n))]
+    for _ in range(6):
+        subsets.append([v for v in range(n) if rng.random() < rng.choice([0.3, 0.6, 0.9])])
+    return subsets
+
+
+def test_components_and_connected_subsets_match_networkx():
+    rng = random.Random(97)
+    for g in _connectivity_cases():
+        assert inv.components(g) == oracles.networkx_components(g, range(g.n))
+        for subset in _random_subsets(rng, g.n):
+            comps = oracles.networkx_components(g, subset)
+            assert inv.components(g, subset) == comps
+            assert inv.is_connected_subset(g, subset) == (len(comps) == 1)
+        for bad in ([g.n], [0, -1], [g.n + 3]):
+            with pytest.raises(ValueError):
+                inv.components(g, bad)
+            with pytest.raises(ValueError):
+                inv.is_connected_subset(g, bad)
+
+
+def test_bridge_side_is_a_component_minus_the_far_end():
+    # u's side of a bridge uv, as sn_bounds splits it, against networkx's
+    # component of u once the edge uv is deleted
+    for g in _connectivity_cases():
+        nxg = oracles.networkx_graph(g)
+        for u, v in inv.bridges(g):
+            for a, b in ((u, v), (v, u)):
+                side = next(c for c in inv.components(g, set(range(g.n)) - {b}) if a in c)
+                cut = nxg.copy()
+                cut.remove_edge(a, b)
+                assert side == frozenset(nx.node_connected_component(cut, a))
 
 
 def test_import_does_not_load_networkx():

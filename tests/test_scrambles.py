@@ -154,6 +154,17 @@ def test_sn_bounds_starts_the_gonality_search_at_the_scramble_bound(monkeypatch)
     assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
 
 
+def test_sn_bounds_raise_when_a_user_scramble_beats_the_gonality(monkeypatch):
+    # a gonality search that stops at its lower hint reports 6 on C4 [] C5;
+    # the k = 2 product scramble has order 8, so the bounds cross and must
+    # not be printed as exact
+    monkeypatch.setattr(dv, "gonality", lambda g, lower_hint=None, upper_hint=None: (lower_hint, None))
+    c4, c5 = mg.cycle(4), mg.cycle(5)
+    scramble = sc.product_scramble(c4, c5, 2)
+    with pytest.raises(ValueError, match="lower 8 > upper 6"):
+        sc.sn_bounds(scramble.host, extra_scrambles=[scramble], gonality_budget=20)
+
+
 def test_sn_bounds_user_scramble_can_raise_lower():
     from scramblegon import fixtures as fx
     g = fx.immersion_g()
