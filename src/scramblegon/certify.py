@@ -7,9 +7,18 @@ Each certifying statement has a descriptive id; the certifier tries the
 statements in a fixed, documented order and both factor orientations, so the
 emitted certificate is deterministic.  All applicable statements certify the
 same number, so the order only affects provenance.
+
+Two of the paper's product statements are left out, as an earlier statement
+always fires first with the same value and orientation:
+- G a tree and gon(H) = lam(H): tree-factor or tight-factor.
+- kappa(G) >= gon(G) = k: this forces k = kappa(G) = lam(G), so G is a tree
+  (tree-factor), or k = 2 with lam(H) <= 2 (tight-factor or
+  biconnected-gon2), or k >= 3 with lam(H) = 1 (tight-factor).
+A supplied factor gonality must be 1 for a tree and lie in
+[max(2, min(lam, n)), n] otherwise; anything else raises HypothesisError.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,10 +63,6 @@ def _thm41(n_g, n_h, lam_g, lam_h, k):
     return min(k * n_h, n_g * lam_h, (n_g - 2 * k + 2) * lam_h + 2 * lam_g)
 
 
-def _cor42(n_g, n_h, lam_g, lam_h):
-    return max(min(n_h, n_g * lam_h), min(n_g, n_h * lam_g))
-
-
 def _prop43(n_g, n_h, lam_h, delta_g):
     return min(2 * n_h, n_g * lam_h, (n_g - 2) * lam_h + 2 * delta_g)
 
@@ -82,7 +87,9 @@ def cor42_lower(g, h):
         raise HypothesisError("both factors need at least 2 vertices")
     if not (inv.is_connected(g) and inv.is_connected(h)):
         raise HypothesisError("both factors must be connected")
-    return _cor42(g.n, h.n, inv.edge_connectivity(g), inv.edge_connectivity(h))
+    lam_g, lam_h = inv.edge_connectivity(g), inv.edge_connectivity(h)
+    # the larger of the two k = 1 Thm 4.1 values
+    return max(_thm41(g.n, h.n, lam_g, lam_h, 1), _thm41(h.n, g.n, lam_h, lam_g, 1))
 
 
 def prop43_lower(g, h):
@@ -103,28 +110,22 @@ def product_gon_upper(g, h, gon_g=None, gon_h=None, budget=12):
     the caller must supply known values, and if neither side is available the
     call fails rather than guessing.
     """
-    gon_g = _factor_gon(g, gon_g, budget)
-    gon_h = _factor_gon(h, gon_h, budget)
-    terms = []
-    if gon_h is not None:
-        terms.append(g.n * gon_h)
-    if gon_g is not None:
-        terms.append(h.n * gon_g)
-    if not terms:
+    stats_g, stats_h = _checked_stats(g, gon_g, budget), _checked_stats(h, gon_h, budget)
+    upper = _gon_upper(stats_g, stats_h)
+    if upper is None:
         raise HypothesisError("factor gonalities unavailable within budget and not supplied")
-    return min(terms)
+    return upper
 
 
-def _factor_gon(g, supplied, budget, lower_hint=None):
-    if supplied is not None:
-        return supplied
-    if g.n <= budget:
-        return dv.gonality(g, lower_hint=lower_hint)[0]
-    return None
+def _gon_upper(stats_g, stats_h):
+    """min(|V(G)| gon(H), |V(H)| gon(G)) over the known factor gonalities,
+    or None when neither is known."""
+    terms = [a.n * b.gon for a, b in ((stats_g, stats_h), (stats_h, stats_g)) if b.gon is not None]
+    return min(terms, default=None)
 
 
 def _is_complete_simple(g):
-    return g.n >= 2 and bool((g.mult == mg.complete(g.n).mult).all())
+    return g.n >= 2 and g.is_simple() and g.edge_count() == g.n * (g.n - 1) // 2
 
 
 def _complete_bipartite_parts(g):
@@ -161,16 +162,39 @@ class _FactorStats:
 def _stats(g, gon, budget):
     """Invariants of a connected factor, each computed once."""
     lam = inv.edge_connectivity(g)
-    # the gonality search's own default start, min(lam, n), passed on
+    if gon is None and g.n <= budget:
+        # the gonality search's own default start, min(lam, n), passed on
+        gon = dv.gonality(g, lower_hint=max(1, min(lam, g.n)))[0]
     return _FactorStats(graph=g, n=g.n, lam=lam,
                         kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
-                        gon=_factor_gon(g, gon, budget, lower_hint=max(1, min(lam, g.n))),
-                        tree=g.is_simple() and g.edge_count() == g.n - 1)
+                        gon=gon, tree=g.is_simple() and g.edge_count() == g.n - 1)
+
+
+def _checked_stats(g, supplied, budget):
+    """_stats, refusing a supplied gonality that no graph of g's shape has:
+    gon = 1 exactly on trees; otherwise sn >= min(lam, n) (the vertex
+    scramble) and the all-ones divisor has positive rank, so
+    max(2, min(lam, n)) <= gon <= n."""
+    if not inv.is_connected(g):
+        raise HypothesisError("both factors must be connected")
+    stats = _stats(g, supplied, budget)
+    if supplied is not None:
+        low, high = (1, 1) if stats.tree else (max(2, min(stats.lam, stats.n)), stats.n)
+        if not low <= supplied <= high:
+            raise HypothesisError("supplied gonality %d of a %d-vertex factor is outside [%d, %d]"
+                                  % (supplied, stats.n, low, high))
+    return stats
 
 
 def _check(checks, description, value, passed):
     checks.append(HypothesisCheck(description, value, bool(passed)))
     return bool(passed)
+
+
+def _check_tight(checks, b):
+    """gon(H) = lam(H), which needs gon(H) known."""
+    return (_check(checks, "gon(H) known", str(b.gon), b.gon is not None)
+            and _check(checks, "gon(H) = lam(H)", "%s = %d" % (b.gon, b.lam), b.gon == b.lam))
 
 
 # each statement: (id, function(a: _FactorStats, b: _FactorStats) -> (value, checks) or None)
@@ -188,23 +212,11 @@ def _stmt_tree_factor(a, b):
 def _stmt_tight_factor(a, b):
     # gon(H) = lam(H), |V(G)| <= |V(H)|/lam(H)  =>  value |V(G)| lam(H)
     checks = []
-    ok = _check(checks, "gon(H) known", str(b.gon), b.gon is not None)
-    if ok:
-        ok &= _check(checks, "gon(H) = lam(H)", "%s = %d" % (b.gon, b.lam), b.gon == b.lam)
+    ok = _check_tight(checks, b)
     ok &= _check(checks, "|V(G)| <= |V(H)|/lam(H)",
                  "%d <= %d/%d" % (a.n, b.n, b.lam),
                  b.lam > 0 and a.n <= Fraction(b.n, b.lam))
     return (a.n * b.lam if ok else None), checks
-
-
-def _stmt_tree_times_tight(a, b):
-    # G a tree, gon(H) = lam(H) = k  =>  value min(|V(H)|, k |V(G)|)
-    checks = []
-    ok = _check(checks, "G is a tree", str(a.tree), a.tree)
-    ok &= _check(checks, "gon(H) known", str(b.gon), b.gon is not None)
-    if ok:
-        ok &= _check(checks, "gon(H) = lam(H)", "%s = %d" % (b.gon, b.lam), b.gon == b.lam)
-    return (min(b.n, b.lam * a.n) if ok else None), checks
 
 
 def _stmt_complete_bipartite_factor(a, b):
@@ -254,9 +266,7 @@ def _stmt_biconnected_tight(a, b):
     # lam(H) <= delta(G)  =>  value |V(G)| lam(H)
     checks = []
     ok = _check(checks, "kappa(G) >= 2", str(a.kappa), a.kappa >= 2)
-    ok &= _check(checks, "gon(H) known", str(b.gon), b.gon is not None)
-    if ok:
-        ok &= _check(checks, "gon(H) = lam(H)", "%s = %d" % (b.gon, b.lam), b.gon == b.lam)
+    ok &= _check_tight(checks, b)
     ok &= _check(checks, "|V(G)| <= 2|V(H)|/lam(H)",
                  "%d <= 2*%d/%d" % (a.n, b.n, b.lam),
                  b.lam > 0 and a.n <= Fraction(2 * b.n, b.lam))
@@ -264,31 +274,11 @@ def _stmt_biconnected_tight(a, b):
     return (a.n * b.lam if ok else None), checks
 
 
-def _stmt_highconn_gonk(a, b):
-    # k = gon(G), kappa(G) >= k >= 3? (any k >= 1 is sound), |V(G)| >= 2k-1,
-    # lam(G) >= (k-1) lam(H), k|V(H)| <= |V(G)| lam(H)  =>  value k |V(H)|
-    checks = []
-    ok = _check(checks, "gon(G) known", str(a.gon), a.gon is not None)
-    if not ok:
-        return None, checks
-    k = a.gon
-    ok &= _check(checks, "kappa(G) >= gon(G)", "%d >= %d" % (a.kappa, k), a.kappa >= k)
-    ok &= _check(checks, "|V(G)| >= 2 gon(G) - 1", "%d >= %d" % (a.n, 2 * k - 1), a.n >= 2 * k - 1)
-    ok &= _check(checks, "lam(G) >= (gon(G)-1) lam(H)",
-                 "%d >= %d" % (a.lam, (k - 1) * b.lam), a.lam >= (k - 1) * b.lam)
-    ok &= _check(checks, "gon(G)|V(H)| <= |V(G)| lam(H)",
-                 "%d <= %d" % (k * b.n, a.n * b.lam), k * b.n <= a.n * b.lam)
-    return (k * b.n if ok else None), checks
-
-
 def _stmt_highconn_tight(a, b):
     # some k with kappa(G) >= k, |V(G)| >= 2k-1, lam(G) >= (k-1) lam(H),
     # |V(G)| lam(H) <= k |V(H)|, and gon(H) = lam(H)  =>  value |V(G)| lam(H)
     checks = []
-    ok = _check(checks, "gon(H) known", str(b.gon), b.gon is not None)
-    if ok:
-        ok &= _check(checks, "gon(H) = lam(H)", "%s = %d" % (b.gon, b.lam), b.gon == b.lam)
-    if not ok:
+    if not _check_tight(checks, b):
         return None, checks
     for k in range(1, a.kappa + 1):
         if (a.n >= 2 * k - 1 and a.lam >= (k - 1) * b.lam
@@ -331,12 +321,10 @@ def _stmt_doubled_edge_times_complete(a, b):
 _STATEMENTS = [
     ("tree-factor", _stmt_tree_factor),
     ("tight-factor", _stmt_tight_factor),
-    ("tree-times-tight", _stmt_tree_times_tight),
     ("complete-bipartite-factor", _stmt_complete_bipartite_factor),
     ("rook", _stmt_rook),
     ("biconnected-gon2", _stmt_biconnected_gon2),
     ("biconnected-tight", _stmt_biconnected_tight),
-    ("high-connectivity-gonk", _stmt_highconn_gonk),
     ("high-connectivity-tight", _stmt_highconn_tight),
     ("uniform-connectivity", _stmt_uniform),
     ("doubled-edge-times-complete", _stmt_doubled_edge_times_complete),
@@ -348,10 +336,8 @@ def certify_product(g, h, gon_g=None, gon_h=None, budget=12):
     orientations; the first passing one proves sn = gon for the product.
     Otherwise emit open bounds from the closed-form lower formulas and the
     factor-gonality upper bound."""
-    if not (inv.is_connected(g) and inv.is_connected(h)):
-        raise HypothesisError("both factors must be connected")
-    stats_g = _stats(g, gon_g, budget)
-    stats_h = _stats(h, gon_h, budget)
+    stats_g = _checked_stats(g, gon_g, budget)
+    stats_h = _checked_stats(h, gon_h, budget)
     for statement_id, statement in _STATEMENTS:
         for a, b, orientation in ((stats_g, stats_h, "G,H"), (stats_h, stats_g, "H,G")):
             value, checks = statement(a, b)
@@ -364,31 +350,20 @@ def certify_product(g, h, gon_g=None, gon_h=None, budget=12):
 
 def _open_bounds(stats_g, stats_h):
     # both factors are connected (checked by certify_product), and the kappa
-    # loop below keeps to the hypotheses of Thm 4.1 and Prop 4.3
+    # loop below keeps to the hypotheses of Thm 4.1 and Prop 4.3; Prop 4.3
+    # stands in for Thm 4.1 at k = 2, which it dominates as delta >= lam, and
+    # Cor 4.2 is the larger of the two k = 1 values
     lower, lsrc = 0, "trivial"
     for a, b, tag in ((stats_g, stats_h, "G,H"), (stats_h, stats_g, "H,G")):
-        if a.n >= 2 and b.n >= 2:
-            value = _cor42(a.n, b.n, a.lam, b.lam)
-            if value > lower:
-                lower, lsrc = value, "k=1 product scramble (%s)" % tag
-        if a.kappa >= 2:
-            value = _prop43(a.n, b.n, b.lam, a.delta)
-            if value > lower:
-                lower, lsrc = value, "k=2 product scramble (%s)" % tag
-        for k in range(1, a.kappa + 1):
-            if a.n < 2 * k - 1:
-                break
-            value = _thm41(a.n, b.n, a.lam, b.lam, k)
+        for k in range(1, min(a.kappa, (a.n + 1) // 2) + 1):
+            if k == 2:
+                value = _prop43(a.n, b.n, b.lam, a.delta)
+            else:
+                value = _thm41(a.n, b.n, a.lam, b.lam, k)
             if value > lower:
                 lower, lsrc = value, "k=%d product scramble (%s)" % (k, tag)
-    terms = []
-    if stats_h.gon is not None:
-        terms.append(stats_g.n * stats_h.gon)
-    if stats_g.gon is not None:
-        terms.append(stats_h.n * stats_g.gon)
-    if terms:
-        upper, usrc = min(terms), "factor gonality"
-    else:
+    upper, usrc = _gon_upper(stats_g, stats_h), "factor gonality"
+    if upper is None:
         upper, usrc = stats_g.n * stats_h.n, "vertex count"
     return BoundReport("gon", lower, upper, lsrc, usrc)
 

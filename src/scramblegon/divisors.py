@@ -234,10 +234,10 @@ def rank(divisor, cap):
     return result
 
 
-# Bytes the int64 chip matrix of one degree's full candidate box would take.
-# The box is streamed CHUNK_ROWS rows at a time and never built whole, so
-# memory is bounded by the chunk; the budget now bounds the work of one degree,
-# and refuses the same (graph, degree) pairs as when the box was materialised.
+# Bytes the int64 chip matrix of the rows one degree scans would take: the box
+# of chips[1:] with total <= degree - 1.  The box is streamed CHUNK_ROWS rows
+# at a time and never built whole, so memory is bounded by the chunk and the
+# budget bounds the work of one degree.
 CANDIDATE_BOX_BUDGET = 256 * 2**20
 
 # Candidate rows filtered together: of 1,024 to 8,192, 2,048 was fastest on
@@ -314,7 +314,7 @@ def _reduced_effective_divisors(g, degree):
     """
     n = g.n
     bounds = [int(val) - 1 for val in g.valences()[1:]]
-    box_bytes = _box_rows(bounds, degree) * n * 8
+    box_bytes = _box_rows(bounds, degree - 1) * n * 8
     if box_bytes > CANDIDATE_BOX_BUDGET:
         raise CandidateBudgetError(
             "the degree-%d candidate box would take %.1f MiB of chips, over the "

@@ -265,19 +265,14 @@ def min_cut_between(g, side_a, side_b, limit=math.inf):
     return value, frozenset(v for v in range(n) if not reach[v])
 
 
-def independence_number(g, require_simple=False):
-    """Exact maximum independent set size (branch and bound).
-
-    Multiplicities are ignored unless require_simple is set, in which case a
-    true multigraph is rejected.
-    """
-    return len(max_independent_set(g, require_simple=require_simple))
+def independence_number(g):
+    """Exact maximum independent set size (branch and bound); multiplicities
+    are ignored."""
+    return len(max_independent_set(g))
 
 
-def max_independent_set(g, require_simple=False):
+def max_independent_set(g):
     """A maximum independent set of the underlying simple graph, as a frozenset."""
-    if require_simple and not g.is_simple():
-        raise ValueError("graph has parallel edges but simplicity was required")
     n = g.n
     adj = [0] * n
     for u, v, _ in g.edges():

@@ -199,7 +199,8 @@ class BoundReport:
 def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
     """Bounds for a connected, smooth, bridgeless-or-tiny graph."""
     lower, lsrc = 0, "trivial"
-    order = scramble_order(vertex_scramble(g)).order
+    # the vertex scramble's order, min(lam, n); 1 on a single vertex
+    order = max(1, min(inv.edge_connectivity(g), g.n))
     if order > lower:
         lower, lsrc = order, "vertex scramble"
     if g.edge_count() > 0:

@@ -267,3 +267,29 @@ def lex_least_gonality_witness(g):
         witnesses = [c for c in reduced if dv.has_positive_rank(dv.Divisor(g, c))]
         if witnesses:
             return degree, list(min(witnesses, key=lambda c: c[1:]))
+
+
+def omitted_product_statements(g, h):
+    """For each pair (gon(G), gon(H)) the certifier accepts as supplied values
+    (1 on a tree, else max(2, min(lam, n)) to n), the values of the two
+    product statements it leaves out, in each orientation (G, H) whose
+    hypotheses hold, from networkx invariants:
+    - G a tree and gon(H) = lam(H) give min(|V(H)|, lam(H)|V(G)|);
+    - kappa(G) >= gon(G) = k, |V(G)| >= 2k - 1, lam(G) >= (k-1)lam(H) and
+      k|V(H)| <= |V(G)|lam(H) give k|V(H)|."""
+    sides = []
+    for f in (g, h):
+        lam, kappa, _ = networkx_connectivity(f)
+        tree = f.is_simple() and nx.is_tree(networkx_graph(f))
+        sides.append((f, lam, kappa, tree, [1] if tree else range(max(2, min(lam, f.n)), f.n + 1)))
+    result = {}
+    for gons in itertools.product(sides[0][4], sides[1][4]):
+        values = []
+        for i in (0, 1):
+            (a, lam_a, kappa_a, tree_a, _), (b, lam_b, _, _, _), k = sides[i], sides[1 - i], gons[i]
+            if tree_a and gons[1 - i] == lam_b:
+                values.append(min(b.n, lam_b * a.n))
+            if kappa_a >= k and a.n >= 2 * k - 1 and lam_a >= (k - 1) * lam_b and k * b.n <= a.n * lam_b:
+                values.append(k * b.n)
+        result[gons] = values
+    return result

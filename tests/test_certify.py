@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 
@@ -111,6 +113,28 @@ def test_open_bounds_equal_the_best_public_lower_formula():
     assert opened >= 50
 
 
+def test_every_open_bound_names_a_scramble_that_attains_it():
+    # the factors above; on C5 x C2 and the 4-vertex multigraph x C2 the
+    # larger k = 1 value is the (H,G) one
+    factors = [mg.path(3), mg.cycle(2), mg.cycle(4), mg.cycle(5), mg.complete(4),
+               mg.complete_bipartite(2, 3), mg.star(4), mg.hypercube(3), mg.complete(5),
+               mg.from_edge_list(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1)])]
+    checked = 0
+    for g, h in itertools.product(factors, repeat=2):
+        if g.n * h.n > 12:
+            continue
+        for budget in (0, 12):
+            cert = ct.certify_product(g, h, budget=budget)
+            if cert.certified:
+                continue
+            k, tag = re.fullmatch(r"k=(\d+) product scramble \((G,H|H,G)\)",
+                                  cert.bounds.lower_source).groups()
+            a, b = (g, h) if tag == "G,H" else (h, g)
+            assert sc.scramble_order(sc.product_scramble(a, b, int(k))).order >= cert.bounds.lower
+            checked += 1
+    assert checked >= 6
+
+
 def test_open_bounds_raise_on_a_factor_gonality_below_the_lower_bound():
     # gon(Q3) = 4; supplied as 1 it puts the factor-gonality upper bound 8
     # under the product-scramble lower bound 18, which must not be reported
@@ -156,6 +180,46 @@ def test_certify_accepts_supplied_gonalities_over_budget():
     cert = ct.certify_product(g, h, gon_g=2, gon_h=2, budget=4)
     assert cert.certified
     assert cert.value == 32  # 2 |V(G)| via the hyperelliptic-factor route
+
+
+def test_certify_refuses_a_supplied_gonality_no_factor_of_its_shape_has():
+    q3, k2 = mg.hypercube(3), mg.path(2)
+    refused = [(q3, k2, 1, None), (q3, k2, 2, None),   # gon(Q3) >= min(lam, n) = 3
+               (mg.path(3), mg.cycle(4), 2, None),     # a tree has gonality 1
+               (mg.path(1), mg.cycle(3), 0, None),
+               (mg.cycle(4), mg.cycle(5), None, 6)]    # gon <= n
+    for g, h, gon_g, gon_h in refused:
+        with pytest.raises(ct.HypothesisError, match="supplied gonality"):
+            ct.certify_product(g, h, gon_g=gon_g, gon_h=gon_h)
+        with pytest.raises(ct.HypothesisError, match="supplied gonality"):
+            ct.product_gon_upper(g, h, gon_g=gon_g, gon_h=gon_h)
+    # both ends of the range are accepted
+    assert ct.certify_product(q3, k2, gon_g=3).certified
+    assert ct.product_gon_upper(q3, k2, gon_g=8, budget=0) == 16
+    assert ct.certify_product(mg.path(1), mg.cycle(3), gon_g=1).value == 2
+
+
+def test_omitted_statements_certify_what_an_earlier_statement_certifies():
+    # wherever tree-times-tight or high-connectivity-gonk would hold, some
+    # statement the certifier keeps certifies the same value
+    factors = [mg.path(1), mg.path(2), mg.path(3), mg.star(4), mg.cycle(2), mg.cycle(3),
+               mg.cycle(4), mg.cycle(5), mg.complete(4), mg.complete(5),
+               mg.complete_bipartite(2, 3), mg.hypercube(3), mg.from_edge_list(2, [(0, 1, 3)]),
+               mg.from_edge_list(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1)])]
+    fired = 0
+    for g, h in itertools.product(factors, repeat=2):
+        for (gon_g, gon_h), values in oracles.omitted_product_statements(g, h).items():
+            if values:
+                cert = ct.certify_product(g, h, gon_g=gon_g, gon_h=gon_h, budget=0)
+                assert cert.certified and set(values) == {cert.value}
+                fired += 1
+    assert fired >= 200
+
+
+def test_reduce_alpha_of_c7_through_the_gonality_search():
+    # the cone has 14 vertices and gonality 11; its degree-11 scan fits the
+    # candidate-box budget once the budget prices the rows actually scanned
+    assert ct.reduce_alpha(mg.cycle(7), solver="gonality")[0] == 3
 
 
 def test_certify_rejects_disconnected_input():

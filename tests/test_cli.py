@@ -143,6 +143,14 @@ def test_certify_command(capsys, tmp_path):
     assert (got["lower"], got["upper"]) == ("18", "30")
 
 
+def test_certify_refuses_an_impossible_supplied_gonality(capsys, tmp_path):
+    q3 = write_graph(tmp_path, "q3.mel", mg.hypercube(3))
+    k2 = write_graph(tmp_path, "k2.mel", mg.path(2))
+    code, _, err = run(capsys, "certify", q3, k2, "--gon-g", "2")
+    assert code == 2
+    assert "supplied gonality 2" in err
+
+
 def test_reduce_alpha_command(capsys, tmp_path):
     path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
     code, out, _ = run(capsys, "--machine", "reduce-alpha", path)

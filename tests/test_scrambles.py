@@ -95,10 +95,10 @@ def test_egg_cut_is_infinite_without_disjoint_eggs():
 
 def test_vertex_scramble_order_is_connectivity_capped():
     rng = random.Random(53)
-    for _ in range(10):
-        g = oracles.random_connected_graph(rng, rng.randrange(2, 8), 0.5)
+    graphs = [oracles.random_connected_graph(rng, rng.randrange(2, 8), 0.5) for _ in range(10)]
+    for g in graphs + [mg.path(1)]:
         order = sc.scramble_order(sc.vertex_scramble(g)).order
-        assert order == min(inv.edge_connectivity(g), g.n)
+        assert order == max(1, min(inv.edge_connectivity(g), g.n))
 
 
 def test_edge_scramble_hitting_is_vertex_cover():
@@ -136,6 +136,15 @@ def test_sn_bounds_structure():
     assert (tree.lower, tree.upper) == (1, 1)
     cyc = sc.sn_bounds(mg.cycle(9))
     assert (cyc.lower, cyc.upper) == (2, 2)
+
+
+def test_sn_bounds_vertex_scramble_term_is_its_scramble_order():
+    # on one vertex and on the 3-fold banana the vertex scramble beats the
+    # edge scramble, so its order is the reported lower bound
+    for g in (mg.path(1), mg.from_edge_list(2, [(0, 1, 3)])):
+        report = sc.sn_bounds(g, gonality_budget=0)
+        order = sc.scramble_order(sc.vertex_scramble(g)).order
+        assert (report.lower, report.lower_source) == (order, "vertex scramble")
 
 
 def test_sn_bounds_starts_the_gonality_search_at_the_scramble_bound(monkeypatch):
