@@ -5,12 +5,13 @@ Edge connectivity and min cuts respect edge multiplicities throughout; vertex
 connectivity is taken on the underlying simple graph with the convention
 kappa(K_n) = n - 1 and kappa = lambda = 0 for disconnected graphs.
 
-Every graph traversal (components, connected vertex sets, the BFS layers of
-q-reduction, bridge sides, complete-bipartite parts) runs on one BFS routine,
-`_bfs`.  Every flow (min cuts between vertex sets, edge connectivity, and the
-local vertex connectivities on the vertex-split digraph) runs on one capped
-augmenting-path kernel, `_augment`; kappa is found by Esfahanian-Hakimi.
-Bridges come from a low-link DFS.
+Every graph traversal (components, connected vertex sets and eggs, the BFS
+layers of q-reduction, bridge sides, complete-bipartite parts, the
+brute-force oracle's components and the hitting-set search's egg groups)
+runs on one BFS routine, `_bfs`.  Every flow (min cuts between vertex sets,
+edge connectivity, and the local vertex connectivities on the vertex-split
+digraph) runs on one capped augmenting-path kernel, `_augment`; kappa is
+found by Esfahanian-Hakimi.  Bridges come from a low-link DFS.
 """
 
 import math
@@ -42,6 +43,19 @@ def _bfs(nbrs, source, allowed=None):
     return dist
 
 
+def _flagged_components(nbrs, left):
+    """Components, as `_bfs` dicts sorted by smallest member, of the vertices
+    flagged in `left`; the flags are cleared as the vertices are reached."""
+    out = []
+    for s in range(len(left)):
+        if left[s]:
+            comp = _bfs(nbrs, s, left)
+            for v in comp:
+                left[v] = False
+            out.append(comp)
+    return out
+
+
 def components(g, vertices=None):
     """Connected components of g, or of its subgraph induced on `vertices`,
     as a list of frozensets sorted by smallest member."""
@@ -54,14 +68,7 @@ def components(g, vertices=None):
         left[v] = True
     # the search reads the neighbour lists of kept vertices only
     nbrs = dict(zip(vs, _adjacency(g.mult[list(vs)])))
-    out = []
-    for s in vs:
-        if left[s]:
-            comp = _bfs(nbrs, s, left)
-            for v in comp:
-                left[v] = False
-            out.append(frozenset(comp))
-    return out
+    return [frozenset(comp) for comp in _flagged_components(nbrs, left)]
 
 
 def is_connected(g):

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import invariants as inv
 from . import divisors as dv
 from . import multigraph as mg
@@ -30,11 +32,21 @@ class Scramble:
     __slots__ = ("host", "eggs")
 
     def __init__(self, host, eggs):
+        n = host.n
+        nbrs = inv._adjacency(host.mult)
+        inside = [False] * n
         cleaned = []
         seen = set()
         for egg in eggs:
             fs = frozenset(int(v) for v in egg)
-            if not inv.is_connected_subset(host, fs):
+            if not all(0 <= v < n for v in fs):
+                raise ValueError("vertex out of range")
+            for v in fs:
+                inside[v] = True
+            connected = bool(fs) and len(inv._bfs(nbrs, min(fs), inside)) == len(fs)
+            for v in fs:
+                inside[v] = False
+            if not connected:
                 raise ValueError("egg %s is empty or not connected in the host" % sorted(fs))
             if fs not in seen:
                 seen.add(fs)
@@ -63,23 +75,46 @@ class ScrambleOrder:
 
 
 def hitting_number(scramble):
-    """Exact minimum hitting set; returns (size, witness set)."""
-    eggs = [frozenset(e) for e in scramble.eggs]
+    """Exact minimum hitting set; returns (size, witness set).
 
+    The eggs are split into groups, the components of their intersection
+    graph, and each group is searched on its own, its eggs in scramble
+    order.  Groups share no vertex, so a hitting set meets each group's
+    vertices in a hitting set of that group: the minimum is the sum of the
+    groups' minima, and the union of their witnesses attains it.  A
+    k-product scramble has one group per copy."""
+    eggs = scramble.eggs
+    m = len(eggs)
+    # the egg-vertex incidence graph: egg i is node i, vertex v is node m + v;
+    # vertices in no egg are left unflagged, so every component holds an egg
+    nbrs = [[m + v for v in egg] for egg in eggs] + [[] for _ in range(scramble.host.n)]
+    for i, egg in enumerate(eggs):
+        for v in egg:
+            nbrs[m + v].append(i)
+    flagged = [bool(a) for a in nbrs]
+    groups = [sorted(x for x in comp if x < m) for comp in inv._flagged_components(nbrs, flagged)]
+    size, witness = 0, frozenset()
+    for group in groups:
+        s, w = _group_hitting_number([eggs[i] for i in group])
+        size, witness = size + s, witness | w
+    return size, witness
+
+
+def _group_hitting_number(eggs):
+    """Branch and bound for the minimum hitting set of `eggs`, warm-started
+    by a greedy cover; returns (size, witness set).  Each step narrows its
+    list of missed eggs, in egg order, by the one vertex it adds."""
     best_set = set()
-    covered = set()
     # greedy warm start on most-frequent vertices
-    while True:
-        missed = [e for e in eggs if not e & covered]
-        if not missed:
-            break
+    missed = list(eggs)
+    while missed:
         counts = {}
         for e in missed:
             for v in e:
                 counts[v] = counts.get(v, 0) + 1
         v = max(sorted(counts), key=counts.get)
         best_set.add(v)
-        covered.add(v)
+        missed = [e for e in missed if v not in e]
     best = [len(best_set), frozenset(best_set)]
 
     def disjoint_lower_bound(missed):
@@ -91,8 +126,7 @@ def hitting_number(scramble):
                 used |= e
         return count
 
-    def search(chosen):
-        missed = [e for e in eggs if not e & chosen]
+    def search(chosen, missed):
         if not missed:
             if len(chosen) < best[0]:
                 best[0], best[1] = len(chosen), frozenset(chosen)
@@ -102,11 +136,45 @@ def hitting_number(scramble):
         egg = min(missed, key=len)
         for v in sorted(egg):
             chosen.add(v)
-            search(chosen)
+            search(chosen, [e for e in missed if v not in e])
             chosen.remove(v)
 
-    search(set())
+    search(set(), list(eggs))
     return best[0], best[1]
+
+
+_NO_SET = np.iinfo(np.int64).max
+
+
+def _cut_bound_table(g, member):
+    """F[i, s] <= |boundary(S)| for every vertex set S of size s holding egg i
+    (its row of the 0/1 egg-vertex matrix `member`); _NO_SET where s is
+    below the egg's size.
+
+    A vertex v of S has at most s - 1 neighbours in S, so at least t_s(v) =
+    deg(v) - (v's s - 1 largest multiplicities) of its edges leave S.  F sums
+    t_s over the egg and adds the s - |egg| smallest t_s of all vertices."""
+    n = g.n
+    deg = g.mult.sum(axis=1)
+    # kept[v, j]: the sum of v's j largest multiplicities, j = 0..n-1
+    kept = np.zeros((n, n), dtype=np.int64)
+    kept[:, 1:] = np.cumsum(-np.sort(-g.mult, axis=1), axis=1)[:, :-1]
+    t = np.zeros((n + 1, n), dtype=np.int64)  # t[s, v], row 0 unused
+    t[1:] = (deg[:, None] - kept).T
+    least = np.zeros((n + 1, n + 1), dtype=np.int64)  # sum of the j smallest t[s]
+    least[:, 1:] = np.cumsum(np.sort(t, axis=1), axis=1)
+    s = np.arange(n + 1)
+    others = s - member.sum(axis=1)[:, None]
+    table = member @ t.T + least[s, np.maximum(others, 0)]
+    table[others < 0] = _NO_SET
+    return table
+
+
+def _pair_bounds(table, i):
+    """B(i, j) for every later egg j: the least, over the sizes s of the side
+    holding egg i, of max(F[i, s], F[j, n - s]).  Both sides of a cut have
+    its boundary, so B(i, j) is at most every cut separating the two eggs."""
+    return np.maximum(table[i], table[i + 1:, ::-1]).min(axis=1)
 
 
 def egg_cut_number(scramble):
@@ -115,21 +183,31 @@ def egg_cut_number(scramble):
     disjoint.
 
     Returns (value, (A, value)) with A the maximal source side of the first
-    pair, in egg order, whose cut attains the minimum.  Each flow is capped
-    at the running minimum: a pair that cannot cut below it cannot replace
-    the witness, so it is abandoned as soon as its flow reaches it."""
+    pair, in egg order, whose cut attains the minimum.  A pair whose degree
+    bound B (`_pair_bounds`) is at least the running minimum is skipped, and
+    each remaining flow is capped at the running minimum: neither kind of
+    pair can cut strictly below it, so neither can replace the witness.  The
+    bounds are built one egg row at a time, in O(eggs * n) memory."""
     g = scramble.host
+    eggs = scramble.eggs
+    member = np.zeros((len(eggs), g.n), dtype=np.int64)
+    for i, egg in enumerate(eggs):
+        member[i, list(egg)] = 1
+    table = _cut_bound_table(g, member)
     best = math.inf
     witness = None
-    for a, b in itertools.combinations(scramble.eggs, 2):
-        if a & b:
-            continue
-        value, side = inv.min_cut_between(g, a, b, limit=best)
-        if value < best:
-            best = value
-            witness = (frozenset(side), value)
-            if best == 0:
-                break
+    for i, a in enumerate(eggs[:-1]):
+        bounds = _pair_bounds(table, i)
+        disjoint = member[i + 1:] @ member[i] == 0
+        for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
+            if bounds[j] >= best:  # the running minimum fell within this row
+                continue
+            value, side = inv.min_cut_between(g, a, eggs[i + 1 + j], limit=best)
+            if value < best:
+                best = value
+                witness = (frozenset(side), value)
+                if best == 0:
+                    return best, witness
     return best, witness
 
 
@@ -294,10 +372,12 @@ def brute_force_sn(g, max_eggs=None):
     if n > 16:
         raise ValueError("brute-force oracle is exponential; refusing n > 16")
 
+    nbrs = inv._adjacency(g.mult)
+
     def comp_masks(avoid_mask):
         """Components of the graph minus the avoided vertices, as bitmasks."""
-        rest = [v for v in range(n) if not avoid_mask >> v & 1]
-        return [sum(1 << v for v in comp) for comp in inv.components(g, rest)]
+        rest = [not avoid_mask >> v & 1 for v in range(n)]
+        return [sum(1 << v for v in comp) for comp in inv._flagged_components(nbrs, rest)]
 
     def members(mask):
         return [v for v in range(n) if mask >> v & 1]

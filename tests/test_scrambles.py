@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from scramblegon import divisors as dv
@@ -30,6 +33,9 @@ def test_scramble_validation_and_pruning():
         sc.Scramble(g, [{0, 2}])            # disconnected egg
     with pytest.raises(ValueError):
         sc.Scramble(g, [])                  # no eggs
+    for bad in ({5, 6}, {-1}, set()):       # out of range, empty
+        with pytest.raises(ValueError):
+            sc.Scramble(g, [{0, 1}, bad])
     s = sc.Scramble(g, [{0, 1, 2}, {1, 2}, {1, 2}, {4}])
     assert set(s.eggs) == {frozenset({1, 2}), frozenset({4})}
 
@@ -83,6 +89,112 @@ def test_egg_cut_number_witness_matches_uncapped_networkx_flows():
                       sc.Scramble(g, random_eggs(rng, g, rng.randrange(2, 8)))]
     for s in scrambles:
         assert sc.egg_cut_number(s) == oracles.networkx_egg_cut_number(s)
+
+
+def disjoint_union(g, h):
+    mult = np.zeros((g.n + h.n, g.n + h.n), dtype=np.int64)
+    mult[:g.n, :g.n] = g.mult
+    mult[g.n:, g.n:] = h.mult
+    return mg.Multigraph(mult)
+
+
+# a small random connected multigraph with random connected eggs, drawn from
+# a seed so that hypothesis shrinks towards small seeds, sizes and counts
+multigraph_with_eggs = st.builds(
+    lambda seed, n, p, count: _multigraph_with_eggs(random.Random(seed), n, p, count),
+    st.integers(0, 1 << 30), st.integers(2, 7), st.sampled_from([0.3, 0.5, 0.8]),
+    st.integers(2, 8))
+
+
+def _multigraph_with_eggs(rng, n, p, count):
+    g = oracles.random_connected_multigraph(rng, n, p)
+    return g, random_eggs(rng, g, count)
+
+
+def reference_cut_bounds(g, egg):
+    """F(s) for s = 0..n by its definition, loop by loop; None below |egg|."""
+    n = g.n
+    rows = g.mult.tolist()
+    out = [None] * (n + 1)
+    for s in range(len(egg), n + 1):
+        t = [sum(row) - sum(sorted(row, reverse=True)[:s - 1]) for row in rows]
+        out[s] = sum(t[v] for v in egg) + sum(sorted(t)[:s - len(egg)])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_with_eggs)
+def test_egg_cut_number_matches_brute_force_property(case):
+    g, eggs = case
+    assert sc.egg_cut_number(sc.Scramble(g, eggs))[0] == oracles.brute_egg_cut(g, eggs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_with_eggs, multigraph_with_eggs)
+def test_hitting_number_matches_brute_force_over_egg_groups_property(first, second):
+    # eggs on each part of a disjoint union fall into at least two groups
+    g, eggs = first
+    h, more = second
+    union = disjoint_union(g, h)
+    all_eggs = eggs + [{g.n + v for v in egg} for egg in more]
+    for host, chosen in ((g, eggs), (union, all_eggs)):
+        size, witness = sc.hitting_number(sc.Scramble(host, chosen))
+        assert size == oracles.brute_hitting_number(host.n, chosen)
+        assert len(witness) == size and all(witness & set(egg) for egg in chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_with_eggs)
+def test_pair_bound_is_below_every_separating_cut_property(case):
+    g, eggs = case
+    s = sc.Scramble(g, eggs)
+    member = np.zeros((len(s.eggs), g.n), dtype=np.int64)
+    for i, egg in enumerate(s.eggs):
+        member[i, list(egg)] = 1
+    table = sc._cut_bound_table(g, member)
+    reference = [reference_cut_bounds(g, egg) for egg in s.eggs]
+    for i, a in enumerate(s.eggs):
+        assert [None if x == sc._NO_SET else x for x in table[i].tolist()] == reference[i]
+        bounds = sc._pair_bounds(table, i)
+        for j, b in enumerate(s.eggs[i + 1:]):
+            if not a & b:
+                ra, rb = reference[i], reference[i + 1 + j]
+                assert bounds[j] == min(max(ra[k], rb[g.n - k]) for k in range(len(a), g.n - len(b) + 1))
+                assert bounds[j] <= oracles.brute_egg_cut(g, [a, b])
+
+
+def test_cut_bound_is_exact_on_complete_graphs():
+    # every s-set of K_n has boundary s(n - s), and the bound reaches it
+    for n in (2, 5, 8):
+        table = sc._cut_bound_table(mg.complete(n), np.eye(n, dtype=np.int64))
+        assert table[:, 1:].tolist() == [[s * (n - s) for s in range(1, n + 1)]] * n
+
+
+def test_egg_cut_number_skips_the_pairs_its_bound_rules_out(monkeypatch):
+    # the first flow on a dense edge scramble already reaches the degree
+    # bound of almost every later pair, so only a handful of the ~800
+    # disjoint pairs run a flow
+    flows = []
+    cut = inv.min_cut_between
+
+    def counted(*args, **kwargs):
+        flows.append(args[1:3])
+        return cut(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "min_cut_between", counted)
+    g = mg.random_graph(12, 0.8, 1012)
+    value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
+    assert value == size == inv.edge_boundary(g, side)
+    assert len(flows) <= 10
+
+
+def test_product_scramble_orders_split_into_copies():
+    # one egg group per copy: K5 [] K5 with k = 3 has 5 groups of 10 eggs
+    order = sc.scramble_order(sc.product_scramble(mg.complete(5), mg.complete(5), 3))
+    assert (order.order, order.hitting, order.egg_cut) == (15, 15, 18)
+    c5 = mg.cycle(5)
+    order = sc.scramble_order(sc.product_scramble(c5, c5, 2))
+    assert (order.order, order.hitting, order.egg_cut) == (10, 10, 10)
 
 
 def test_egg_cut_is_infinite_without_disjoint_eggs():
