@@ -26,7 +26,7 @@ import numpy as np
 from . import divisors as dv
 from . import invariants as inv
 from . import multigraph as mg
-from .scrambles import BoundReport
+from .scrambles import BoundReport, vertex_scramble_order
 
 
 class HypothesisError(ValueError):
@@ -163,8 +163,9 @@ def _stats(g, gon, budget):
     """Invariants of a connected factor, each computed once."""
     lam = inv.edge_connectivity(g)
     if gon is None and g.n <= budget:
-        # the gonality search's own default start, min(lam, n), passed on
-        gon = dv.gonality(g, lower_hint=max(1, min(lam, g.n)))[0]
+        # gon >= sn >= the vertex scramble's order; where that meets the
+        # positive-rank upper bound (n - alpha, or n) no divisor search runs
+        gon = dv._sandwiched_gonality(g, vertex_scramble_order(g.n, lam))
     return _FactorStats(graph=g, n=g.n, lam=lam,
                         kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
                         gon=gon, tree=g.is_simple() and g.edge_count() == g.n - 1)
@@ -318,6 +319,19 @@ def _stmt_doubled_edge_times_complete(a, b):
     return (2 * b.n - 2 if ok else None), checks
 
 
+def _stmt_one_vertex_factor(a, b):
+    # G = K1, so G [] H = H, and gon(H) = max(1, min(lam(H), |V(H)|)), the
+    # order of H's vertex scramble  =>  value gon(H)
+    checks = []
+    ok = _check(checks, "|V(G)| = 1", str(a.n), a.n == 1)
+    ok &= _check(checks, "gon(H) known", str(b.gon), b.gon is not None)
+    if ok:
+        order = vertex_scramble_order(b.n, b.lam)
+        ok &= _check(checks, "gon(H) = max(1, min(lam(H), |V(H)|))",
+                     "%d = %d" % (b.gon, order), b.gon == order)
+    return (b.gon if ok else None), checks
+
+
 _STATEMENTS = [
     ("tree-factor", _stmt_tree_factor),
     ("tight-factor", _stmt_tight_factor),
@@ -328,6 +342,7 @@ _STATEMENTS = [
     ("high-connectivity-tight", _stmt_highconn_tight),
     ("uniform-connectivity", _stmt_uniform),
     ("doubled-edge-times-complete", _stmt_doubled_edge_times_complete),
+    ("one-vertex-factor", _stmt_one_vertex_factor),
 ]
 
 
@@ -352,9 +367,13 @@ def _open_bounds(stats_g, stats_h):
     # both factors are connected (checked by certify_product), and the kappa
     # loop below keeps to the hypotheses of Thm 4.1 and Prop 4.3; Prop 4.3
     # stands in for Thm 4.1 at k = 2, which it dominates as delta >= lam, and
-    # Cor 4.2 is the larger of the two k = 1 values
+    # Cor 4.2 is the larger of the two k = 1 values.  A one-vertex G has
+    # kappa = lam = 0 and fits none of them, but G [] H = H, so H's vertex
+    # scramble bounds the product
     lower, lsrc = 0, "trivial"
     for a, b, tag in ((stats_g, stats_h, "G,H"), (stats_h, stats_g, "H,G")):
+        if a.n == 1 and vertex_scramble_order(b.n, b.lam) > lower:
+            lower, lsrc = vertex_scramble_order(b.n, b.lam), "vertex scramble of H (%s)" % tag
         for k in range(1, min(a.kappa, (a.n + 1) // 2) + 1):
             if k == 2:
                 value = _prop43(a.n, b.n, b.lam, a.delta)

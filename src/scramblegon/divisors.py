@@ -93,21 +93,30 @@ class BurnResult:
         return "BurnResult(burned=%s, unburned=%s)" % (sorted(self.burned), sorted(self.unburned))
 
 
-def _burn_rows(mult, chips, q):
-    """Vertices burned by a fire started at q, for every row of a chip matrix.
+def _burn_matrix(mult):
+    """The multiplicity matrix _burn_rows multiplies by, built once per search.
+
+    float32 products take BLAS, many times faster than integer matmul, and are
+    exact while every valence is below 2**24; past that the integer matrix
+    itself is returned.
+    """
+    if mult.sum(axis=1).max() < 2**24:
+        return mult.astype(np.float32)
+    return mult
+
+
+def _burn_rows(burn, chips, q):
+    """Vertices burned by a fire started at q, for every row of a chip matrix;
+    `burn` is _burn_matrix of the host's multiplicities.
 
     A vertex burns once its burning incident edges outnumber its chips; the
     closure is monotone, so the iteration order is irrelevant.  chips[:, q] is
     never consulted.
     """
-    # float32 products take BLAS, many times faster than integer matmul, and
-    # are exact while every valence is below 2**24
-    if mult.sum(axis=1).max() < 2**24:
-        mult = mult.astype(np.float32)
     burned = np.zeros(chips.shape, dtype=bool)
     burned[:, q] = True
     while True:
-        fresh = ~burned & (burned @ mult > chips)
+        fresh = ~burned & (burned @ burn > chips)
         if not fresh.any():
             return burned
         burned |= fresh
@@ -302,7 +311,7 @@ def _box_chunks(bounds, total_max):
             yield np.hstack([heads[h], tails[fits[shift[h] + r]]])
 
 
-def _reduced_effective_divisors(g, degree):
+def _reduced_effective_divisors(g, burn, degree):
     """The 0-reduced effective divisors of the given degree that keep a chip on
     vertex 0, as chip matrices of at most CHUNK_ROWS rows, ordered by chips[1:].
 
@@ -310,7 +319,8 @@ def _reduced_effective_divisors(g, degree):
     chips (a heavier vertex could never burn), so the candidates are the rows
     of a bounded box; only rows of total <= degree - 1 are scanned, as a
     positive-rank divisor keeps a chip on 0 in its 0-reduced form.  A batch
-    Dhar filter keeps exactly the reduced ones.
+    Dhar filter, multiplying by `burn` (_burn_matrix of g.mult), keeps exactly
+    the reduced ones.
     """
     n = g.n
     bounds = [int(val) - 1 for val in g.valences()[1:]]
@@ -323,17 +333,18 @@ def _reduced_effective_divisors(g, degree):
         chips = np.empty((rows.shape[0], n), dtype=np.int64)
         chips[:, 0] = degree - rows.sum(axis=1)
         chips[:, 1:] = rows
-        yield chips[_burn_rows(g.mult, chips, 0).all(axis=1)]
+        yield chips[_burn_rows(burn, chips, 0).all(axis=1)]
 
 
-def _batch_reduce_effective(mult, chips, q):
+def _batch_reduce_effective(mult, burn, chips, q):
     """q-reduce many effective chip rows at once (Dhar loop only; no debt to
-    clear).  Returns the matrix of reduced rows, order preserved."""
+    clear); `burn` is _burn_matrix(mult).  Returns the matrix of reduced rows,
+    order preserved."""
     chips = np.array(chips)
     vals = mult.sum(axis=1)
     active = np.arange(chips.shape[0])
     while active.size:
-        burned = _burn_rows(mult, chips[active], q)
+        burned = _burn_rows(burn, chips[active], q)
         alive = ~burned.all(axis=1)
         if not alive.any():
             break
@@ -343,19 +354,38 @@ def _batch_reduce_effective(mult, chips, q):
     return chips
 
 
+def _gonality_upper(g):
+    """The positive-rank upper bound on gon(g), g connected: n - alpha for a
+    simple g on two or more vertices (one chip on each vertex outside a
+    maximum independent set), n otherwise (one chip on every vertex)."""
+    if g.n >= 2 and g.is_simple():
+        return g.n - inv.independence_number(g)
+    return g.n
+
+
+def _sandwiched_gonality(g, lower):
+    """gon(g) of a connected g, given a sound lower bound on it (a scramble
+    order, say).  When the bound meets _gonality_upper the value is proven and
+    no divisor search runs; otherwise the search runs between the two bounds,
+    and raises if the lower one is above the upper one."""
+    upper = _gonality_upper(g)
+    if lower == upper:
+        return upper
+    return gonality(g, lower_hint=lower, upper_hint=upper)[0]
+
+
 def gonality(g, lower_hint=None, upper_hint=None):
     """Exact gonality with a positive-rank witness divisor.
 
-    Searches degrees from a connectivity lower bound up to n - alpha for
-    simple graphs (2|E| for true multigraphs), enumerating only 0-reduced
-    effective candidates with a chip on vertex 0: every divisor class of
-    positive rank has such a representative, so the pruning is lossless.
-    Each degree's candidates are streamed in a fixed order and the search
-    stops at the first positive-rank one, so the witness is the 0-reduced
-    positive-rank divisor of minimal degree with the lexicographically least
-    chips[1:], whatever the hints.  Raises CandidateBudgetError, before
-    scanning it, when a degree's candidate box would exceed
-    CANDIDATE_BOX_BUDGET.
+    Searches degrees from a connectivity lower bound up to _gonality_upper,
+    enumerating only 0-reduced effective candidates with a chip on vertex 0:
+    every divisor class of positive rank has such a representative, so the
+    pruning is lossless.  Each degree's candidates are streamed in a fixed
+    order and the search stops at the first positive-rank one, so the witness
+    is the 0-reduced positive-rank divisor of minimal degree with the
+    lexicographically least chips[1:], whatever the hints.  Raises
+    CandidateBudgetError, before scanning it, when a degree's candidate box
+    would exceed CANDIDATE_BOX_BUDGET.
     """
     if not inv.is_connected(g):
         raise ValueError("gonality needs a connected graph")
@@ -364,27 +394,30 @@ def gonality(g, lower_hint=None, upper_hint=None):
         # single vertex: one chip already has positive rank, zero chips do not
         return 1, Divisor(g, [1])
     lower = lower_hint if lower_hint is not None else max(1, min(inv.edge_connectivity(g), n))
-    if upper_hint is not None:
-        upper = upper_hint
-    elif g.is_simple():
-        upper = n - inv.independence_number(g)
-    else:
-        upper = 2 * g.edge_count()
+    upper = upper_hint if upper_hint is not None else _gonality_upper(g)
     if lower > upper:
         raise ValueError("lower hint %d exceeds upper hint %d" % (lower, upper))
 
     mult = g.mult
+    burn = _burn_matrix(mult)
     # on two or more vertices no divisor of degree < 1 has positive rank
     for degree in range(max(lower, 1), upper + 1):
-        for candidates in _reduced_effective_divisors(g, degree):
-            # positive rank <=> every q-reduction keeps a chip on q, which holds
-            # at q = 0 already; filter one basepoint at a time, cheapest
-            # rejections first
+        for candidates in _reduced_effective_divisors(g, burn, degree):
+            # positive rank <=> every vertex q holds a chip in some effective
+            # divisor equivalent to the candidate.  The candidate covers its
+            # own support (vertex 0 among it) and each q-reduction met covers
+            # the support of the reduced row, so a row is reduced at q only
+            # while q is uncovered, and kept when the reduction covers q;
+            # one basepoint at a time, cheapest rejections first
+            covered = candidates > 0
             for q in range(1, n):
                 if not candidates.shape[0]:
                     break
-                reduced = _batch_reduce_effective(mult, candidates, q)
-                candidates = candidates[reduced[:, q] >= 1]
+                todo = ~covered[:, q]
+                if todo.any():
+                    covered[todo] |= _batch_reduce_effective(mult, burn, candidates[todo], q) > 0
+                    keep = covered[:, q]
+                    candidates, covered = candidates[keep], covered[keep]
             if candidates.shape[0]:
                 return degree, Divisor(g, candidates[0])
     raise RuntimeError("no positive-rank divisor of degree <= %d found; "

@@ -53,8 +53,17 @@ class Scramble:
                 cleaned.append(fs)
         if not cleaned:
             raise ValueError("a scramble needs at least one egg")
-        kept = [e for e in cleaned if not any(o < e for o in cleaned)]
-        kept.sort(key=lambda e: (len(e), sorted(e)))
+        # an egg can only strictly contain a smaller one, and every dropped
+        # egg contains a kept one, so each egg is compared with the kept
+        # eggs of smaller size, kept[:smaller], alone
+        cleaned.sort(key=lambda e: (len(e), sorted(e)))
+        kept = []
+        smaller = 0
+        for e in cleaned:
+            if kept and len(kept[-1]) < len(e):
+                smaller = len(kept)
+            if not any(kept[i] < e for i in range(smaller)):
+                kept.append(e)
         self.host = host
         self.eggs = tuple(kept)
 
@@ -224,6 +233,12 @@ def vertex_scramble(g):
     return Scramble(g, [{v} for v in range(g.n)])
 
 
+def vertex_scramble_order(n, lam):
+    """The vertex scramble's order on a connected graph with n vertices and
+    edge connectivity lam: min(lam, n), and 1 on a single vertex."""
+    return max(1, min(lam, n))
+
+
 def edge_scramble(g):
     """One egg per adjacent vertex pair; parallel edges collapse to one egg.
 
@@ -277,8 +292,7 @@ class BoundReport:
 def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
     """Bounds for a connected, smooth, bridgeless-or-tiny graph."""
     lower, lsrc = 0, "trivial"
-    # the vertex scramble's order, min(lam, n); 1 on a single vertex
-    order = max(1, min(inv.edge_connectivity(g), g.n))
+    order = vertex_scramble_order(g.n, inv.edge_connectivity(g))
     if order > lower:
         lower, lsrc = order, "vertex scramble"
     if g.edge_count() > 0:
@@ -286,8 +300,9 @@ def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
         if order > lower:
             lower, lsrc = order, "edge scramble"
     if g.n <= gonality_budget:
-        # sn <= gon, so the scramble lower bound is a sound starting degree
-        upper, usrc = dv.gonality(g, lower_hint=lower)[0], "gonality"
+        # sn <= gon, so the scramble lower bound is a sound starting degree,
+        # and where it meets n - alpha (or n) the gonality needs no search
+        upper, usrc = dv._sandwiched_gonality(g, lower), "gonality"
     else:
         upper, usrc = g.n, "vertex count"
     if use_brute:

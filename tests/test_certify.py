@@ -222,6 +222,38 @@ def test_reduce_alpha_of_c7_through_the_gonality_search():
     assert ct.reduce_alpha(mg.cycle(7), solver="gonality")[0] == 3
 
 
+def test_certify_finds_the_gonality_of_eight_factors_without_a_search(monkeypatch):
+    # min(lam, n) meets n - alpha on each, and n on the doubled edge C2
+    def refuse(g, lower_hint=None, upper_hint=None):
+        raise AssertionError("the gonality search ran")
+
+    monkeypatch.setattr(dv, "gonality", refuse)
+    factors = [(mg.path(3), 1), (mg.cycle(2), 2), (mg.complete(3), 2), (mg.cycle(4), 2),
+               (mg.complete(4), 3), (mg.complete_bipartite(2, 3), 2), (mg.star(4), 1),
+               (mg.complete(5), 4)]
+    for g, gon in factors:
+        assert ct._stats(g, None, 12).gon == gon
+    for (g, _), (h, _) in itertools.product(factors, repeat=2):
+        ct.certify_product(g, h)
+
+
+def test_one_vertex_factors_bound_the_product_by_the_other_factor():
+    # K1 [] H = H, so H's vertex scramble bounds the product from below
+    k1, q3 = mg.path(1), mg.hypercube(3)
+    cert = ct.certify_product(k1, k1)
+    assert (cert.statement, cert.value) == ("one-vertex-factor", 1)
+    assert all(check.passed for check in cert.hypotheses)
+    for g, h, tag in ((k1, q3, "G,H"), (q3, k1, "H,G")):
+        bounds = ct.certify_product(g, h).bounds
+        assert (bounds.lower, bounds.upper) == (3, 4)
+        assert bounds.lower_source == "vertex scramble of H (%s)" % tag
+    for h in (k1, mg.path(4), mg.cycle(5), mg.complete(4), q3):
+        cert = ct.certify_product(k1, h, budget=0)
+        assert not cert.certified
+        assert cert.bounds.lower == max(1, min(inv.edge_connectivity(h), h.n))
+        assert cert.bounds.lower <= dv.gonality(h)[0] <= cert.bounds.upper
+
+
 def test_certify_rejects_disconnected_input():
     with pytest.raises(ct.HypothesisError):
         ct.certify_product(mg.from_edge_list(4, [(0, 1, 1), (2, 3, 1)]), mg.cycle(3))

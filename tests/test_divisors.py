@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from scramblegon import divisors as dv
+from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
 
 
@@ -154,7 +157,7 @@ def test_batch_reduction_matches_single_reduction():
     rows = np.array([[rng.randrange(0, 4) for _ in range(g.n)] for _ in range(30)],
                     dtype=np.int64)
     for q in range(g.n):
-        batch = dv._batch_reduce_effective(g.mult, rows, q)
+        batch = dv._batch_reduce_effective(g.mult, dv._burn_matrix(g.mult), rows, q)
         for i in range(rows.shape[0]):
             single = dv._reduce_chips(g.mult, rows[i], q)
             assert np.array_equal(batch[i], single)
@@ -163,8 +166,11 @@ def test_batch_reduction_matches_single_reduction():
 def test_batch_burn_is_exact_past_float32_precision():
     g = mg.from_edge_list(3, [(0, 1, 1), (1, 2, 2**24 + 1)])
     rows = np.array([[0, 0, 2**24], [0, 0, 2**24 + 1], [0, 5, 2**24], [0, 0, 0]], dtype=np.int64)
+    burn = dv._burn_matrix(g.mult)
+    assert burn.dtype == np.int64
+    assert dv._burn_matrix(mg.cycle(4).mult).dtype == np.float32
     for q in range(g.n):
-        batch = dv._burn_rows(g.mult, rows, q)
+        batch = dv._burn_rows(burn, rows, q)
         for i in range(rows.shape[0]):
             assert np.array_equal(batch[i], dv._burn_mask(g.mult, rows[i], q))
 
@@ -221,6 +227,21 @@ def test_gonality_witness_does_not_depend_on_the_chunk_size(monkeypatch):
         assert results() == expected
 
 
+def test_gonality_reduces_no_row_already_holding_a_chip_on_q(monkeypatch):
+    # such a row proves rank at q as it stands, so the filter passes it
+    handed = []
+    reduce = dv._batch_reduce_effective
+
+    def spy(mult, burn, chips, q):
+        handed.append(chips[:, q])
+        return reduce(mult, burn, chips, q)
+
+    monkeypatch.setattr(dv, "_batch_reduce_effective", spy)
+    for g in (mg.hypercube(3), mg.cone(mg.cycle(4), 4), mg.complete_bipartite(3, 3)):
+        dv.gonality(g)
+    assert handed and not any(column.any() for column in handed)
+
+
 def test_box_chunks_concatenate_to_the_box(monkeypatch):
     rng = random.Random(89)
     for chunk in (1, 7, dv.CHUNK_ROWS):
@@ -252,3 +273,60 @@ def test_gonality_refuses_an_over_budget_box_without_building_it(monkeypatch):
     # degree 9 scans 10,027,176 rows: ~1.9 GiB of int64 chips
     with pytest.raises(dv.CandidateBudgetError, match="budget"):
         dv.gonality(c5c5, lower_hint=9)
+
+
+# a small random connected graph, simple or with multiplicities up to 3,
+# drawn from a seed so that hypothesis shrinks towards small seeds and sizes
+connected_graphs = st.builds(
+    lambda seed, n, p, multi: (oracles.random_connected_multigraph if multi
+                               else oracles.random_connected_graph)(random.Random(seed), n, p),
+    st.integers(0, 1 << 30), st.integers(1, 7), st.sampled_from([0.3, 0.5, 0.8]), st.booleans())
+
+
+def vertex_scramble_order(g):
+    return max(1, min(inv.edge_connectivity(g), g.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs)
+@example(mg.path(1))
+@example(mg.cycle(2))
+def test_sandwiched_gonality_is_the_gonality_property(g):
+    assert dv._sandwiched_gonality(g, vertex_scramble_order(g)) == dv.gonality(g)[0]
+
+
+def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
+    # where min(lam, n) meets the upper bound, no search runs, and one chip
+    # on each vertex outside a maximum independent set (on every vertex of a
+    # multigraph or K1) is a positive-rank divisor of that degree
+    rng = random.Random(53)
+    graphs = [mg.path(1), mg.cycle(2), mg.path(3), mg.complete(5), mg.complete_bipartite(2, 3),
+              mg.star(4), mg.from_edge_list(3, [(0, 1, 3), (1, 2, 4), (0, 2, 3)])]
+    graphs += [oracles.random_connected_graph(rng, rng.randrange(2, 9), 0.8) for _ in range(20)]
+    graphs += [oracles.random_connected_multigraph(rng, rng.randrange(2, 5), 0.8, max_mult=4)
+               for _ in range(20)]
+
+    def refuse(g, lower_hint=None, upper_hint=None):
+        raise AssertionError("the gonality search ran")
+
+    monkeypatch.setattr(dv, "gonality", refuse)
+    closed = 0
+    for g in graphs:
+        lower = vertex_scramble_order(g)
+        if lower != dv._gonality_upper(g):
+            continue
+        if g.n >= 2 and g.is_simple():
+            independent = inv.max_independent_set(g)
+            chips = [0 if v in independent else 1 for v in range(g.n)]
+        else:
+            chips = [1] * g.n
+        witness = dv.Divisor(g, chips)
+        assert witness.degree() == dv._sandwiched_gonality(g, lower)
+        assert dv.has_positive_rank(witness)
+        closed += 1
+    assert closed >= 15
+
+
+def test_sandwiched_gonality_raises_on_a_lower_bound_above_the_upper_bound():
+    with pytest.raises(ValueError, match="exceeds"):
+        dv._sandwiched_gonality(mg.cycle(5), 4)

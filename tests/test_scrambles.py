@@ -1,6 +1,7 @@
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,9 +209,10 @@ def test_egg_cut_is_infinite_without_disjoint_eggs():
 def test_vertex_scramble_order_is_connectivity_capped():
     rng = random.Random(53)
     graphs = [oracles.random_connected_graph(rng, rng.randrange(2, 8), 0.5) for _ in range(10)]
-    for g in graphs + [mg.path(1)]:
+    for g in graphs + [mg.path(1), mg.cycle(2), mg.from_edge_list(2, [(0, 1, 3)])]:
         order = sc.scramble_order(sc.vertex_scramble(g)).order
         assert order == max(1, min(inv.edge_connectivity(g), g.n))
+        assert order == sc.vertex_scramble_order(g.n, inv.edge_connectivity(g))
 
 
 def test_edge_scramble_hitting_is_vertex_cover():
@@ -260,18 +262,29 @@ def test_sn_bounds_vertex_scramble_term_is_its_scramble_order():
 
 
 def test_sn_bounds_starts_the_gonality_search_at_the_scramble_bound(monkeypatch):
+    # on the Petersen graph the edge scramble's order 4 (above the vertex
+    # scramble's 3) stays under n - alpha = 6, so the search runs on [4, 6]
     hints = []
     search = dv.gonality
 
     def spy(g, lower_hint=None, upper_hint=None):
-        hints.append(lower_hint)
+        hints.append((lower_hint, upper_hint))
         return search(g, lower_hint=lower_hint, upper_hint=upper_hint)
 
     monkeypatch.setattr(dv, "gonality", spy)
-    q3 = mg.hypercube(3)
-    report = sc.sn_bounds(q3)
-    assert hints and all(h is not None and h >= sc.scramble_order(sc.vertex_scramble(q3)).order
-                         for h in hints)
+    petersen = mg.from_edge_list(10, [(u, v, 1) for u, v in nx.petersen_graph().edges()])
+    report = sc.sn_bounds(petersen)
+    assert hints == [(4, 6)]
+    assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
+
+
+def test_sn_bounds_closes_the_sandwich_without_a_search(monkeypatch):
+    # on Q3 the edge scramble's order 4 meets n - alpha = 8 - 4
+    def refuse(g, lower_hint=None, upper_hint=None):
+        raise AssertionError("the gonality search ran")
+
+    monkeypatch.setattr(dv, "gonality", refuse)
+    report = sc.sn_bounds(mg.hypercube(3))
     assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
 
 
