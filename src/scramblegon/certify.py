@@ -349,8 +349,9 @@ _STATEMENTS = [
 def certify_product(g, h, gon_g=None, gon_h=None, budget=12):
     """Try the certifying statements in fixed order, each in both factor
     orientations; the first passing one proves sn = gon for the product.
-    Otherwise emit open bounds from the closed-form lower formulas and the
-    factor-gonality upper bound."""
+    Otherwise take the bounds from the closed-form lower formulas and the
+    factor-gonality upper bound: where they meet they prove sn = gon too
+    (statement "met-bounds"), and else they are emitted as open bounds."""
     stats_g = _checked_stats(g, gon_g, budget)
     stats_h = _checked_stats(h, gon_h, budget)
     for statement_id, statement in _STATEMENTS:
@@ -359,8 +360,16 @@ def certify_product(g, h, gon_g=None, gon_h=None, budget=12):
             if value is not None:
                 return Certificate(statement=statement_id, hypotheses=checks,
                                    value=value, orientation=orientation)
-    return Certificate(statement="open", hypotheses=[], value=None,
-                       bounds=_open_bounds(stats_g, stats_h))
+    bounds = _open_bounds(stats_g, stats_h)
+    if bounds.exact:
+        # the lower bound is a scramble's order, so sn >= lower, and the
+        # upper bound a positive-rank divisor's degree, so gon <= upper
+        checks = [HypothesisCheck("sn(G [] H) >= lower bound",
+                                  "%d by %s" % (bounds.lower, bounds.lower_source), True),
+                  HypothesisCheck("gon(G [] H) <= upper bound",
+                                  "%d by %s" % (bounds.upper, bounds.upper_source), True)]
+        return Certificate(statement="met-bounds", hypotheses=checks, value=bounds.lower)
+    return Certificate(statement="open", hypotheses=[], value=None, bounds=bounds)
 
 
 def _open_bounds(stats_g, stats_h):

@@ -111,8 +111,11 @@ def _burn_rows(burn, chips, q):
 
     A vertex burns once its burning incident edges outnumber its chips; the
     closure is monotone, so the iteration order is irrelevant.  chips[:, q] is
-    never consulted.
+    never consulted.  The chips are compared in the matrix's dtype: a float32
+    product below 2**24 is exact, and rounding a larger chip count keeps it
+    at 2**24 or above, so every comparison is exact.
     """
+    chips = chips.astype(burn.dtype)
     burned = np.zeros(chips.shape, dtype=bool)
     burned[:, q] = True
     while True:
@@ -311,16 +314,16 @@ def _box_chunks(bounds, total_max):
             yield np.hstack([heads[h], tails[fits[shift[h] + r]]])
 
 
-def _reduced_effective_divisors(g, burn, degree):
-    """The 0-reduced effective divisors of the given degree that keep a chip on
-    vertex 0, as chip matrices of at most CHUNK_ROWS rows, ordered by chips[1:].
+def _reduced_effective_divisors(g, degree):
+    """The candidates for the 0-reduced effective divisors of the given degree
+    that keep a chip on vertex 0: the raw rows of a bounded box, as chip
+    matrices of at most CHUNK_ROWS rows, ordered by chips[1:].
 
     Away from the basepoint 0 a 0-reduced divisor carries at most val(v) - 1
-    chips (a heavier vertex could never burn), so the candidates are the rows
-    of a bounded box; only rows of total <= degree - 1 are scanned, as a
-    positive-rank divisor keeps a chip on 0 in its 0-reduced form.  A batch
-    Dhar filter, multiplying by `burn` (_burn_matrix of g.mult), keeps exactly
-    the reduced ones.
+    chips (a heavier vertex could never burn), so every such divisor is a row
+    of the box; only rows of total <= degree - 1 are scanned, as a
+    positive-rank divisor keeps a chip on 0 in its 0-reduced form.  The rows
+    are not burned at 0 here: the caller keeps the reduced ones.
     """
     n = g.n
     bounds = [int(val) - 1 for val in g.valences()[1:]]
@@ -333,13 +336,13 @@ def _reduced_effective_divisors(g, burn, degree):
         chips = np.empty((rows.shape[0], n), dtype=np.int64)
         chips[:, 0] = degree - rows.sum(axis=1)
         chips[:, 1:] = rows
-        yield chips[_burn_rows(burn, chips, 0).all(axis=1)]
+        yield chips
 
 
 def _batch_reduce_effective(mult, burn, chips, q):
     """q-reduce many effective chip rows at once (Dhar loop only; no debt to
-    clear); `burn` is _burn_matrix(mult).  Returns the matrix of reduced rows,
-    order preserved."""
+    clear); `burn` is _burn_matrix(mult), and the firing delta is taken
+    through it too.  Returns the matrix of reduced rows, order preserved."""
     chips = np.array(chips)
     vals = mult.sum(axis=1)
     active = np.arange(chips.shape[0])
@@ -349,29 +352,78 @@ def _batch_reduce_effective(mult, burn, chips, q):
         if not alive.any():
             break
         unburned = ~burned[alive]
-        chips[active[alive]] += unburned @ mult - unburned * vals
+        chips[active[alive]] += (unburned @ burn).astype(np.int64) - unburned * vals
         active = active[alive]
     return chips
 
 
+def _first_positive_rank_row(g, burn, degree):
+    """The first 0-reduced positive-rank chip row of the given degree, in the
+    order of chips[1:], or None when the degree has none; `burn` is
+    _burn_matrix(g.mult), and g is connected with two or more vertices.
+
+    Positive rank <=> every vertex q holds a chip in some effective divisor
+    equivalent to the row.  The row covers its own support (vertex 0 among
+    it) and each q-reduction met covers the support of the reduced row, so a
+    row is reduced at q only while q is uncovered, and kept when the
+    reduction covers q; one basepoint at a time, cheapest rejections first.
+    Positive rank is a property of the divisor class, so these q-filters run
+    on the raw box rows, and the burn at 0 only on their survivors: the
+    0-reduced rows kept are the same rows in the same order.
+    """
+    mult = g.mult
+    for candidates in _reduced_effective_divisors(g, degree):
+        covered = candidates > 0
+        for q in range(1, g.n):
+            if not candidates.shape[0]:
+                break
+            todo = ~covered[:, q]
+            if todo.any():
+                covered[todo] |= _batch_reduce_effective(mult, burn, candidates[todo], q) > 0
+                keep = covered[:, q]
+                candidates, covered = candidates[keep], covered[keep]
+        if candidates.shape[0]:
+            candidates = candidates[_burn_rows(burn, candidates, 0).all(axis=1)]
+            if candidates.shape[0]:
+                return candidates[0]
+    return None
+
+
 def _gonality_upper(g):
-    """The positive-rank upper bound on gon(g), g connected: n - alpha for a
-    simple g on two or more vertices (one chip on each vertex outside a
-    maximum independent set), n otherwise (one chip on every vertex)."""
+    """The positive-rank upper bound on gon(g), g connected: the least of
+    genus + 1 = |E| - n + 2 (|E| with multiplicity; by Riemann-Roch for
+    graphs every divisor of that degree has rank >= 1, genus + 1 chips on
+    one vertex say), n - alpha for a simple g on two or more vertices (one
+    chip on each vertex outside a maximum independent set), and n (one chip
+    on every vertex)."""
+    genus_bound = g.edge_count() - g.n + 2
     if g.n >= 2 and g.is_simple():
-        return g.n - inv.independence_number(g)
-    return g.n
+        return min(genus_bound, g.n - inv.independence_number(g))
+    return min(genus_bound, g.n)
 
 
 def _sandwiched_gonality(g, lower):
     """gon(g) of a connected g, given a sound lower bound on it (a scramble
-    order, say).  When the bound meets _gonality_upper the value is proven and
-    no divisor search runs; otherwise the search runs between the two bounds,
-    and raises if the lower one is above the upper one."""
+    order, say); raises if the bound is above _gonality_upper.
+
+    Only the degrees from the lower bound up to one below the upper bound are
+    scanned, and no witness is kept.  The first degree with a positive-rank
+    divisor is gon(g); when every scanned degree has none, the exhaustive
+    scan proves gon(g) >= upper and the upper bound's own divisor proves
+    gon(g) <= upper.  Where the bounds meet nothing is scanned.
+    """
+    if not inv.is_connected(g):
+        raise ValueError("gonality needs a connected graph")
     upper = _gonality_upper(g)
-    if lower == upper:
-        return upper
-    return gonality(g, lower_hint=lower, upper_hint=upper)[0]
+    if lower > upper:
+        raise ValueError("lower hint %d exceeds upper hint %d" % (lower, upper))
+    burn = _burn_matrix(g.mult)
+    # on two or more vertices no divisor of degree < 1 has positive rank,
+    # and on one vertex the upper bound is 1
+    for degree in range(max(lower, 1), upper):
+        if _first_positive_rank_row(g, burn, degree) is not None:
+            return degree
+    return upper
 
 
 def gonality(g, lower_hint=None, upper_hint=None):
@@ -398,27 +450,11 @@ def gonality(g, lower_hint=None, upper_hint=None):
     if lower > upper:
         raise ValueError("lower hint %d exceeds upper hint %d" % (lower, upper))
 
-    mult = g.mult
-    burn = _burn_matrix(mult)
+    burn = _burn_matrix(g.mult)
     # on two or more vertices no divisor of degree < 1 has positive rank
     for degree in range(max(lower, 1), upper + 1):
-        for candidates in _reduced_effective_divisors(g, burn, degree):
-            # positive rank <=> every vertex q holds a chip in some effective
-            # divisor equivalent to the candidate.  The candidate covers its
-            # own support (vertex 0 among it) and each q-reduction met covers
-            # the support of the reduced row, so a row is reduced at q only
-            # while q is uncovered, and kept when the reduction covers q;
-            # one basepoint at a time, cheapest rejections first
-            covered = candidates > 0
-            for q in range(1, n):
-                if not candidates.shape[0]:
-                    break
-                todo = ~covered[:, q]
-                if todo.any():
-                    covered[todo] |= _batch_reduce_effective(mult, burn, candidates[todo], q) > 0
-                    keep = covered[:, q]
-                    candidates, covered = candidates[keep], covered[keep]
-            if candidates.shape[0]:
-                return degree, Divisor(g, candidates[0])
+        row = _first_positive_rank_row(g, burn, degree)
+        if row is not None:
+            return degree, Divisor(g, row)
     raise RuntimeError("no positive-rank divisor of degree <= %d found; "
                        "an upper hint below the true gonality?" % upper)

@@ -92,17 +92,20 @@ def edge_boundary(g, vertices):
     return int(g.mult[np.ix_(mask, ~mask)].sum())
 
 
-def _augment(residual, nbrs, sources, sinks, limit):
+def _augment(residual, nbrs, sources, sinks, limit, restore=False):
     """Push augmenting paths from `sources` to the vertices flagged in `sinks`
     until none is left or the flow reaches `limit`; returns the flow value.
 
     `residual` is a list-of-lists capacity matrix, possibly directed, updated
     in place; `nbrs[u]` must list every v with a positive residual[u][v] or
     residual[v][u].  Paths are shortest ones (Edmonds-Karp), searched
-    breadth-first from all sources at once.
+    breadth-first from all sources at once.  With `restore` the entries the
+    paths changed are put back before returning, so one matrix serves a
+    sequence of flows without a copy each.
     """
     n = len(residual)
     value = 0
+    pushed = []
     while value < limit:
         parent = [-1] * n
         for s in sources:
@@ -135,6 +138,15 @@ def _augment(residual, nbrs, sources, sinks, limit):
             residual[v][u] += push
             v = u
         value += push
+        if restore:
+            pushed.append((end, parent, push))
+    for end, parent, push in pushed:
+        v = end
+        while parent[v] != v:
+            u = parent[v]
+            residual[u][v] += push
+            residual[v][u] -= push
+            v = u
     return value
 
 
@@ -149,7 +161,7 @@ def edge_connectivity(g):
     for v in range(1, n):
         sinks = [False] * n
         sinks[v] = True
-        best = min(best, _augment([row[:] for row in rows], nbrs, [0], sinks, best))
+        best = min(best, _augment(rows, nbrs, [0], sinks, best, restore=True))
     return best
 
 
@@ -189,7 +201,7 @@ def vertex_connectivity(g):
     for s, t in pairs:
         sinks = [False] * (2 * n)
         sinks[2 * t] = True
-        best = min(best, _augment([row[:] for row in split], nbrs, [2 * s + 1], sinks, best))
+        best = min(best, _augment(split, nbrs, [2 * s + 1], sinks, best, restore=True))
     return best
 
 

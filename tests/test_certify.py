@@ -224,10 +224,11 @@ def test_reduce_alpha_of_c7_through_the_gonality_search():
 
 def test_certify_finds_the_gonality_of_eight_factors_without_a_search(monkeypatch):
     # min(lam, n) meets n - alpha on each, and n on the doubled edge C2
-    def refuse(g, lower_hint=None, upper_hint=None):
+    def refuse(*args, **kwargs):
         raise AssertionError("the gonality search ran")
 
     monkeypatch.setattr(dv, "gonality", refuse)
+    monkeypatch.setattr(dv, "_first_positive_rank_row", refuse)
     factors = [(mg.path(3), 1), (mg.cycle(2), 2), (mg.complete(3), 2), (mg.cycle(4), 2),
                (mg.complete(4), 3), (mg.complete_bipartite(2, 3), 2), (mg.star(4), 1),
                (mg.complete(5), 4)]
@@ -247,11 +248,47 @@ def test_one_vertex_factors_bound_the_product_by_the_other_factor():
         bounds = ct.certify_product(g, h).bounds
         assert (bounds.lower, bounds.upper) == (3, 4)
         assert bounds.lower_source == "vertex scramble of H (%s)" % tag
-    for h in (k1, mg.path(4), mg.cycle(5), mg.complete(4), q3):
+    for h in (mg.path(4), mg.cycle(5), mg.complete(4), q3):
         cert = ct.certify_product(k1, h, budget=0)
         assert not cert.certified
         assert cert.bounds.lower == max(1, min(inv.edge_connectivity(h), h.n))
         assert cert.bounds.lower <= dv.gonality(h)[0] <= cert.bounds.upper
+    # at budget 0 K1 x K1's bounds meet at 1: H's vertex scramble and the
+    # vertex count
+    cert = ct.certify_product(k1, k1, budget=0)
+    assert (cert.statement, cert.value) == ("met-bounds", 1)
+    assert [check.value for check in cert.hypotheses] == [
+        "1 by vertex scramble of H (G,H)", "1 by vertex count"]
+
+
+def test_met_bounds_certify_the_product():
+    # C3 x K3,3 either way and the prism x C3: the k = 3 product scramble's
+    # order 9 meets the factor-gonality divisor's degree 9
+    c3, k33 = mg.cycle(3), mg.complete_bipartite(3, 3)
+    prism = mg.cartesian_product(c3, mg.path(2))
+    for g, h, tag in ((c3, k33, "H,G"), (k33, c3, "G,H"), (prism, c3, "G,H")):
+        cert = ct.certify_product(g, h)
+        assert (cert.statement, cert.value) == ("met-bounds", 9)
+        assert [check.value for check in cert.hypotheses] == [
+            "9 by k=3 product scramble (%s)" % tag, "9 by factor gonality"]
+        assert all(check.passed for check in cert.hypotheses)
+
+
+def test_no_certificate_stays_open_at_met_bounds():
+    rng = random.Random(71)
+    factors = [mg.path(1), mg.path(3), mg.cycle(2), mg.cycle(3), mg.cycle(5), mg.complete(4),
+               mg.complete_bipartite(2, 3), mg.complete_bipartite(3, 3), mg.star(4),
+               mg.hypercube(3), mg.cartesian_product(mg.cycle(3), mg.path(2))]
+    factors += [oracles.random_connected_graph(rng, rng.randrange(2, 7), 0.6) for _ in range(6)]
+    factors += [oracles.random_connected_multigraph(rng, rng.randrange(2, 5), 0.6)
+                for _ in range(4)]
+    met = 0
+    for g, h in itertools.product(factors, repeat=2):
+        for budget in (0, 12):
+            cert = ct.certify_product(g, h, budget=budget)
+            assert cert.certified or cert.bounds.lower < cert.bounds.upper
+            met += cert.statement == "met-bounds"
+    assert met >= 4
 
 
 def test_certify_rejects_disconnected_input():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scramblegon import certify as ct
 from scramblegon import divisors as dv
 from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
@@ -173,6 +174,18 @@ def test_batch_burn_is_exact_past_float32_precision():
         batch = dv._burn_rows(burn, rows, q)
         for i in range(rows.shape[0]):
             assert np.array_equal(batch[i], dv._burn_mask(g.mult, rows[i], q))
+    # the batch reduction fires through the burn matrix as well: int64 past
+    # 2**24, float32 just below it, with chip counts on both sides of 2**24
+    # (at q = 0 some of these rows take ~2**24 firings, one chip at a time)
+    below = mg.from_edge_list(3, [(0, 1, 1), (1, 2, 2**24 - 2)])
+    assert dv._burn_matrix(below.mult).dtype == np.float32
+    rows = np.array([[0, 0, 2**24], [0, 0, 2**24 + 1], [0, 5, 2**24], [0, 0, 0],
+                     [0, 2**24 + 1, 0], [3, 2**24 - 1, 2]], dtype=np.int64)
+    for host in (g, below):
+        for q in (1, 2):
+            batch = dv._batch_reduce_effective(host.mult, dv._burn_matrix(host.mult), rows, q)
+            for i in range(rows.shape[0]):
+                assert np.array_equal(batch[i], dv._reduce_chips(host.mult, rows[i], q))
 
 
 def test_gonality_known_values_and_witness():
@@ -291,31 +304,42 @@ def vertex_scramble_order(g):
 @given(connected_graphs)
 @example(mg.path(1))
 @example(mg.cycle(2))
+@example(mg.star(4))
+@example(mg.from_edge_list(3, [(0, 1, 2), (1, 2, 3)]))
 def test_sandwiched_gonality_is_the_gonality_property(g):
-    assert dv._sandwiched_gonality(g, vertex_scramble_order(g)) == dv.gonality(g)[0]
+    # every sound lower bound from the vertex scramble's order up to gon
+    gon = dv.gonality(g)[0]
+    for lower in range(vertex_scramble_order(g), gon + 1):
+        assert dv._sandwiched_gonality(g, lower) == gon
 
 
 def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
-    # where min(lam, n) meets the upper bound, no search runs, and one chip
-    # on each vertex outside a maximum independent set (on every vertex of a
-    # multigraph or K1) is a positive-rank divisor of that degree
+    # where min(lam, n) meets the upper bound, no degree is scanned, and
+    # genus + 1 chips on vertex 0 (when genus + 1 is the bound), else one
+    # chip on each vertex outside a maximum independent set (on every vertex
+    # of a multigraph or K1) is a positive-rank divisor of that degree
     rng = random.Random(53)
     graphs = [mg.path(1), mg.cycle(2), mg.path(3), mg.complete(5), mg.complete_bipartite(2, 3),
-              mg.star(4), mg.from_edge_list(3, [(0, 1, 3), (1, 2, 4), (0, 2, 3)])]
+              mg.star(4), mg.from_edge_list(3, [(0, 1, 3), (1, 2, 4), (0, 2, 3)]), mg.cycle(5)]
     graphs += [oracles.random_connected_graph(rng, rng.randrange(2, 9), 0.8) for _ in range(20)]
     graphs += [oracles.random_connected_multigraph(rng, rng.randrange(2, 5), 0.8, max_mult=4)
                for _ in range(20)]
 
-    def refuse(g, lower_hint=None, upper_hint=None):
+    def refuse(*args, **kwargs):
         raise AssertionError("the gonality search ran")
 
     monkeypatch.setattr(dv, "gonality", refuse)
-    closed = 0
+    monkeypatch.setattr(dv, "_first_positive_rank_row", refuse)
+    closed = by_genus = 0
     for g in graphs:
         lower = vertex_scramble_order(g)
         if lower != dv._gonality_upper(g):
             continue
-        if g.n >= 2 and g.is_simple():
+        genus_bound = g.edge_count() - g.n + 2
+        if lower == genus_bound:
+            chips = [genus_bound] + [0] * (g.n - 1)
+            by_genus += 1
+        elif g.n >= 2 and g.is_simple():
             independent = inv.max_independent_set(g)
             chips = [0 if v in independent else 1 for v in range(g.n)]
         else:
@@ -325,6 +349,70 @@ def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
         assert dv.has_positive_rank(witness)
         closed += 1
     assert closed >= 15
+    assert by_genus >= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs)
+@example(mg.path(1))
+@example(mg.cycle(2))
+@example(mg.path(5))
+def test_the_upper_bound_is_above_the_gonality_property(g):
+    # and genus + 1 chips on one vertex have positive rank (Riemann-Roch)
+    assert dv._gonality_upper(g) >= dv.gonality(g)[0]
+    genus_bound = g.edge_count() - g.n + 2
+    assert dv.has_positive_rank(dv.Divisor(g, [genus_bound] + [0] * (g.n - 1)))
+
+
+def test_the_sandwich_scans_only_below_its_upper_bound(monkeypatch):
+    # gon(Q3) = 4 = n - alpha: from the lower bound 3 only degree 3 is
+    # scanned, and finding nothing there proves 4
+    scanned = []
+    scan = dv._first_positive_rank_row
+
+    def spy(g, burn, degree):
+        scanned.append(degree)
+        return scan(g, burn, degree)
+
+    monkeypatch.setattr(dv, "_first_positive_rank_row", spy)
+    assert dv._sandwiched_gonality(mg.hypercube(3), 3) == 4
+    assert scanned == [3]
+    # C5: genus + 1 = 2 meets the vertex scramble's order 2
+    del scanned[:]
+    assert ct._stats(mg.cycle(5), None, 12).gon == 2
+    assert scanned == []
+
+
+def test_the_sandwich_answers_where_only_the_upper_degree_is_over_budget(monkeypatch):
+    # with the budget between Q3's degree-3 and degree-4 boxes the witness
+    # search is refused at degree 4, which the value-only sandwich never scans
+    q3 = mg.hypercube(3)
+    bounds = [int(val) - 1 for val in q3.valences()[1:]]
+    box = [dv._box_rows(bounds, degree - 1) * q3.n * 8 for degree in (3, 4)]
+    assert box[0] < box[1]
+    monkeypatch.setattr(dv, "CANDIDATE_BOX_BUDGET", box[0])
+    with pytest.raises(dv.CandidateBudgetError, match="degree-4"):
+        dv.gonality(q3, lower_hint=3)
+    assert dv._sandwiched_gonality(q3, 3) == 4
+
+
+def test_the_basepoint_burn_sees_only_rows_that_passed_the_q_filters(monkeypatch):
+    burned_at_0 = []
+    burn_rows = dv._burn_rows
+
+    def spy(burn, chips, q):
+        if q == 0:
+            burned_at_0.extend(map(tuple, chips.tolist()))
+        return burn_rows(burn, chips, q)
+
+    monkeypatch.setattr(dv, "_burn_rows", spy)
+    for g in (mg.hypercube(3), mg.cone(mg.cycle(4), 4), mg.complete_bipartite(3, 3),
+              mg.from_edge_list(4, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 0, 1), (0, 2, 1)])):
+        del burned_at_0[:]
+        value, witness = dv.gonality(g)
+        assert burned_at_0 and tuple(witness.chips.tolist()) in burned_at_0
+        for chips in burned_at_0:
+            assert dv.has_positive_rank(dv.Divisor(g, chips))
 
 
 def test_sandwiched_gonality_raises_on_a_lower_bound_above_the_upper_bound():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -125,15 +126,29 @@ def test_vertex_connectivity_runs_the_esfahanian_hakimi_flows(monkeypatch):
     flows = []
     augment = inv._augment
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         flows.append(args)
-        return augment(*args)
+        return augment(*args, **kwargs)
 
     monkeypatch.setattr(inv, "_augment", counting)
     g = mg.cartesian_product(mg.complete(6), mg.complete(6))
     assert inv.vertex_connectivity(g) == 10
     assert nx.node_connectivity(oracles.networkx_graph(g)) == 10
     assert len(flows) <= 50
+
+
+def test_a_restored_flow_leaves_its_residual_matrix_as_it_was():
+    rng = random.Random(61)
+    for g in _connectivity_cases():
+        if g.n < 2:
+            continue
+        rows = g.mult.tolist()
+        nbrs = inv._adjacency(g.mult)
+        sinks = [False] * g.n
+        sinks[rng.randrange(1, g.n)] = True
+        value = inv._augment(rows, nbrs, [0], sinks, math.inf, restore=True)
+        assert rows == g.mult.tolist()
+        assert value == inv._augment(g.mult.tolist(), nbrs, [0], sinks, math.inf)
 
 
 def _random_subsets(rng, n):

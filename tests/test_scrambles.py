@@ -263,27 +263,30 @@ def test_sn_bounds_vertex_scramble_term_is_its_scramble_order():
 
 def test_sn_bounds_starts_the_gonality_search_at_the_scramble_bound(monkeypatch):
     # on the Petersen graph the edge scramble's order 4 (above the vertex
-    # scramble's 3) stays under n - alpha = 6, so the search runs on [4, 6]
-    hints = []
-    search = dv.gonality
+    # scramble's 3) stays under n - alpha = 6 (genus + 1 = 7), so the search
+    # starts at degree 4 and stops there, as gon = 4
+    scanned = []
+    scan = dv._first_positive_rank_row
 
-    def spy(g, lower_hint=None, upper_hint=None):
-        hints.append((lower_hint, upper_hint))
-        return search(g, lower_hint=lower_hint, upper_hint=upper_hint)
+    def spy(g, burn, degree):
+        scanned.append(degree)
+        return scan(g, burn, degree)
 
-    monkeypatch.setattr(dv, "gonality", spy)
+    monkeypatch.setattr(dv, "_first_positive_rank_row", spy)
     petersen = mg.from_edge_list(10, [(u, v, 1) for u, v in nx.petersen_graph().edges()])
+    assert dv._gonality_upper(petersen) == 6
     report = sc.sn_bounds(petersen)
-    assert hints == [(4, 6)]
+    assert scanned == [4]
     assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
 
 
 def test_sn_bounds_closes_the_sandwich_without_a_search(monkeypatch):
     # on Q3 the edge scramble's order 4 meets n - alpha = 8 - 4
-    def refuse(g, lower_hint=None, upper_hint=None):
+    def refuse(*args, **kwargs):
         raise AssertionError("the gonality search ran")
 
     monkeypatch.setattr(dv, "gonality", refuse)
+    monkeypatch.setattr(dv, "_first_positive_rank_row", refuse)
     report = sc.sn_bounds(mg.hypercube(3))
     assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
 
@@ -292,7 +295,7 @@ def test_sn_bounds_raise_when_a_user_scramble_beats_the_gonality(monkeypatch):
     # a gonality search that stops at its lower hint reports 6 on C4 [] C5;
     # the k = 2 product scramble has order 8, so the bounds cross and must
     # not be printed as exact
-    monkeypatch.setattr(dv, "gonality", lambda g, lower_hint=None, upper_hint=None: (lower_hint, None))
+    monkeypatch.setattr(dv, "_first_positive_rank_row", lambda g, burn, degree: np.ones(g.n))
     c4, c5 = mg.cycle(4), mg.cycle(5)
     scramble = sc.product_scramble(c4, c5, 2)
     with pytest.raises(ValueError, match="lower 8 > upper 6"):
