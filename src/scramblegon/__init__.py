@@ -29,7 +29,7 @@ from .scrambles import (
 )
 from .certify import (
     Certificate, HypothesisCheck, HypothesisError,
-    thm41_lower, cor42_lower, prop43_lower, product_gon_upper,
+    thm41_lower, cor42_lower, prop43_lower,
     certify_product, check_all_equal, reduce_alpha,
 )
 from .mel import (

@@ -103,20 +103,6 @@ def prop43_lower(g, h):
     return _prop43(g.n, h.n, inv.edge_connectivity(h), inv.min_degree(g))
 
 
-def product_gon_upper(g, h, gon_g=None, gon_h=None, budget=12):
-    """gon(G [] H) <= min(|V(G)| gon(H), |V(H)| gon(G)).
-
-    Factor gonalities are computed exactly up to the vertex budget; beyond it
-    the caller must supply known values, and if neither side is available the
-    call fails rather than guessing.
-    """
-    stats_g, stats_h = _checked_stats(g, gon_g, budget), _checked_stats(h, gon_h, budget)
-    upper = _gon_upper(stats_g, stats_h)
-    if upper is None:
-        raise HypothesisError("factor gonalities unavailable within budget and not supplied")
-    return upper
-
-
 def _gon_upper(stats_g, stats_h):
     """min(|V(G)| gon(H), |V(H)| gon(G)) over the known factor gonalities,
     or None when neither is known."""

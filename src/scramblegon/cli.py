@@ -218,8 +218,6 @@ def build_parser():
         description="Chip-firing gonality and scramble-number toolkit on multigraphs.")
     parser.add_argument("--machine", action="store_true",
                         help="emit stable key=value lines instead of prose")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; output never depends on it")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="emit a generator-family graph as MEL")

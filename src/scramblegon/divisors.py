@@ -3,6 +3,8 @@ q-reduced normal forms, truncated rank, and exact gonality search.
 
 Divisors are integer chip vectors on the vertices of a host multigraph.
 Equivalence is always decided through the unique q-reduced representative.
+Every Dhar burn runs on `_burn_rows` and every Dhar firing loop on
+`_batch_reduce_effective`, a single divisor as a one-row matrix.
 """
 
 import itertools
@@ -125,18 +127,6 @@ def _burn_rows(burn, chips, q):
         burned |= fresh
 
 
-def _burn_mask(mult, chips, q):
-    """_burn_rows for one chip vector; on a single row the integer product
-    costs less than the batch set-up."""
-    burned = np.zeros(mult.shape[0], dtype=bool)
-    burned[q] = True
-    while True:
-        fresh = ~burned & (mult @ burned > chips)
-        if not fresh.any():
-            return burned
-        burned |= fresh
-
-
 def dhar_burn(divisor, q):
     g = divisor.graph
     if not 0 <= q < g.n:
@@ -144,18 +134,18 @@ def dhar_burn(divisor, q):
     chips = divisor.chips
     if (np.delete(chips, q) < 0).any():
         raise ValueError("Dhar's algorithm needs the divisor effective away from q")
-    burned = _burn_mask(g.mult, chips, q)
+    burned = _burn_rows(_burn_matrix(g.mult), chips[None], q)[0]
     verts = np.arange(g.n)
     return BurnResult(verts[burned].tolist(), verts[~burned].tolist())
 
 
-def _reduce_chips(mult, chips, q, script=None):
-    """In-place-style q-reduction of a raw chip vector; returns the new vector.
+def _reduce_chips(mult, burn, chips, q, script=None):
+    """q-reduction of a raw chip vector; `burn` is _burn_matrix(mult).
 
     Phase 1 clears debt outside q, one BFS layer at a time starting from the
     farthest layer: firing the ball of radius k-1 hands every layer-k vertex
     at least one chip per firing while touching no farther layer.  Phase 2 is
-    the usual Dhar loop, firing the unburned set until everything burns.
+    the Dhar loop of _batch_reduce_effective on the one row.
     """
     chips = np.array(chips, dtype=np.int64)
     n = mult.shape[0]
@@ -176,13 +166,7 @@ def _reduce_chips(mult, chips, q, script=None):
             members = frozenset(np.nonzero(ball)[0].tolist())
             script.extend([members] * (-worst))
 
-    while True:
-        burned = _burn_mask(mult, chips, q)
-        if burned.all():
-            return chips
-        chips += _fire_set_delta(mult, ~burned)
-        if script is not None:
-            script.append(frozenset(np.nonzero(~burned)[0].tolist()))
+    return _batch_reduce_effective(mult, burn, chips[None], q, script)[0]
 
 
 def q_reduce(divisor, q, with_script=False):
@@ -195,7 +179,7 @@ def q_reduce(divisor, q, with_script=False):
     if not 0 <= q < g.n:
         raise ValueError("vertex out of range")
     script = [] if with_script else None
-    chips = _reduce_chips(g.mult, divisor.chips, q, script)
+    chips = _reduce_chips(g.mult, _burn_matrix(g.mult), divisor.chips, q, script)
     reduced = Divisor(g, chips)
     if with_script:
         return reduced, script
@@ -206,7 +190,7 @@ def is_q_reduced(divisor, q):
     chips = divisor.chips
     if (np.delete(chips, q) < 0).any():
         return False
-    return bool(_burn_mask(divisor.graph.mult, chips, q).all())
+    return bool(_burn_rows(_burn_matrix(divisor.graph.mult), chips[None], q).all())
 
 
 def has_positive_rank(divisor):
@@ -216,8 +200,8 @@ def has_positive_rank(divisor):
     form of D keeps at least one chip on q.
     """
     g = divisor.graph
-    mult = g.mult
-    return all(int(_reduce_chips(mult, divisor.chips, q)[q]) >= 1 for q in range(g.n))
+    burn = _burn_matrix(g.mult)
+    return all(int(_reduce_chips(g.mult, burn, divisor.chips, q)[q]) >= 1 for q in range(g.n))
 
 
 def rank(divisor, cap):
@@ -230,8 +214,8 @@ def rank(divisor, cap):
     if cap < 0:
         raise ValueError("rank cap must be >= 0")
     g = divisor.graph
-    mult = g.mult
-    if int(_reduce_chips(mult, divisor.chips, 0)[0]) < 0:
+    mult, burn = g.mult, _burn_matrix(g.mult)
+    if int(_reduce_chips(mult, burn, divisor.chips, 0)[0]) < 0:
         return -1
     result = 0
     for r in range(1, cap + 1):
@@ -240,7 +224,7 @@ def rank(divisor, cap):
             for v in probe:
                 chips[v] -= 1
             q = probe[0]
-            if int(_reduce_chips(mult, chips, q)[q]) < 0:
+            if int(_reduce_chips(mult, burn, chips, q)[q]) < 0:
                 return result
         result = r
     return result
@@ -339,10 +323,11 @@ def _reduced_effective_divisors(g, degree):
         yield chips
 
 
-def _batch_reduce_effective(mult, burn, chips, q):
-    """q-reduce many effective chip rows at once (Dhar loop only; no debt to
-    clear); `burn` is _burn_matrix(mult), and the firing delta is taken
-    through it too.  Returns the matrix of reduced rows, order preserved."""
+def _batch_reduce_effective(mult, burn, chips, q, script=None):
+    """q-reduce many chip rows, effective away from q, at once; `burn` is
+    _burn_matrix(mult), and the firing delta is taken through it too.
+    Returns the reduced rows, order preserved; a script list (one row only)
+    gets each fired set appended."""
     chips = np.array(chips)
     vals = mult.sum(axis=1)
     active = np.arange(chips.shape[0])
@@ -353,6 +338,8 @@ def _batch_reduce_effective(mult, burn, chips, q):
             break
         unburned = ~burned[alive]
         chips[active[alive]] += (unburned @ burn).astype(np.int64) - unburned * vals
+        if script is not None:
+            script.append(frozenset(np.flatnonzero(unburned[0]).tolist()))
         active = active[alive]
     return chips
 
@@ -402,59 +389,48 @@ def _gonality_upper(g):
     return min(genus_bound, g.n)
 
 
-def _sandwiched_gonality(g, lower):
-    """gon(g) of a connected g, given a sound lower bound on it (a scramble
-    order, say); raises if the bound is above _gonality_upper.
-
-    Only the degrees from the lower bound up to one below the upper bound are
-    scanned, and no witness is kept.  The first degree with a positive-rank
-    divisor is gon(g); when every scanned degree has none, the exhaustive
-    scan proves gon(g) >= upper and the upper bound's own divisor proves
-    gon(g) <= upper.  Where the bounds meet nothing is scanned.
+def _scan_degrees(g, lower, upper, stop):
+    """(degree, row) of the first 0-reduced positive-rank row of the degrees
+    max(lower, 1) .. stop - 1, or None; raises ValueError on a disconnected g
+    or on lower > upper.  Every positive-rank class has a 0-reduced
+    representative with a chip on vertex 0, so the scan is lossless.
     """
     if not inv.is_connected(g):
         raise ValueError("gonality needs a connected graph")
-    upper = _gonality_upper(g)
     if lower > upper:
         raise ValueError("lower hint %d exceeds upper hint %d" % (lower, upper))
     burn = _burn_matrix(g.mult)
-    # on two or more vertices no divisor of degree < 1 has positive rank,
-    # and on one vertex the upper bound is 1
-    for degree in range(max(lower, 1), upper):
-        if _first_positive_rank_row(g, burn, degree) is not None:
-            return degree
-    return upper
+    # on two or more vertices no divisor of degree < 1 has positive rank
+    for degree in range(max(lower, 1), stop):
+        row = _first_positive_rank_row(g, burn, degree)
+        if row is not None:
+            return degree, row
+    return None
+
+
+def _sandwiched_gonality(g, lower):
+    """gon(g) of a connected g, given a sound lower bound on it (a scramble
+    order, say).  Only the degrees below _gonality_upper are scanned: when
+    none has a positive-rank divisor, the upper bound's own divisor is one.
+    """
+    upper = _gonality_upper(g)
+    found = _scan_degrees(g, lower, upper, upper)
+    return upper if found is None else found[0]
 
 
 def gonality(g, lower_hint=None, upper_hint=None):
-    """Exact gonality with a positive-rank witness divisor.
-
-    Searches degrees from a connectivity lower bound up to _gonality_upper,
-    enumerating only 0-reduced effective candidates with a chip on vertex 0:
-    every divisor class of positive rank has such a representative, so the
-    pruning is lossless.  Each degree's candidates are streamed in a fixed
-    order and the search stops at the first positive-rank one, so the witness
-    is the 0-reduced positive-rank divisor of minimal degree with the
-    lexicographically least chips[1:], whatever the hints.  Raises
-    CandidateBudgetError, before scanning it, when a degree's candidate box
-    would exceed CANDIDATE_BOX_BUDGET.
+    """Exact gonality with a positive-rank witness divisor: the 0-reduced one
+    of least degree with the lexicographically least chips[1:], whatever the
+    hints.  Raises CandidateBudgetError, before scanning it, when a degree's
+    candidate box would exceed CANDIDATE_BOX_BUDGET.
     """
-    if not inv.is_connected(g):
-        raise ValueError("gonality needs a connected graph")
-    n = g.n
-    if n == 1:
+    if g.n == 1:
         # single vertex: one chip already has positive rank, zero chips do not
         return 1, Divisor(g, [1])
-    lower = lower_hint if lower_hint is not None else max(1, min(inv.edge_connectivity(g), n))
+    lower = lower_hint if lower_hint is not None else max(1, min(inv.edge_connectivity(g), g.n))
     upper = upper_hint if upper_hint is not None else _gonality_upper(g)
-    if lower > upper:
-        raise ValueError("lower hint %d exceeds upper hint %d" % (lower, upper))
-
-    burn = _burn_matrix(g.mult)
-    # on two or more vertices no divisor of degree < 1 has positive rank
-    for degree in range(max(lower, 1), upper + 1):
-        row = _first_positive_rank_row(g, burn, degree)
-        if row is not None:
-            return degree, Divisor(g, row)
-    raise RuntimeError("no positive-rank divisor of degree <= %d found; "
-                       "an upper hint below the true gonality?" % upper)
+    found = _scan_degrees(g, lower, upper, upper + 1)
+    if found is None:
+        raise RuntimeError("no positive-rank divisor of degree <= %d found; "
+                           "an upper hint below the true gonality?" % upper)
+    return found[0], Divisor(g, found[1])

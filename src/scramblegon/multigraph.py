@@ -59,9 +59,6 @@ class Multigraph:
     def is_simple(self):
         return bool((self.mult <= 1).all())
 
-    def underlying_simple(self):
-        return Multigraph(np.minimum(self.mult, 1))
-
     def __eq__(self, other):
         return isinstance(other, Multigraph) and np.array_equal(self.mult, other.mult)
 

@@ -412,17 +412,10 @@ def brute_force_sn(g, max_eggs=None):
         def compatible(e, f):
             return e & f or cut_reaches_k(min(e, f), max(e, f))
 
-        def backtrack(todo):
-            """todo maps each constraint that no chosen egg avoids, in
-            constraint order, to its options compatible with every chosen
-            egg; the first shortest list is branched on."""
-            if not todo:
-                return True
-            cands = min(todo.values(), key=len)
-            if max_eggs is not None and len(set(chosen)) >= max_eggs:
-                capped[0] = True
-                return False
-            for e in cands:
+        def branches(todo):
+            """(egg, todo after choosing it) for each option of the first
+            shortest list of todo that leaves every constraint an egg."""
+            for e in min(todo.values(), key=len):
                 narrowed = {}
                 for c, listed in todo.items():
                     if e & c:
@@ -431,11 +424,29 @@ def brute_force_sn(g, max_eggs=None):
                             break  # a dead end: no egg is left for c
                         narrowed[c] = listed
                 else:
-                    chosen.append(e)
-                    if backtrack(narrowed):
-                        return True
-                    chosen.pop()
-            return False
+                    yield e, narrowed
+
+        def backtrack(todo):
+            """todo maps each constraint that no chosen egg avoids, in
+            constraint order, to its options compatible with every chosen
+            egg.  Depth first over a stack of branches generators, one per
+            chosen egg and the root, as a witness can hold more eggs than
+            Python allows nested calls; todo ends {} on success."""
+            stack = []
+            while todo:
+                if max_eggs is not None and len(set(chosen)) >= max_eggs:
+                    capped[0] = True
+                else:
+                    stack.append(branches(todo))
+                todo = None
+                while todo is None and stack:
+                    del chosen[len(stack) - 1:]  # keep the eggs of the frames below
+                    e, todo = next(stack[-1], (None, None))
+                    if todo is None:
+                        stack.pop()
+                    else:
+                        chosen.append(e)
+            return todo is not None
 
         if backtrack(options):
             return [frozenset(members(e)) for e in set(chosen)]

@@ -1,9 +1,10 @@
 """Slow, independent reference implementations used only to cross-check the
 library.  Everything here exhausts definitions directly (bitmask subsets,
-multiset enumeration, exact rational linear algebra) and shares no search
-logic with the package under test.
+multiset enumeration, exact rational linear algebra, Dhar's burn in Python
+integers) and shares no search logic with the package under test.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -147,45 +148,65 @@ def networkx_egg_cut_number(scramble):
     return best, witness
 
 
-def laplacian_equivalent(g, chips_a, chips_b):
-    """Divisor equivalence decided by exact rational linear algebra.
+def dhar_burned(g, chips, q):
+    """Dhar's burn from q by its definition, in Python integers: a vertex
+    catches fire once its edges to burning vertices outnumber its chips.
+    Returns one flag per vertex; chips[q] is never read."""
+    mult = g.mult.tolist()
+    burned = [v == q for v in range(g.n)]
+    spread = True
+    while spread:
+        spread = False
+        for v in range(g.n):
+            if not burned[v] and sum(k for k, b in zip(mult[v], burned) if b) > int(chips[v]):
+                burned[v] = spread = True
+    return burned
 
-    Two divisors are equivalent iff their difference is an integer
-    combination of single-vertex firing vectors, i.e. lies in the image of
-    the Laplacian over the integers.  On a connected graph the Laplacian has
-    corank one with kernel spanned by the all-ones vector, so fixing the last
-    firing count to zero leaves a full-column-rank system: an integer firing
-    vector exists iff the unique rational solution is integral.
-    """
-    n = g.n
-    lap = np.diag(g.valences()) - g.mult
-    d = np.asarray(chips_a, dtype=np.int64) - np.asarray(chips_b, dtype=np.int64)
-    if int(d.sum()) != 0:
-        return False
-    m = n - 1
-    rows = [[Fraction(int(lap[i, j])) for j in range(m)] + [Fraction(int(d[i]))]
-            for i in range(n)]
-    rank = 0
-    pivots = []
+
+@functools.lru_cache(maxsize=None)
+def _reduced_laplacian_adjugate(g):
+    """(adj, det) of the reduced Laplacian L~ of a connected g (the Laplacian
+    without its last row and column), by exact rational Gauss-Jordan
+    elimination: adj = det * inverse(L~)."""
+    m = g.n - 1
+    lap = (np.diag(g.valences()) - g.mult).tolist()
+    rows = [[Fraction(x) for x in lap[i][:m]] + [Fraction(int(i == j)) for j in range(m)]
+            for i in range(m)]
+    det = Fraction(1)
     for col in range(m):
-        piv = next((i for i in range(rank, n) if rows[i][col] != 0), None)
+        piv = next((i for i in range(col, m) if rows[i][col] != 0), None)
         if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col] != 0:
+            raise ValueError("the Laplacian oracle needs a connected graph")
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pv = rows[col][col]
+        det *= pv
+        rows[col] = [x / pv for x in rows[col]]
+        for i in range(m):
+            if i != col and rows[i][col] != 0:
                 f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if any(rows[i][m] != 0 for i in range(rank, n)):
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [[int(det * x) for x in row[m:]] for row in rows], int(det)
+
+
+def laplacian_equivalent(g, chips_a, chips_b):
+    """Divisor equivalence decided by exact integer linear algebra.
+
+    Two divisors are equivalent iff their difference d is L f for an integer
+    firing vector f.  On a connected graph the Laplacian L has corank one
+    with kernel spanned by the all-ones vector, so f may fix its last entry
+    at 0: the other rows ask L~ f' = r, with r = d without its last entry,
+    and the last row follows once deg d = 0.  The unique rational solution
+    adj(L~) r / det(L~) is integral iff adj(L~) r = 0 mod det(L~); adj and
+    det are computed once per graph.
+    """
+    d = [int(a) - int(b) for a, b in zip(chips_a, chips_b)]
+    if sum(d) != 0:
         return False
-    solution = [Fraction(0)] * m
-    for i, col in enumerate(pivots):
-        solution[col] = rows[i][m]
-    return all(x.denominator == 1 for x in solution)
+    adj, det = _reduced_laplacian_adjugate(g)
+    r = d[:-1]
+    return all(sum(a * x for a, x in zip(row, r)) % det == 0 for row in adj)
 
 
 def unpruned_gonality(g):

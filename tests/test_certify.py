@@ -46,16 +46,6 @@ def test_formulas_bound_scramble_order_of_the_witness_scramble():
             assert order >= ct.thm41_lower(g, h, k)
 
 
-def test_product_gon_upper():
-    assert ct.product_gon_upper(mg.cycle(4), mg.cycle(5)) == 8
-    assert ct.product_gon_upper(mg.path(3), mg.complete(4)) == 4 * 1  # tree factor wins
-    # over budget on both sides without supplied values
-    big = mg.cycle(20)
-    with pytest.raises(ct.HypothesisError):
-        ct.product_gon_upper(big, big, budget=5)
-    assert ct.product_gon_upper(big, big, gon_g=2, budget=5) == 40
-
-
 def test_certify_statement_ids_and_values():
     cases = [
         (mg.path(3), mg.complete(4), "tree-factor", 4),
@@ -191,11 +181,9 @@ def test_certify_refuses_a_supplied_gonality_no_factor_of_its_shape_has():
     for g, h, gon_g, gon_h in refused:
         with pytest.raises(ct.HypothesisError, match="supplied gonality"):
             ct.certify_product(g, h, gon_g=gon_g, gon_h=gon_h)
-        with pytest.raises(ct.HypothesisError, match="supplied gonality"):
-            ct.product_gon_upper(g, h, gon_g=gon_g, gon_h=gon_h)
     # both ends of the range are accepted
     assert ct.certify_product(q3, k2, gon_g=3).certified
-    assert ct.product_gon_upper(q3, k2, gon_g=8, budget=0) == 16
+    assert ct.certify_product(q3, k2, gon_g=8, budget=0).bounds.upper == 16
     assert ct.certify_product(mg.path(1), mg.cycle(3), gon_g=1).value == 2
 
 

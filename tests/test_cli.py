@@ -184,10 +184,3 @@ def test_over_budget_gonality_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "gonality", path, "--lower", "9")
     assert code == 2
     assert "candidate-box budget" in err
-
-
-def test_threads_flag_is_accepted(capsys, tmp_path):
-    path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
-    code, out, _ = run(capsys, "--threads", "4", "--machine", "gonality", path)
-    assert code == 0
-    assert machine_map(out)["gonality"] == "2"

@@ -152,6 +152,16 @@ def test_has_positive_rank_matches_truncated_rank():
         assert dv.has_positive_rank(d) == (dv.rank(d, 1) >= 1)
 
 
+def assert_q_reduced_forms(g, rows, reduced, q):
+    """Each reduced row is the q-reduced divisor equivalent to its input row:
+    effective away from q, burned entirely by a fire from q, and equivalent,
+    each by the oracles."""
+    for row, red in zip(rows, reduced):
+        assert (np.delete(red, q) >= 0).all()
+        assert all(oracles.dhar_burned(g, red, q))
+        assert oracles.laplacian_equivalent(g, row, red)
+
+
 def test_batch_reduction_matches_single_reduction():
     rng = random.Random(33)
     g = oracles.random_connected_graph(rng, 6, 0.5)
@@ -159,33 +169,32 @@ def test_batch_reduction_matches_single_reduction():
                     dtype=np.int64)
     for q in range(g.n):
         batch = dv._batch_reduce_effective(g.mult, dv._burn_matrix(g.mult), rows, q)
-        for i in range(rows.shape[0]):
-            single = dv._reduce_chips(g.mult, rows[i], q)
-            assert np.array_equal(batch[i], single)
+        assert_q_reduced_forms(g, rows, batch, q)
 
 
 def test_batch_burn_is_exact_past_float32_precision():
+    # int64 burn matrix past valence 2**24, float32 just below it, with chip
+    # counts on both sides of 2**24
     g = mg.from_edge_list(3, [(0, 1, 1), (1, 2, 2**24 + 1)])
-    rows = np.array([[0, 0, 2**24], [0, 0, 2**24 + 1], [0, 5, 2**24], [0, 0, 0]], dtype=np.int64)
-    burn = dv._burn_matrix(g.mult)
-    assert burn.dtype == np.int64
-    assert dv._burn_matrix(mg.cycle(4).mult).dtype == np.float32
-    for q in range(g.n):
-        batch = dv._burn_rows(burn, rows, q)
-        for i in range(rows.shape[0]):
-            assert np.array_equal(batch[i], dv._burn_mask(g.mult, rows[i], q))
-    # the batch reduction fires through the burn matrix as well: int64 past
-    # 2**24, float32 just below it, with chip counts on both sides of 2**24
-    # (at q = 0 some of these rows take ~2**24 firings, one chip at a time)
     below = mg.from_edge_list(3, [(0, 1, 1), (1, 2, 2**24 - 2)])
+    assert dv._burn_matrix(g.mult).dtype == np.int64
     assert dv._burn_matrix(below.mult).dtype == np.float32
+    assert dv._burn_matrix(mg.cycle(4).mult).dtype == np.float32
+    rows = np.array([[0, 0, 2**24], [0, 0, 2**24 + 1], [0, 5, 2**24], [0, 0, 0]], dtype=np.int64)
+    for host in (g, below):
+        burn = dv._burn_matrix(host.mult)
+        for q in range(host.n):
+            batch = dv._burn_rows(burn, rows, q)
+            for i in range(rows.shape[0]):
+                assert batch[i].tolist() == oracles.dhar_burned(host, rows[i], q)
+    # the batch reduction fires through the burn matrix as well (at q = 0
+    # some of these rows take ~2**24 firings, one chip at a time)
     rows = np.array([[0, 0, 2**24], [0, 0, 2**24 + 1], [0, 5, 2**24], [0, 0, 0],
                      [0, 2**24 + 1, 0], [3, 2**24 - 1, 2]], dtype=np.int64)
     for host in (g, below):
         for q in (1, 2):
             batch = dv._batch_reduce_effective(host.mult, dv._burn_matrix(host.mult), rows, q)
-            for i in range(rows.shape[0]):
-                assert np.array_equal(batch[i], dv._reduce_chips(host.mult, rows[i], q))
+            assert_q_reduced_forms(host, rows, batch, q)
 
 
 def test_gonality_known_values_and_witness():
@@ -406,12 +415,17 @@ def test_the_basepoint_burn_sees_only_rows_that_passed_the_q_filters(monkeypatch
         return burn_rows(burn, chips, q)
 
     monkeypatch.setattr(dv, "_burn_rows", spy)
+    seen = []
     for g in (mg.hypercube(3), mg.cone(mg.cycle(4), 4), mg.complete_bipartite(3, 3),
               mg.from_edge_list(4, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 0, 1), (0, 2, 1)])):
         del burned_at_0[:]
         value, witness = dv.gonality(g)
         assert burned_at_0 and tuple(witness.chips.tolist()) in burned_at_0
-        for chips in burned_at_0:
+        seen.append((g, list(burned_at_0)))
+    # has_positive_rank burns through _burn_rows too, so the spy is removed first
+    monkeypatch.undo()
+    for g, rows in seen:
+        for chips in rows:
             assert dv.has_positive_rank(dv.Divisor(g, chips))
 
 

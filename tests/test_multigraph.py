@@ -139,8 +139,3 @@ def test_relabel_roundtrip():
     invp = [perm.index(i) for i in range(6)]
     assert mg.relabel(h, invp) == g
     assert sorted(int(v) for v in h.valences()) == sorted(int(v) for v in g.valences())
-
-
-def test_underlying_simple_collapses_multiplicities():
-    g = mg.from_edge_list(3, [(0, 1, 3), (1, 2, 1)])
-    assert g.underlying_simple() == mg.path(3)

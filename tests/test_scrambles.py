@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 
 import networkx as nx
 import numpy as np
@@ -341,8 +343,10 @@ def test_brute_force_sn_known_values():
 
 def test_brute_force_sn_witness_has_the_claimed_order():
     rng = random.Random(61)
-    for _ in range(6):
-        g = oracles.random_connected_graph(rng, 6, 0.5)
+    graphs = [oracles.random_connected_graph(rng, 6, 0.5) for _ in range(6)]
+    # its search backtracks out of a branch that had chosen eggs
+    graphs.append(mg.from_edge_list(6, [(0, 4, 1), (1, 3, 1), (1, 4, 1), (2, 5, 2)]))
+    for g in graphs:
         result = sc.brute_force_sn(g)
         assert result.exact
         assert sc.scramble_order(result.witness).order >= result.value
@@ -356,6 +360,17 @@ def test_brute_force_sn_cap_is_conservative():
         assert capped.value == full.value
     with pytest.raises(ValueError):
         sc.brute_force_sn(mg.grid([3, 6]))  # 18 > 16 vertices
+
+
+def test_brute_force_sn_witness_may_outgrow_the_recursion_limit():
+    # the C3 x C4 witness holds 114 eggs, the search far fewer nested calls
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        result = sc.brute_force_sn(mg.cartesian_product(mg.cycle(3), mg.cycle(4)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.value, result.exact, len(result.witness.eggs)) == (6, True, 114)
 
 
 def test_bound_report_rejects_crossed_bounds():
