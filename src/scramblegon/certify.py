@@ -14,8 +14,8 @@ always fires first with the same value and orientation:
 - kappa(G) >= gon(G) = k: this forces k = kappa(G) = lam(G), so G is a tree
   (tree-factor), or k = 2 with lam(H) <= 2 (tight-factor or
   biconnected-gon2), or k >= 3 with lam(H) = 1 (tight-factor).
-A supplied factor gonality must be 1 for a tree and lie in
-[max(2, min(lam, n)), n] otherwise; anything else raises HypothesisError.
+The gonality of a factor with at most `budget` vertices is computed, with no
+search where its scramble sandwich closes; a larger factor's is unknown.
 """
 
 from dataclasses import dataclass
@@ -70,9 +70,8 @@ def _prop43(n_g, n_h, lam_h, delta_g):
 def thm41_lower(g, h, k):
     """sn(G [] H) >= min(k|V(H)|, |V(G)|lam(H), (|V(G)|-2k+2)lam(H)+2lam(G))
     for kappa(G) >= k >= 1 and |V(G)| >= 2k-1, both factors connected."""
-    checks = []
-    checks.append(HypothesisCheck("G connected", str(inv.is_connected(g)), inv.is_connected(g)))
-    checks.append(HypothesisCheck("H connected", str(inv.is_connected(h)), inv.is_connected(h)))
+    checks = [HypothesisCheck("%s connected" % name, str(ok), ok)
+              for name, ok in (("G", inv.is_connected(g)), ("H", inv.is_connected(h)))]
     checks.append(HypothesisCheck("k >= 1", str(k), k >= 1))
     kappa = inv.vertex_connectivity(g)
     checks.append(HypothesisCheck("kappa(G) >= k", "%d >= %d" % (kappa, k), kappa >= k))
@@ -141,36 +140,21 @@ class _FactorStats:
     lam: int
     kappa: int
     delta: int
-    gon: object  # int or None when over budget and not supplied
+    gon: object  # int, or None when the factor has more than budget vertices
     tree: bool
 
 
-def _stats(g, gon, budget):
-    """Invariants of a connected factor, each computed once."""
+def _stats(g, budget):
+    """Invariants of a factor, each computed once; HypothesisError if it is disconnected."""
+    if not inv.is_connected(g):
+        raise HypothesisError("both factors must be connected")
     lam = inv.edge_connectivity(g)
-    if gon is None and g.n <= budget:
-        # gon >= sn >= the vertex scramble's order; where that meets the
-        # positive-rank upper bound (n - alpha, or n) no divisor search runs
-        gon = dv._sandwiched_gonality(g, vertex_scramble_order(g.n, lam))
+    # gon >= sn >= the vertex scramble's order; where that meets the
+    # positive-rank upper bound (n - alpha, or n) no divisor search runs
+    gon = dv._sandwiched_gonality(g, vertex_scramble_order(g.n, lam)) if g.n <= budget else None
     return _FactorStats(graph=g, n=g.n, lam=lam,
                         kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
                         gon=gon, tree=g.is_simple() and g.edge_count() == g.n - 1)
-
-
-def _checked_stats(g, supplied, budget):
-    """_stats, refusing a supplied gonality that no graph of g's shape has:
-    gon = 1 exactly on trees; otherwise sn >= min(lam, n) (the vertex
-    scramble) and the all-ones divisor has positive rank, so
-    max(2, min(lam, n)) <= gon <= n."""
-    if not inv.is_connected(g):
-        raise HypothesisError("both factors must be connected")
-    stats = _stats(g, supplied, budget)
-    if supplied is not None:
-        low, high = (1, 1) if stats.tree else (max(2, min(stats.lam, stats.n)), stats.n)
-        if not low <= supplied <= high:
-            raise HypothesisError("supplied gonality %d of a %d-vertex factor is outside [%d, %d]"
-                                  % (supplied, stats.n, low, high))
-    return stats
 
 
 def _check(checks, description, value, passed):
@@ -332,14 +316,16 @@ _STATEMENTS = [
 ]
 
 
-def certify_product(g, h, gon_g=None, gon_h=None, budget=12):
+def certify_product(g, h, budget=12):
     """Try the certifying statements in fixed order, each in both factor
     orientations; the first passing one proves sn = gon for the product.
     Otherwise take the bounds from the closed-form lower formulas and the
     factor-gonality upper bound: where they meet they prove sn = gon too
     (statement "met-bounds"), and else they are emitted as open bounds."""
-    stats_g = _checked_stats(g, gon_g, budget)
-    stats_h = _checked_stats(h, gon_h, budget)
+    return _certify(_stats(g, budget), _stats(h, budget))
+
+
+def _certify(stats_g, stats_h):
     for statement_id, statement in _STATEMENTS:
         for a, b, orientation in ((stats_g, stats_h, "G,H"), (stats_h, stats_g, "H,G")):
             value, checks = statement(a, b)
@@ -359,7 +345,7 @@ def certify_product(g, h, gon_g=None, gon_h=None, budget=12):
 
 
 def _open_bounds(stats_g, stats_h):
-    # both factors are connected (checked by certify_product), and the kappa
+    # both factors are connected (checked by _stats), and the kappa
     # loop below keeps to the hypotheses of Thm 4.1 and Prop 4.3; Prop 4.3
     # stands in for Thm 4.1 at k = 2, which it dominates as delta >= lam, and
     # Cor 4.2 is the larger of the two k = 1 values.  A one-vertex G has

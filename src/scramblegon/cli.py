@@ -92,7 +92,7 @@ def _cmd_info(args, out):
 
 def _cmd_gonality(args, out):
     g = _read_graph(args.graph)
-    value, witness = dv.gonality(g, lower_hint=args.lower, upper_hint=args.upper)
+    value, witness = dv.gonality(g)
     out.kv("gonality", value)
     out.kv("witness", " ".join(str(c) for c in witness.chips),
            "witness divisor: %s" % witness.chips.tolist())
@@ -170,7 +170,7 @@ def _cmd_cone(args, out):
 def _cmd_certify(args, out):
     g = _read_graph(args.graph_g)
     h = _read_graph(args.graph_h)
-    cert = ct.certify_product(g, h, gon_g=args.gon_g, gon_h=args.gon_h, budget=args.budget)
+    cert = ct.certify_product(g, h, budget=args.budget)
     out.kv("statement", cert.statement)
     if cert.orientation:
         out.kv("orientation", cert.orientation)
@@ -232,8 +232,6 @@ def build_parser():
 
     p = sub.add_parser("gonality", help="exact gonality with witness divisor")
     p.add_argument("graph")
-    p.add_argument("--lower", type=int, default=None)
-    p.add_argument("--upper", type=int, default=None)
     p.set_defaults(func=_cmd_gonality)
 
     p = sub.add_parser("rank", help="truncated divisor rank")
@@ -284,8 +282,6 @@ def build_parser():
     p = sub.add_parser("certify", help="certify exact product gonality or emit bounds")
     p.add_argument("graph_g")
     p.add_argument("graph_h")
-    p.add_argument("--gon-g", type=int, default=None, dest="gon_g")
-    p.add_argument("--gon-h", type=int, default=None, dest="gon_h")
     p.add_argument("--budget", type=int, default=12)
     p.set_defaults(func=_cmd_certify)
 

@@ -188,6 +188,8 @@ def q_reduce(divisor, q, with_script=False):
 
 def is_q_reduced(divisor, q):
     chips = divisor.chips
+    if not 0 <= q < divisor.graph.n:
+        raise ValueError("vertex out of range")
     if (np.delete(chips, q) < 0).any():
         return False
     return bool(_burn_rows(_burn_matrix(divisor.graph.mult), chips[None], q).all())
@@ -398,7 +400,7 @@ def _scan_degrees(g, lower, upper, stop):
     if not inv.is_connected(g):
         raise ValueError("gonality needs a connected graph")
     if lower > upper:
-        raise ValueError("lower hint %d exceeds upper hint %d" % (lower, upper))
+        raise ValueError("gonality lower bound %d exceeds upper bound %d" % (lower, upper))
     burn = _burn_matrix(g.mult)
     # on two or more vertices no divisor of degree < 1 has positive rank
     for degree in range(max(lower, 1), stop):
@@ -418,19 +420,17 @@ def _sandwiched_gonality(g, lower):
     return upper if found is None else found[0]
 
 
-def gonality(g, lower_hint=None, upper_hint=None):
+def gonality(g):
     """Exact gonality with a positive-rank witness divisor: the 0-reduced one
-    of least degree with the lexicographically least chips[1:], whatever the
-    hints.  Raises CandidateBudgetError, before scanning it, when a degree's
-    candidate box would exceed CANDIDATE_BOX_BUDGET.
+    of least degree with the lexicographically least chips[1:], scanned from
+    min(lam, n) up.  Raises CandidateBudgetError, before scanning it, when a
+    degree's candidate box would exceed CANDIDATE_BOX_BUDGET.
     """
     if g.n == 1:
         # single vertex: one chip already has positive rank, zero chips do not
         return 1, Divisor(g, [1])
-    lower = lower_hint if lower_hint is not None else max(1, min(inv.edge_connectivity(g), g.n))
-    upper = upper_hint if upper_hint is not None else _gonality_upper(g)
-    found = _scan_degrees(g, lower, upper, upper + 1)
+    upper = _gonality_upper(g)
+    found = _scan_degrees(g, min(inv.edge_connectivity(g), g.n), upper, upper + 1)
     if found is None:
-        raise RuntimeError("no positive-rank divisor of degree <= %d found; "
-                           "an upper hint below the true gonality?" % upper)
+        raise RuntimeError("soundness bug: no positive-rank divisor of degree <= %d found" % upper)
     return found[0], Divisor(g, found[1])

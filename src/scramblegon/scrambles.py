@@ -379,11 +379,13 @@ def brute_force_sn(g, max_eggs=None):
     chosen eggs pairwise either intersecting or separated by cuts >= k.  Any
     such egg may be grown to a full component of G - C: growing preserves
     avoidance and only raises pairwise cuts, so searching over components of
-    G - C per constraint C is lossless.  max_eggs caps the witness size; when
-    the cap prunes a failed search the result is flagged as a lower bound
-    only (exact=False).
+    G - C per constraint C is lossless.  max_eggs, None or at least 1, caps
+    the witness size; when the cap prunes a failed search the result is
+    flagged as a lower bound only (exact=False).
     """
     n = g.n
+    if max_eggs is not None and max_eggs < 1:
+        raise ValueError("max_eggs must be at least 1, got %d" % max_eggs)
     if n > 16:
         raise ValueError("brute-force oracle is exponential; refusing n > 16")
 

@@ -291,7 +291,7 @@ def lex_least_gonality_witness(g):
 
 
 def omitted_product_statements(g, h):
-    """For each pair (gon(G), gon(H)) the certifier accepts as supplied values
+    """For each pair (gon(G), gon(H)) that factors of these shapes could have
     (1 on a tree, else max(2, min(lam, n)) to n), the values of the two
     product statements it leaves out, in each orientation (G, H) whose
     hypotheses hold, from networkx invariants:

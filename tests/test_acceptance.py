@@ -219,15 +219,13 @@ def test_criterion_11_large_instance_certificates():
     cert = ct.certify_product(mg.complete(4), rook3)
     assert cert.certified and cert.value == 12
     # the dedicated uniform-connectivity route also proves 12 on its own
-    value, checks = ct._stmt_uniform(ct._stats(rook3, None, 12),
-                                     ct._stats(mg.complete(4), None, 12))
+    value, checks = ct._stmt_uniform(ct._stats(rook3, 12), ct._stats(mg.complete(4), 12))
     assert value == 12 and all(c.passed for c in checks)
 
     torus = mg.cartesian_product(mg.cycle(3), mg.cycle(3))
     cert = ct.certify_product(torus, mg.cycle(6))
     assert cert.certified and cert.value == 18
-    value, checks = ct._stmt_highconn_tight(ct._stats(torus, None, 12),
-                                            ct._stats(mg.cycle(6), None, 12))
+    value, checks = ct._stmt_highconn_tight(ct._stats(torus, 12), ct._stats(mg.cycle(6), 12))
     assert value == 18 and all(c.passed for c in checks)
     _passed(11, "certified 12 for K4xK3xK2 and 18 for C3xC3xC6, hypotheses checked")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -126,11 +127,11 @@ def test_every_open_bound_names_a_scramble_that_attains_it():
 
 
 def test_open_bounds_raise_on_a_factor_gonality_below_the_lower_bound():
-    # gon(Q3) = 4; supplied as 1 it puts the factor-gonality upper bound 8
+    # gon(Q3) = 4; taken as 1 it puts the factor-gonality upper bound 8
     # under the product-scramble lower bound 18, which must not be reported
-    q3 = mg.hypercube(3)
+    q3 = dataclasses.replace(ct._stats(mg.hypercube(3), 12), gon=1)
     with pytest.raises(ValueError, match="lower 18 > upper 8"):
-        ct._open_bounds(ct._stats(q3, 1, 12), ct._stats(q3, 1, 12))
+        ct._open_bounds(q3, q3)
 
 
 def _bipartite_cases():
@@ -164,41 +165,35 @@ def test_complete_bipartite_parts_match_networkx():
     assert ct._complete_bipartite_parts(mg.cycle(4)) == (2, 2)
 
 
-def test_certify_accepts_supplied_gonalities_over_budget():
-    g = mg.cycle(16)
-    h = mg.cycle(20)
-    cert = ct.certify_product(g, h, gon_g=2, gon_h=2, budget=4)
+def test_certify_closes_large_cycle_factors_within_a_raised_budget(monkeypatch):
+    # a cycle's genus + 1 = 2 meets its vertex scramble's order 2, so the
+    # budget that admits C16 and C20 gives their gonality with no search
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gonality search ran")
+
+    monkeypatch.setattr(dv, "_first_positive_rank_row", refuse)
+    g, h = mg.cycle(16), mg.cycle(20)
+    assert not ct.certify_product(g, h).certified
+    cert = ct.certify_product(g, h, budget=20)
     assert cert.certified
     assert cert.value == 32  # 2 |V(G)| via the hyperelliptic-factor route
 
 
-def test_certify_refuses_a_supplied_gonality_no_factor_of_its_shape_has():
-    q3, k2 = mg.hypercube(3), mg.path(2)
-    refused = [(q3, k2, 1, None), (q3, k2, 2, None),   # gon(Q3) >= min(lam, n) = 3
-               (mg.path(3), mg.cycle(4), 2, None),     # a tree has gonality 1
-               (mg.path(1), mg.cycle(3), 0, None),
-               (mg.cycle(4), mg.cycle(5), None, 6)]    # gon <= n
-    for g, h, gon_g, gon_h in refused:
-        with pytest.raises(ct.HypothesisError, match="supplied gonality"):
-            ct.certify_product(g, h, gon_g=gon_g, gon_h=gon_h)
-    # both ends of the range are accepted
-    assert ct.certify_product(q3, k2, gon_g=3).certified
-    assert ct.certify_product(q3, k2, gon_g=8, budget=0).bounds.upper == 16
-    assert ct.certify_product(mg.path(1), mg.cycle(3), gon_g=1).value == 2
-
-
 def test_omitted_statements_certify_what_an_earlier_statement_certifies():
     # wherever tree-times-tight or high-connectivity-gonk would hold, some
-    # statement the certifier keeps certifies the same value
+    # statement the certifier keeps certifies the same value, for every
+    # factor gonality a graph of the factor's shape could have
     factors = [mg.path(1), mg.path(2), mg.path(3), mg.star(4), mg.cycle(2), mg.cycle(3),
                mg.cycle(4), mg.cycle(5), mg.complete(4), mg.complete(5),
                mg.complete_bipartite(2, 3), mg.hypercube(3), mg.from_edge_list(2, [(0, 1, 3)]),
                mg.from_edge_list(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1)])]
     fired = 0
     for g, h in itertools.product(factors, repeat=2):
+        stats_g, stats_h = ct._stats(g, 0), ct._stats(h, 0)
         for (gon_g, gon_h), values in oracles.omitted_product_statements(g, h).items():
             if values:
-                cert = ct.certify_product(g, h, gon_g=gon_g, gon_h=gon_h, budget=0)
+                cert = ct._certify(dataclasses.replace(stats_g, gon=gon_g),
+                                   dataclasses.replace(stats_h, gon=gon_h))
                 assert cert.certified and set(values) == {cert.value}
                 fired += 1
     assert fired >= 200
@@ -221,7 +216,7 @@ def test_certify_finds_the_gonality_of_eight_factors_without_a_search(monkeypatc
                (mg.complete(4), 3), (mg.complete_bipartite(2, 3), 2), (mg.star(4), 1),
                (mg.complete(5), 4)]
     for g, gon in factors:
-        assert ct._stats(g, None, 12).gon == gon
+        assert ct._stats(g, 12).gon == gon
     for (g, _), (h, _) in itertools.product(factors, repeat=2):
         ct.certify_product(g, h)
 

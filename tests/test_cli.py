@@ -3,6 +3,7 @@ import io
 import pytest
 
 from scramblegon import cli
+from scramblegon import fixtures as fx
 from scramblegon import mel
 from scramblegon import multigraph as mg
 
@@ -103,6 +104,10 @@ def test_sn_bounds_command(capsys, tmp_path):
     got = machine_map(out)
     assert got["lower"] == "4" and got["upper"] == "4"
     assert got["exact"] == "True"
+    # --brute 0 means no cap; a negative cap is refused
+    assert run(capsys, "--machine", "sn-bounds", path, "--brute", "0")[1] == out
+    code, _, err = run(capsys, "sn-bounds", path, "--brute", "-3")
+    assert code == 2 and "max_eggs" in err
 
 
 def test_edge_and_product_scramble_commands(capsys, tmp_path):
@@ -143,12 +148,24 @@ def test_certify_command(capsys, tmp_path):
     assert (got["lower"], got["upper"]) == ("18", "30")
 
 
-def test_certify_refuses_an_impossible_supplied_gonality(capsys, tmp_path):
-    q3 = write_graph(tmp_path, "q3.mel", mg.hypercube(3))
+def test_every_printed_gonality_is_computed(capsys, tmp_path):
+    # no option passes a caller's gonality into an answer: each exits 2
+    ring = [(i, (i + 1) % 5, 1) for i in range(5)]
+    petersen = mg.from_edge_list(10, ring + [(i, i + 5, 1) for i in range(5)]
+                                 + [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)])
+    petersen = write_graph(tmp_path, "petersen.mel", petersen)
     k2 = write_graph(tmp_path, "k2.mel", mg.path(2))
-    code, _, err = run(capsys, "certify", q3, k2, "--gon-g", "2")
-    assert code == 2
-    assert "supplied gonality 2" in err
+    wedge = write_graph(tmp_path, "wedge_middles.mel", fx.wedge_middles())
+    code, out, _ = run(capsys, "--machine", "gonality", petersen)
+    assert (code, machine_map(out)["gonality"]) == (0, "4")
+    code, out, _ = run(capsys, "--machine", "certify", k2, wedge)
+    got = machine_map(out)
+    assert (code, got["certified"], got["lower"], got["upper"]) == (0, "open", "4", "6")
+    for argv in (["gonality", petersen, "--lower", "5"], ["gonality", wedge, "--upper", "2"],
+                 ["certify", k2, wedge, "--gon-h", "2"], ["certify", k2, wedge, "--gon-g", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--machine"] + argv)
+        assert exc.value.code == 2
 
 
 def test_reduce_alpha_command(capsys, tmp_path):
@@ -180,7 +197,7 @@ def test_error_exit_codes(capsys, tmp_path):
 
 
 def test_over_budget_gonality_exits_2(capsys, tmp_path):
-    path = write_graph(tmp_path, "c5c5.mel", mg.cartesian_product(mg.cycle(5), mg.cycle(5)))
-    code, _, err = run(capsys, "gonality", path, "--lower", "9")
+    path = write_graph(tmp_path, "k14.mel", mg.complete(14))
+    code, _, err = run(capsys, "gonality", path)
     assert code == 2
     assert "candidate-box budget" in err

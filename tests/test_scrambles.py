@@ -294,7 +294,7 @@ def test_sn_bounds_closes_the_sandwich_without_a_search(monkeypatch):
 
 
 def test_sn_bounds_raise_when_a_user_scramble_beats_the_gonality(monkeypatch):
-    # a gonality search that stops at its lower hint reports 6 on C4 [] C5;
+    # a gonality search that stops at its lower bound reports 6 on C4 [] C5;
     # the k = 2 product scramble has order 8, so the bounds cross and must
     # not be printed as exact
     monkeypatch.setattr(dv, "_first_positive_rank_row", lambda g, burn, degree: np.ones(g.n))
@@ -360,6 +360,10 @@ def test_brute_force_sn_cap_is_conservative():
         assert capped.value == full.value
     with pytest.raises(ValueError):
         sc.brute_force_sn(mg.grid([3, 6]))  # 18 > 16 vertices
+    # a cap below one egg would cap every branch; None, not 0, means no cap
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_eggs"):
+            sc.brute_force_sn(mg.hypercube(3), max_eggs=cap)
 
 
 def test_brute_force_sn_witness_may_outgrow_the_recursion_limit():
