@@ -26,7 +26,7 @@ import numpy as np
 from . import divisors as dv
 from . import invariants as inv
 from . import multigraph as mg
-from .scrambles import BoundReport, vertex_scramble_order
+from .scrambles import BoundReport, edge_scramble, scramble_order, vertex_scramble_order
 
 
 class HypothesisError(ValueError):
@@ -375,8 +375,6 @@ def check_all_equal(g):
     lower-bound witness; returns None when the hypothesis fails (it cannot be
     weakened: K_m [] K_2 has delta = n/2 but gon < n - alpha).
     """
-    from . import scrambles as sc
-
     if not g.is_simple():
         raise HypothesisError("needs a simple graph")
     if not inv.is_connected(g):
@@ -387,8 +385,7 @@ def check_all_equal(g):
         return None
     alpha = inv.independence_number(g)
     value = n - alpha
-    scramble = sc.edge_scramble(g)
-    order = sc.scramble_order(scramble).order
+    order = scramble_order(edge_scramble(g)).order
     if order != value:
         raise RuntimeError("soundness bug: edge scramble order %d != n - alpha = %d"
                            % (order, value))

@@ -53,13 +53,7 @@ def zero_divisor(graph):
 
 def fire(divisor, v):
     """Fire one vertex: it loses val(v) chips, each neighbor u gains mult[u][v]."""
-    g = divisor.graph
-    if not 0 <= v < g.n:
-        raise ValueError("vertex out of range")
-    chips = divisor.chips + g.mult[v]
-    chips = np.array(chips)
-    chips[v] -= g.valence(v)
-    return Divisor(g, chips)
+    return fire_set(divisor, [v])
 
 
 def _fire_set_delta(mult, members):
@@ -379,12 +373,14 @@ def _first_positive_rank_row(g, burn, degree):
 
 
 def _gonality_upper(g):
-    """The positive-rank upper bound on gon(g), g connected: the least of
-    genus + 1 = |E| - n + 2 (|E| with multiplicity; by Riemann-Roch for
-    graphs every divisor of that degree has rank >= 1, genus + 1 chips on
-    one vertex say), n - alpha for a simple g on two or more vertices (one
-    chip on each vertex outside a maximum independent set), and n (one chip
-    on every vertex)."""
+    """The positive-rank upper bound on gon(g): the least of genus + 1 =
+    |E| - n + 2 (|E| with multiplicity; by Riemann-Roch for graphs every
+    divisor of that degree has rank >= 1, genus + 1 chips on one vertex
+    say), n - alpha for a simple g on two or more vertices (one chip on each
+    vertex outside a maximum independent set), and n (one chip on every
+    vertex).  A disconnected g raises ValueError before alpha is computed."""
+    if not inv.is_connected(g):
+        raise ValueError("gonality needs a connected graph")
     genus_bound = g.edge_count() - g.n + 2
     if g.n >= 2 and g.is_simple():
         return min(genus_bound, g.n - inv.independence_number(g))
@@ -393,12 +389,10 @@ def _gonality_upper(g):
 
 def _scan_degrees(g, lower, upper, stop):
     """(degree, row) of the first 0-reduced positive-rank row of the degrees
-    max(lower, 1) .. stop - 1, or None; raises ValueError on a disconnected g
-    or on lower > upper.  Every positive-rank class has a 0-reduced
+    max(lower, 1) .. stop - 1, or None, for a connected g; raises ValueError
+    on lower > upper.  Every positive-rank class has a 0-reduced
     representative with a chip on vertex 0, so the scan is lossless.
     """
-    if not inv.is_connected(g):
-        raise ValueError("gonality needs a connected graph")
     if lower > upper:
         raise ValueError("gonality lower bound %d exceeds upper bound %d" % (lower, upper))
     burn = _burn_matrix(g.mult)

@@ -291,24 +291,14 @@ def independence_number(g):
 
 
 def max_independent_set(g):
-    """A maximum independent set of the underlying simple graph, as a frozenset."""
+    """A maximum independent set of the underlying simple graph, as a
+    frozenset.  No edge joins two components, so each is searched on its own
+    and the union of their maximum sets is one."""
     n = g.n
     adj = [0] * n
     for u, v, _ in g.edges():
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-
-    best = [0, 0]  # size, mask
-
-    # greedy warm start: repeatedly take a minimum-degree vertex
-    cand = (1 << n) - 1
-    greedy = 0
-    while cand:
-        v = min((x for x in range(n) if cand >> x & 1),
-                key=lambda x: bin(adj[x] & cand).count("1"))
-        greedy |= 1 << v
-        cand &= ~(adj[v] | 1 << v)
-    best[0], best[1] = bin(greedy).count("1"), greedy
 
     def grow(cand, chosen_mask, chosen_size):
         if chosen_size + bin(cand).count("1") <= best[0]:
@@ -327,5 +317,17 @@ def max_independent_set(g):
         grow(cand & ~(adj[v] | 1 << v), chosen_mask | 1 << v, chosen_size + 1)
         grow(cand & ~(1 << v), chosen_mask, chosen_size)
 
-    grow((1 << n) - 1, 0, 0)
-    return frozenset(v for v in range(n) if best[1] >> v & 1)
+    found = 0
+    for comp in components(g):
+        # greedy warm start: repeatedly take a minimum-degree vertex
+        cand = everything = sum(1 << v for v in comp)
+        greedy = 0
+        while cand:
+            v = min((x for x in range(n) if cand >> x & 1),
+                    key=lambda x: bin(adj[x] & cand).count("1"))
+            greedy |= 1 << v
+            cand &= ~(adj[v] | 1 << v)
+        best = [bin(greedy).count("1"), greedy]  # size, mask
+        grow(everything, 0, 0)
+        found |= best[1]
+    return frozenset(v for v in range(n) if found >> v & 1)

@@ -248,25 +248,21 @@ def smooth_two_valent(g):
     """Suppress 2-valent vertices with two distinct neighbors until none remain.
 
     The inverse of subdivision; a cycle stabilizes at the doubled edge on
-    two vertices.  Idempotent.
+    two vertices.  Idempotent.  One sweep in vertex order suffices: replacing
+    uv and vw by uw changes no valence, and can take a second distinct
+    neighbor away but never add one, so a passed vertex stays unsuppressible.
     """
     mult = np.array(g.mult)
-    alive = list(range(g.n))
-    changed = True
-    while changed:
-        changed = False
-        for i, v in enumerate(alive):
-            row = mult[v][alive]
-            if row.sum() == 2 and np.count_nonzero(row) == 2:
-                nbrs = [alive[j] for j in np.nonzero(row)[0]]
-                u, w = nbrs
-                mult[u, w] += 1
-                mult[w, u] += 1
-                mult[v, :] = 0
-                mult[:, v] = 0
-                alive.pop(i)
-                changed = True
-                break
+    alive = np.ones(g.n, dtype=bool)
+    for v in np.flatnonzero(g.valences() == 2).tolist():
+        nbrs = np.flatnonzero(mult[v])
+        if nbrs.size == 2:
+            u, w = nbrs
+            mult[u, w] += 1
+            mult[w, u] += 1
+            mult[v] = 0
+            mult[:, v] = 0
+            alive[v] = False
     return Multigraph(mult[np.ix_(alive, alive)])
 
 

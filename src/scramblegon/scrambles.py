@@ -124,7 +124,7 @@ def _group_hitting_number(eggs):
         v = max(sorted(counts), key=counts.get)
         best_set.add(v)
         missed = [e for e in missed if v not in e]
-    best = [len(best_set), frozenset(best_set)]
+    best, witness = len(best_set), frozenset(best_set)
 
     def disjoint_lower_bound(missed):
         used = set()
@@ -135,21 +135,19 @@ def _group_hitting_number(eggs):
                 used |= e
         return count
 
-    def search(chosen, missed):
+    # depth first, children in vertex order, over a stack of (chosen, missed):
+    # a witness can hold more vertices than Python allows nested calls
+    stack = [((), list(eggs))]
+    while stack:
+        chosen, missed = stack.pop()
         if not missed:
-            if len(chosen) < best[0]:
-                best[0], best[1] = len(chosen), frozenset(chosen)
-            return
-        if len(chosen) + disjoint_lower_bound(missed) >= best[0]:
-            return
-        egg = min(missed, key=len)
-        for v in sorted(egg):
-            chosen.add(v)
-            search(chosen, [e for e in missed if v not in e])
-            chosen.remove(v)
-
-    search(set(), list(eggs))
-    return best[0], best[1]
+            if len(chosen) < best:
+                best, witness = len(chosen), frozenset(chosen)
+        elif len(chosen) + disjoint_lower_bound(missed) < best:
+            egg = min(missed, key=len)
+            stack.extend((chosen + (v,), [e for e in missed if v not in e])
+                         for v in sorted(egg, reverse=True))
+    return best, witness
 
 
 _NO_SET = np.iinfo(np.int64).max
@@ -290,7 +288,8 @@ class BoundReport:
 
 
 def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
-    """Bounds for a connected, smooth, bridgeless-or-tiny graph."""
+    """Bounds for a piece of sn_bounds' one pass: connected, smooth, and
+    bridgeless (smoothing keeps it so) or on at most two vertices."""
     lower, lsrc = 0, "trivial"
     order = vertex_scramble_order(g.n, inv.edge_connectivity(g))
     if order > lower:
@@ -315,24 +314,21 @@ def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
 
 
 def _split_sn_bounds(g, gonality_budget, use_brute, max_eggs):
-    comps = inv.components(g)
-    if len(comps) > 1:
-        parts = [_split_sn_bounds(mg.induced_subgraph(g, c), gonality_budget, use_brute, max_eggs)
-                 for c in comps]
-        return _combine_max(parts, "component split")
-    smooth = mg.smooth_two_valent(g)
-    if smooth.n < g.n:
-        g = smooth
-    cut_edges = inv.bridges(g)
-    if cut_edges and g.n > 2:
-        u, v = cut_edges[0]
-        # u's side of the bridge uv is u's component in G - v
-        side = next(c for c in inv.components(g, set(range(g.n)) - {v}) if u in c)
-        parts = [_split_sn_bounds(mg.induced_subgraph(g, side), gonality_budget, use_brute, max_eggs),
-                 _split_sn_bounds(mg.induced_subgraph(g, set(range(g.n)) - side),
-                                  gonality_budget, use_brute, max_eggs)]
-        return _combine_max(parts, "bridge split")
-    return _core_sn_bounds(g, gonality_budget, use_brute, max_eggs)
+    parts = []
+    for comp in inv.components(g):
+        h = mg.smooth_two_valent(mg.induced_subgraph(g, comp))
+        cut_edges = inv.bridges(h)
+        if not cut_edges or h.n <= 2:
+            parts.append(_core_sn_bounds(h, gonality_budget, use_brute, max_eggs))
+            continue
+        mult = np.array(h.mult)
+        for u, v in cut_edges:
+            mult[u, v] = mult[v, u] = 0
+        pieces = [_core_sn_bounds(mg.smooth_two_valent(mg.induced_subgraph(h, piece)),
+                                  gonality_budget, use_brute, max_eggs)
+                  for piece in inv.components(mg.Multigraph(mult))]
+        parts.append(_combine_max(pieces, "bridge split"))
+    return parts[0] if len(parts) == 1 else _combine_max(parts, "component split")
 
 
 def _combine_max(parts, label):
@@ -348,11 +344,14 @@ def _combine_max(parts, label):
 def sn_bounds(g, extra_scrambles=(), gonality_budget=12, use_brute=False, max_eggs=None):
     """Lower/upper bounds on the scramble number.
 
-    Reduces first (per-component maximum, bridge splitting, smoothing of
-    2-valent vertices — all order-preserving), then takes the best scramble
-    lower bound and the gonality upper bound within the vertex budget.  User
-    scrambles are evaluated on the original graph.  With use_brute the exact
-    tiny-graph oracle is folded in.
+    Reduces first, keeping sn: the maximum over the components, and in each
+    smoothed component (2-valent vertices suppressed) over the pieces left
+    by cutting every bridge at once, each smoothed again.  A piece needs no
+    second cut: each edge of it lies on a cycle with no bridge on it, and
+    smoothing keeps a bridgeless graph bridgeless.  Each piece then takes
+    the best scramble lower bound and the gonality upper bound within the
+    vertex budget.  User scrambles are evaluated on the original graph.
+    With use_brute the exact tiny-graph oracle is folded in.
     """
     report = _split_sn_bounds(g, gonality_budget, use_brute, max_eggs)
     lower, lsrc = report.lower, report.lower_source

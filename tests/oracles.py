@@ -254,6 +254,29 @@ def connected_graph_corpus(max_n=5, max_edges=8):
     return graphs
 
 
+def restart_smooth_two_valent(g):
+    """Suppress 2-valent vertices with two distinct neighbors, restarting the
+    scan from the first vertex after every suppression, until a full scan
+    suppresses none."""
+    mult = np.array(g.mult)
+    alive = list(range(g.n))
+    changed = True
+    while changed:
+        changed = False
+        for i, v in enumerate(alive):
+            row = mult[v][alive]
+            if row.sum() == 2 and np.count_nonzero(row) == 2:
+                u, w = [alive[j] for j in np.nonzero(row)[0]]
+                mult[u, w] += 1
+                mult[w, u] += 1
+                mult[v, :] = 0
+                mult[:, v] = 0
+                alive.pop(i)
+                changed = True
+                break
+    return mg.Multigraph(mult[np.ix_(alive, alive)])
+
+
 def random_connected_multigraph(rng, n, p, max_mult=3):
     """Rejection-sample a connected multigraph, each present edge with a
     multiplicity drawn from 1..max_mult."""

@@ -20,6 +20,9 @@ def test_fire_moves_chips_along_multiplicities():
     g = mg.from_edge_list(3, [(0, 1, 2), (1, 2, 1)])
     d = dv.fire(dv.Divisor(g, [5, 0, 0]), 0)
     assert d.chips.tolist() == [3, 2, 0]
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            dv.fire(d, v)
 
 
 def test_fire_conserves_degree():
@@ -220,6 +223,18 @@ def test_gonality_single_vertex_and_validation():
     assert dv.gonality(mg.from_edge_list(1, []))[0] == 1
     with pytest.raises(ValueError):
         dv.gonality(mg.from_edge_list(4, [(0, 1, 1), (2, 3, 1)]))
+
+
+def test_gonality_refuses_a_disconnected_graph_before_computing_alpha(monkeypatch):
+    def refuse(g):
+        raise AssertionError("alpha was computed")
+
+    monkeypatch.setattr(inv, "independence_number", refuse)
+    triangles = mg.from_edge_list(6, [(0, 1, 1), (1, 2, 1), (2, 0, 1),
+                                      (3, 4, 1), (4, 5, 1), (5, 3, 1)])
+    for search in (dv.gonality, lambda g: dv._sandwiched_gonality(g, 1)):
+        with pytest.raises(ValueError, match="connected"):
+            search(triangles)
 
 
 def test_gonality_witness_is_the_lexicographically_least_reduced_one():

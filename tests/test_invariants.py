@@ -294,6 +294,29 @@ def test_independence_number_against_brute_force():
         assert inv.independence_number(g) == oracles.brute_alpha(g)
 
 
+def disjoint_union(graphs):
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(offset + u, offset + v, k) for u, v, k in h.edges()]
+        offset += h.n
+    return mg.from_edge_list(offset, edges)
+
+
+def test_independence_number_of_disconnected_graphs_is_summed_over_components():
+    rng = random.Random(37)
+    for _ in range(20):
+        parts = [mg.random_graph(rng.randrange(1, 7), rng.choice([0.2, 0.5, 0.8]),
+                                 seed=rng.randrange(1 << 30)) for _ in range(rng.randrange(2, 4))]
+        g = disjoint_union(parts)
+        s = inv.max_independent_set(g)
+        assert len(s) == oracles.brute_alpha(g)
+        assert all(g.mult[u, v] == 0 for u in s for v in s)
+    # each copy searched on its own: as fast as one 40-vertex copy, twice
+    copy = mg.random_graph(40, 0.15, seed=3)
+    two = disjoint_union([copy, copy])
+    assert inv.independence_number(two) == 2 * inv.independence_number(copy)
+
+
 def test_max_independent_set_is_witnessed():
     rng = random.Random(31)
     for _ in range(10):

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
 
@@ -105,6 +108,29 @@ def test_smooth_two_valent_inverts_subdivision():
 def test_cycle_smooths_to_doubled_edge():
     j = mg.smooth_two_valent(mg.cycle(7))
     assert j == mg.cycle(2)
+
+
+def _subdivided_multigraph(seed, n, p, t):
+    rng = random.Random(seed)
+    edges = [(u, v, rng.randint(1, 3)) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p]
+    return mg.subdivide(mg.from_edge_list(n, edges), t)
+
+
+# a random multigraph, connected or not, subdivided 0-2 times, drawn from a
+# seed so that hypothesis shrinks towards small seeds and sizes
+subdivided_multigraph = st.builds(
+    _subdivided_multigraph, st.integers(0, 1 << 30), st.integers(1, 8),
+    st.sampled_from([0.2, 0.4, 0.7]), st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(subdivided_multigraph)
+def test_smooth_two_valent_sweep_matches_the_restart_loop_property(g):
+    smooth = mg.smooth_two_valent(g)
+    reference = oracles.restart_smooth_two_valent(g)
+    assert smooth.mult.shape == reference.mult.shape
+    assert smooth.mult.tobytes() == reference.mult.tobytes()
 
 
 def test_subdivide_counts():

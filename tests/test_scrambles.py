@@ -333,6 +333,33 @@ def test_sn_bounds_splits_over_components_and_bridges():
     assert (report.lower, report.upper) == (2, 2)
 
 
+def test_sn_bounds_cuts_every_bridge_in_one_pass():
+    # three triangles, the middle one holding vertex 0, joined by two bridges
+    chain = mg.from_edge_list(9, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 1),
+                                  (5, 3, 1), (6, 7, 1), (7, 8, 1), (8, 6, 1),
+                                  (0, 3, 1), (1, 6, 1)])
+    for budget in (0, 12):
+        report = sc.sn_bounds(chain, gonality_budget=budget)
+        assert (report.lower, report.upper) == (2, 2)
+        assert report.lower_source.count("bridge split: ") == 1
+        assert report.upper_source.count("bridge split: ") == 1
+
+
+def test_sn_bounds_of_long_sparse_graphs_needs_no_nesting():
+    # a star and a caterpillar have hundreds of bridges each
+    caterpillar = mg.from_edge_list(400, [(i, i + 1, 1) for i in range(199)]
+                                    + [(i, 200 + i, 1) for i in range(200)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        reports = [sc.sn_bounds(g) for g in (mg.star(400), caterpillar)]
+    finally:
+        sys.setrecursionlimit(limit)
+    for report in reports:
+        assert (report.lower, report.upper) == (1, 1)
+        assert report.lower_source == "bridge split: vertex scramble"
+
+
 def test_brute_force_sn_known_values():
     assert sc.brute_force_sn(mg.path(6)).value == 1
     assert sc.brute_force_sn(mg.cycle(6)).value == 2
