@@ -6,12 +6,16 @@ connectivity is taken on the underlying simple graph with the convention
 kappa(K_n) = n - 1 and kappa = lambda = 0 for disconnected graphs.
 
 Every graph traversal (components, connected vertex sets and eggs, the BFS
-layers of q-reduction, bridge sides, complete-bipartite parts, the
-brute-force oracle's components and the hitting-set search's egg groups)
-runs on one BFS routine, `_bfs`.  Every flow (min cuts between vertex sets,
-edge connectivity, and the local vertex connectivities on the vertex-split
+layers of q-reduction, bridge sides, complete-bipartite parts and the
+hitting-set search's egg groups) runs on one BFS routine, `_bfs`; only the
+brute-force sn oracle, whose eggs are bitmasks, grows its components on
+adjacency bitmasks.  Every flow (min cuts between vertex sets, edge
+connectivity, and the local vertex connectivities on the vertex-split
 digraph) runs on one capped augmenting-path kernel, `_augment`; kappa is
-found by Esfahanian-Hakimi.  Bridges come from a low-link DFS.
+found by Esfahanian-Hakimi.  A min cut runs through `_min_cut` on capacity
+rows and neighbour lists built by its caller, so the egg-cut scan and the
+brute-force oracle build them once per call, and each flow runs on a copy of
+the rows.  Bridges come from a low-link DFS.
 """
 
 import math
@@ -262,20 +266,27 @@ def min_cut_between(g, side_a, side_b, limit=math.inf):
     sa, sb = set(side_a), set(side_b)
     if not sa or not sb or sa & sb:
         raise ValueError("sides must be disjoint nonempty vertex sets")
-    n = g.n
-    if not all(0 <= v < n for v in sa | sb):
+    if not all(0 <= v < g.n for v in sa | sb):
         raise ValueError("vertex out of range")
-    residual = g.mult.tolist()
-    nbrs = _adjacency(g.mult)
+    return _min_cut(g.mult.tolist(), _adjacency(g.mult), sa, sb, limit)
+
+
+def _min_cut(rows, nbrs, side_a, side_b, limit):
+    """`min_cut_between` on prebuilt capacity rows (a list-of-lists
+    multiplicity matrix, left as it was) and neighbour lists, for sides
+    already checked; a caller running many cuts on one graph builds them
+    once."""
+    residual = [row[:] for row in rows]
+    n = len(residual)
     sinks = [False] * n
-    for v in sb:
+    for v in side_b:
         sinks[v] = True
-    value = _augment(residual, nbrs, list(sa), sinks, limit)
+    value = _augment(residual, nbrs, list(side_a), sinks, limit)
     if value >= limit:
         return value, None
     # vertices that still reach side_b, found backwards from it
     reach = sinks
-    queue = list(sb)
+    queue = list(side_b)
     for v in queue:
         for u in nbrs[v]:
             if not reach[u] and residual[u][v]:
@@ -293,7 +304,11 @@ def independence_number(g):
 def max_independent_set(g):
     """A maximum independent set of the underlying simple graph, as a
     frozenset.  No edge joins two components, so each is searched on its own
-    and the union of their maximum sets is one."""
+    and the union of their maximum sets is one.
+
+    A candidate with at most one candidate neighbour is taken without a
+    branch: a maximum set holding its neighbour instead holds it after a
+    swap.  So a tree or a path is decided with no branch at all."""
     n = g.n
     adj = [0] * n
     for u, v, _ in g.edges():
@@ -301,19 +316,32 @@ def max_independent_set(g):
         adj[v] |= 1 << u
 
     def grow(cand, chosen_mask, chosen_size):
-        if chosen_size + bin(cand).count("1") <= best[0]:
-            return
-        if not cand:
-            if chosen_size > best[0]:
-                best[0], best[1] = chosen_size, chosen_mask
-            return
-        # branch on a max-degree candidate: either exclude it or take it
-        v = max((x for x in range(n) if cand >> x & 1),
-                key=lambda x: bin(adj[x] & cand).count("1"))
-        if not adj[v] & cand:
-            # isolated within candidates: always take
-            grow(cand & ~(1 << v), chosen_mask | 1 << v, chosen_size + 1)
-            return
+        while True:
+            if chosen_size + cand.bit_count() <= best[0]:
+                return
+            if not cand:
+                if chosen_size > best[0]:
+                    best[0], best[1] = chosen_size, chosen_mask
+                return
+            # one pass over the candidates finds a forced one or else a
+            # max-degree one to branch on
+            v, top, rest = -1, -1, cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                degree = (adj[x] & cand).bit_count()
+                if degree <= 1:
+                    v, top = x, degree
+                    break
+                if degree > top:
+                    v, top = x, degree
+            if top > 1:
+                break
+            cand &= ~(adj[v] | 1 << v)
+            chosen_mask |= 1 << v
+            chosen_size += 1
+        # branch on v: either take it or exclude it
         grow(cand & ~(adj[v] | 1 << v), chosen_mask | 1 << v, chosen_size + 1)
         grow(cand & ~(1 << v), chosen_mask, chosen_size)
 
@@ -324,10 +352,10 @@ def max_independent_set(g):
         greedy = 0
         while cand:
             v = min((x for x in range(n) if cand >> x & 1),
-                    key=lambda x: bin(adj[x] & cand).count("1"))
+                    key=lambda x: (adj[x] & cand).bit_count())
             greedy |= 1 << v
             cand &= ~(adj[v] | 1 << v)
-        best = [bin(greedy).count("1"), greedy]  # size, mask
+        best = [greedy.bit_count(), greedy]  # size, mask
         grow(everything, 0, 0)
         found |= best[1]
     return frozenset(v for v in range(n) if found >> v & 1)

@@ -11,7 +11,6 @@ fully contain one egg while A^C fully contains another.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,7 +111,12 @@ def hitting_number(scramble):
 def _group_hitting_number(eggs):
     """Branch and bound for the minimum hitting set of `eggs`, warm-started
     by a greedy cover; returns (size, witness set).  Each step narrows its
-    list of missed eggs, in egg order, by the one vertex it adds."""
+    list of missed eggs, in egg order, by the one vertex it adds.
+
+    `eggs` must be sorted by size, as a Scramble's are and `hitting_number`
+    keeps them within a group; narrowing keeps the order, so every missed
+    list is sorted too: the disjoint-egg bound takes its eggs smallest
+    first and the branching egg, a smallest one, is the first."""
     best_set = set()
     # greedy warm start on most-frequent vertices
     missed = list(eggs)
@@ -129,7 +133,7 @@ def _group_hitting_number(eggs):
     def disjoint_lower_bound(missed):
         used = set()
         count = 0
-        for e in sorted(missed, key=len):
+        for e in missed:
             if not e & used:
                 count += 1
                 used |= e
@@ -144,9 +148,8 @@ def _group_hitting_number(eggs):
             if len(chosen) < best:
                 best, witness = len(chosen), frozenset(chosen)
         elif len(chosen) + disjoint_lower_bound(missed) < best:
-            egg = min(missed, key=len)
             stack.extend((chosen + (v,), [e for e in missed if v not in e])
-                         for v in sorted(egg, reverse=True))
+                         for v in sorted(missed[0], reverse=True))
     return best, witness
 
 
@@ -194,9 +197,12 @@ def egg_cut_number(scramble):
     bound B (`_pair_bounds`) is at least the running minimum is skipped, and
     each remaining flow is capped at the running minimum: neither kind of
     pair can cut strictly below it, so neither can replace the witness.  The
-    bounds are built one egg row at a time, in O(eggs * n) memory."""
+    bounds are built one egg row at a time, in O(eggs * n) memory, and every
+    flow runs on capacity rows and neighbour lists built once per call."""
     g = scramble.host
     eggs = scramble.eggs
+    rows = g.mult.tolist()
+    nbrs = inv._adjacency(g.mult)
     member = np.zeros((len(eggs), g.n), dtype=np.int64)
     for i, egg in enumerate(eggs):
         member[i, list(egg)] = 1
@@ -209,7 +215,7 @@ def egg_cut_number(scramble):
         for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
             if bounds[j] >= best:  # the running minimum fell within this row
                 continue
-            value, side = inv.min_cut_between(g, a, eggs[i + 1 + j], limit=best)
+            value, side = inv._min_cut(rows, nbrs, a, eggs[i + 1 + j], best)
             if value < best:
                 best = value
                 witness = (frozenset(side), value)
@@ -381,6 +387,15 @@ def brute_force_sn(g, max_eggs=None):
     G - C per constraint C is lossless.  max_eggs, None or at least 1, caps
     the witness size; when the cap prunes a failed search the result is
     flagged as a lower bound only (exact=False).
+
+    Eggs are vertex bitmasks.  Per k the distinct component eggs are
+    numbered by smallest member, and each constraint's options, its
+    components (disjoint, so in the same order), are one bitset of egg
+    numbers.  Egg i narrows an option set by one AND with its bitset of
+    compatible eggs: those meeting it, found from per-vertex bitsets of the
+    eggs containing it, and the disjoint ones whose cut reaches k.  A
+    disjoint pair's cut is settled by one flow the first time a narrowing
+    meets it, on capacity rows and neighbour lists built once per call.
     """
     n = g.n
     if max_eggs is not None and max_eggs < 1:
@@ -388,44 +403,84 @@ def brute_force_sn(g, max_eggs=None):
     if n > 16:
         raise ValueError("brute-force oracle is exponential; refusing n > 16")
 
+    rows = g.mult.tolist()
     nbrs = inv._adjacency(g.mult)
+    adj = [sum(1 << u for u in a) for a in nbrs]
+
+    def bits(mask):
+        """The positions of the set bits of mask, ascending."""
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
 
     def comp_masks(avoid_mask):
-        """Components of the graph minus the avoided vertices, as bitmasks."""
-        rest = [not avoid_mask >> v & 1 for v in range(n)]
-        return [sum(1 << v for v in comp) for comp in inv._flagged_components(nbrs, rest)]
-
-    def members(mask):
-        return [v for v in range(n) if mask >> v & 1]
+        """Components of the graph minus the avoided vertices, as bitmasks
+        sorted by smallest member."""
+        rest = ((1 << n) - 1) & ~avoid_mask
+        out = []
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                grown = 0
+                for v in bits(frontier):
+                    grown |= adj[v]
+                frontier = grown & rest & ~comp
+                comp |= frontier
+            rest &= ~comp
+            out.append(comp)
+        return out
 
     capped = [False]
 
     def decide(k):
         constraints = [sum(1 << v for v in c)
                        for c in itertools.combinations(range(n), k - 1)]
-        options = {c: comp_masks(c) for c in constraints}
+        comps = [comp_masks(c) for c in constraints]
+        eggs = sorted({e for cs in comps for e in cs}, key=lambda e: (e & -e, e))
+        number = {e: i for i, e in enumerate(eggs)}
+        options = {c: sum(1 << number[e] for e in cs) for c, cs in zip(constraints, comps)}
+        vertices = [[v for v in range(n) if e >> v & 1] for e in eggs]
+        containing = [sum(1 << i for i, e in enumerate(eggs) if e >> v & 1) for v in range(n)]
+        # compatible[i]: the eggs known to be compatible with egg i, at first
+        # those meeting it; unsettled[i]: the disjoint eggs no flow has
+        # settled against it yet
+        compatible = []
+        for vs in vertices:
+            meets = 0
+            for v in vs:
+                meets |= containing[v]
+            compatible.append(meets)
+        everything = (1 << len(eggs)) - 1
+        unsettled = [everything ^ meets for meets in compatible]
         chosen = []
 
-        @lru_cache(maxsize=None)
-        def cut_reaches_k(a, b):
-            return inv.min_cut_between(g, members(a), members(b), limit=k)[0] >= k
-
-        def compatible(e, f):
-            return e & f or cut_reaches_k(min(e, f), max(e, f))
+        def settle(i, fresh):
+            """One flow from egg i to each egg numbered in fresh."""
+            for j in bits(fresh):
+                if inv._min_cut(rows, nbrs, vertices[i], vertices[j], k)[0] >= k:
+                    compatible[i] |= 1 << j
+                    compatible[j] |= 1 << i
+                unsettled[j] &= ~(1 << i)
+            unsettled[i] &= ~fresh
 
         def branches(todo):
             """(egg, todo after choosing it) for each option of the first
-            shortest list of todo that leaves every constraint an egg."""
-            for e in min(todo.values(), key=len):
+            smallest option set of todo that leaves every constraint an egg."""
+            for i in bits(min(todo.values(), key=int.bit_count)):
+                e = eggs[i]
                 narrowed = {}
-                for c, listed in todo.items():
+                for c, opts in todo.items():
                     if e & c:
-                        listed = [f for f in listed if compatible(f, e)]
-                        if not listed:
+                        fresh = opts & unsettled[i]
+                        if fresh:
+                            settle(i, fresh)
+                        opts &= compatible[i]
+                        if not opts:
                             break  # a dead end: no egg is left for c
-                        narrowed[c] = listed
+                        narrowed[c] = opts
                 else:
-                    yield e, narrowed
+                    yield i, narrowed
 
         def backtrack(todo):
             """todo maps each constraint that no chosen egg avoids, in
@@ -450,7 +505,7 @@ def brute_force_sn(g, max_eggs=None):
             return todo is not None
 
         if backtrack(options):
-            return [frozenset(members(e)) for e in set(chosen)]
+            return [frozenset(vertices[i]) for i in set(chosen)]
         return None
 
     best = 1

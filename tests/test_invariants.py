@@ -263,9 +263,25 @@ def test_min_cut_between_limit_is_exact_below_or_stops_at_it():
                 assert capped_side is None and limit <= value <= exact
 
 
+def test_a_cut_on_shared_rows_leaves_them_as_they_were():
+    # the egg-cut scan and the sn oracle run every flow of a call on one set
+    # of rows; each cut must read them as g.mult and leave them so
+    rng = random.Random(89)
+    for i in range(40):
+        g = _random_host(rng, i)
+        rows = g.mult.tolist()
+        nbrs = inv._adjacency(g.mult)
+        for _ in range(4):
+            a, b = _random_sides(rng, g.n)
+            limit = rng.choice([math.inf, 1, 2, 4])
+            assert inv._min_cut(rows, nbrs, a, b, limit) == inv.min_cut_between(g, a, b, limit)
+            assert rows == g.mult.tolist()
+
+
 def test_min_cut_between_validation():
     g = mg.cycle(4)
-    for a, b in (([], [1]), ([0], []), ([0, 1], [1, 2]), ([0], [4]), ([-1], [2])):
+    for a, b in (([], [1]), ([0], []), ([], []), ([0, 1], [1, 2]), ([2], [2]),
+                 ([0], [4]), ([-1], [2]), ([0], [1, 7])):
         with pytest.raises(ValueError):
             inv.min_cut_between(g, a, b)
 
@@ -292,6 +308,24 @@ def test_independence_number_against_brute_force():
         g = mg.random_graph(rng.randrange(2, 10), rng.choice([0.2, 0.5, 0.8]),
                             seed=rng.randrange(1 << 30))
         assert inv.independence_number(g) == oracles.brute_alpha(g)
+
+
+def test_independence_number_of_paths_cycles_and_trees_needs_no_search():
+    # a candidate with at most one candidate neighbour is taken outright
+    assert inv.independence_number(mg.path(100)) == 50
+    assert inv.independence_number(mg.cycle(101)) == 50
+    rng = random.Random(29)
+    for _ in range(20):
+        g = mg.random_tree(rng.randrange(1, 13), seed=rng.randrange(1 << 30))
+        s = inv.max_independent_set(g)
+        assert len(s) == oracles.brute_alpha(g)
+        assert all(g.mult[u, v] == 0 for u in s for v in s)
+    for _ in range(300):
+        g = mg.random_graph(rng.randrange(1, 10), rng.choice([0.2, 0.3, 0.5, 0.7]),
+                            seed=rng.randrange(1 << 30))
+        s = inv.max_independent_set(g)
+        assert len(s) == oracles.brute_alpha(g)
+        assert all(g.mult[u, v] == 0 for u in s for v in s)
 
 
 def disjoint_union(graphs):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from scramblegon import divisors as dv
+from scramblegon import fixtures as fx
 from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
 from scramblegon import scrambles as sc
@@ -129,7 +130,12 @@ def reference_cut_bounds(g, egg):
 @given(multigraph_with_eggs)
 def test_egg_cut_number_matches_brute_force_property(case):
     g, eggs = case
-    assert sc.egg_cut_number(sc.Scramble(g, eggs))[0] == oracles.brute_egg_cut(g, eggs)
+    value, witness = sc.egg_cut_number(sc.Scramble(g, eggs))
+    assert value == oracles.brute_egg_cut(g, eggs)
+    if witness is not None:
+        side, size = witness
+        assert size == value == inv.edge_boundary(g, side)
+        assert any(set(e) <= side for e in eggs) and any(not set(e) & side for e in eggs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,17 +184,17 @@ def test_egg_cut_number_skips_the_pairs_its_bound_rules_out(monkeypatch):
     # bound of almost every later pair, so only a handful of the ~800
     # disjoint pairs run a flow
     flows = []
-    cut = inv.min_cut_between
+    cut = inv._min_cut
 
     def counted(*args, **kwargs):
-        flows.append(args[1:3])
+        flows.append(args[2:4])
         return cut(*args, **kwargs)
 
-    monkeypatch.setattr(inv, "min_cut_between", counted)
+    monkeypatch.setattr(inv, "_min_cut", counted)
     g = mg.random_graph(12, 0.8, 1012)
     value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
     assert value == size == inv.edge_boundary(g, side)
-    assert len(flows) <= 10
+    assert 1 <= len(flows) <= 10
 
 
 def test_product_scramble_orders_split_into_copies():
@@ -402,6 +408,58 @@ def test_brute_force_sn_witness_may_outgrow_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert (result.value, result.exact, len(result.witness.eggs)) == (6, True, 114)
+
+
+def _oracle_records():
+    """(graph, value, exact, pair-cut flows, witness eggs as sorted vertex
+    bitmasks) of brute_force_sn, recorded from the search that filtered
+    Python lists of eggs through a cached pair predicate."""
+    return [
+        (mg.hypercube(3), 4, True, 25,
+         [23, 43, 61, 62, 77, 91, 94, 103, 110, 113, 118, 122, 124, 142, 155, 157, 167,
+          173, 178, 181, 185, 188, 199, 203, 211, 212, 217, 218, 227, 229, 230, 232]),
+        (mg.complete_bipartite(3, 3), 3, True, 7,
+         [15, 23, 27, 29, 30, 39, 43, 45, 46, 51, 53, 54, 57, 58, 60]),
+        (mg.cartesian_product(mg.cycle(3), mg.cycle(4)), 6, True, 1453,
+         [17, 34, 257, 478, 508, 514, 749, 764, 892, 956, 988, 1004, 1012, 1016, 1102,
+          1260, 1404, 1438, 1468, 1494, 1496, 1524, 1645, 1660, 1709, 1724, 1741, 1756,
+          1764, 1769, 1784, 1852, 1884, 1900, 1904, 1948, 1964, 1972, 1976, 1996, 2004,
+          2024, 2189, 2268, 2398, 2428, 2462, 2492, 2510, 2518, 2520, 2540, 2548, 2669,
+          2684, 2748, 2788, 2793, 2808, 2876, 2908, 2924, 2932, 2936, 2972, 2988, 2992,
+          3020, 3028, 3048, 3181, 3196, 3230, 3260, 3271, 3275, 3286, 3288, 3300, 3305,
+          3358, 3388, 3414, 3416, 3436, 3444, 3468, 3478, 3480, 3508, 3526, 3528, 3536,
+          3629, 3644, 3660, 3684, 3689, 3704, 3740, 3748, 3753, 3768, 3780, 3785, 3808,
+          3868, 3884, 3892, 3896, 3924, 3944, 3988, 4008]),
+        (mg.random_graph(10, 0.5, 0), 5, True, 238,
+         [42, 77, 103, 153, 179, 213, 220, 246, 258, 297, 357, 364, 433, 440, 500, 537,
+          563, 597, 604, 630, 641, 664, 690, 716, 724, 742, 817, 824, 884, 936, 944, 996]),
+        (fx.immersion_g(), 3, True, 32,
+         [6, 17, 40]),
+        (fx.immersion_h(), 2, True, 12,
+         [3, 61, 62]),
+        (fx.immersion_h_prime(), 2, True, 7,
+         [3, 61, 62]),
+        # disconnected: a search that meets a settled pair again reflows it
+        (mg.random_graph(6, 0.3, 0), 1, True, 8,
+         [1]),
+    ]
+
+
+def test_brute_force_sn_answers_as_the_list_search_did_with_no_more_flows(monkeypatch):
+    flows = []
+    cut = inv._min_cut
+
+    def counted(*args, **kwargs):
+        flows.append(args[2:4])
+        return cut(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "_min_cut", counted)
+    for g, value, exact, pair_cuts, eggs in _oracle_records():
+        flows.clear()
+        result = sc.brute_force_sn(g)
+        assert (result.value, result.exact) == (value, exact)
+        assert sorted(sum(1 << v for v in egg) for egg in result.witness.eggs) == eggs
+        assert len(flows) <= pair_cuts
 
 
 def test_bound_report_rejects_crossed_bounds():
