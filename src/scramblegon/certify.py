@@ -322,7 +322,8 @@ def certify_product(g, h, budget=12):
     Otherwise take the bounds from the closed-form lower formulas and the
     factor-gonality upper bound: where they meet they prove sn = gon too
     (statement "met-bounds"), and else they are emitted as open bounds."""
-    return _certify(_stats(g, budget), _stats(h, budget))
+    stats_g = _stats(g, budget)
+    return _certify(stats_g, stats_g if h == g else _stats(h, budget))
 
 
 def _certify(stats_g, stats_h):

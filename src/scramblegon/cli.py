@@ -3,6 +3,10 @@
 Graphs travel as MEL v1 text; `-` reads from stdin.  Exit codes: 0 success,
 2 validation or hypothesis failure, 1 internal error.  `--machine` switches
 the report to stable key=value lines.
+
+A call builds only the parser of the verb it names; help, a missing or
+unknown verb and any argument that verb's parser cannot place go through
+the full parser of all verbs, so their messages list every verb.
 """
 
 import argparse
@@ -212,95 +216,78 @@ def _cmd_fixtures(args, out):
             raise RuntimeError("%d fixture check(s) failed" % failures)
 
 
-def build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# verb -> (help, handler, argument specs), in the order the help lists them
+VERBS = {
+    "gen": ("emit a generator-family graph as MEL", _cmd_gen,
+            [_arg("family"), _arg("sizes", nargs="+"), _arg("--seed", type=int, default=None)]),
+    "info": ("basic invariants of a graph", _cmd_info, [_arg("graph")]),
+    "gonality": ("exact gonality with witness divisor", _cmd_gonality, [_arg("graph")]),
+    "rank": ("truncated divisor rank", _cmd_rank,
+             [_arg("graph"), _arg("divisor"), _arg("--cap", type=int, required=True)]),
+    "reduce": ("q-reduced form with the firing script", _cmd_reduce,
+               [_arg("graph"), _arg("divisor"), _arg("--q", type=int, required=True)]),
+    "scramble-order": ("order of a scramble given as egg lines", _cmd_scramble_order,
+                       [_arg("graph"), _arg("scramble")]),
+    "sn-bounds": ("lower/upper bounds on the scramble number", _cmd_sn_bounds,
+                  [_arg("graph"),
+                   _arg("--scramble", default=None, help="extra user scramble file"),
+                   _arg("--budget", type=int, default=12, help="gonality vertex budget"),
+                   _arg("--brute", type=int, nargs="?", const=0, default=None,
+                        metavar="MAX_EGGS", help="fold in the exact tiny-graph oracle")]),
+    "edge-scramble": ("emit the edge scramble of a graph", _cmd_edge_scramble, [_arg("graph")]),
+    "product-scramble": ("emit the k-deleted product scramble", _cmd_product_scramble,
+                         [_arg("graph_g"), _arg("graph_h"), _arg("--k", type=int, required=True)]),
+    "product": ("Cartesian product as MEL", _cmd_product, [_arg("graph_g"), _arg("graph_h")]),
+    "cone": ("cone over a graph as MEL", _cmd_cone, [_arg("graph"), _arg("l", type=int)]),
+    "certify": ("certify exact product gonality or emit bounds", _cmd_certify,
+                [_arg("graph_g"), _arg("graph_h"), _arg("--budget", type=int, default=12)]),
+    "reduce-alpha": ("recover alpha(G) from the cone's gonality", _cmd_reduce_alpha,
+                     [_arg("graph"),
+                      _arg("--via", choices=["gonality", "scramble-sandwich"], default="gonality")]),
+    "fixtures": ("rebuild and check the benchmark figure graphs", _cmd_fixtures,
+                 [_arg("--out", default=None, help="directory to write fixture files"),
+                  _arg("--check", action="store_true")]),
+}
+
+
+def build_parser(verb=None):
+    """The command-line parser with every verb, or with only `verb`."""
     parser = argparse.ArgumentParser(
         prog="scramblegon",
         description="Chip-firing gonality and scramble-number toolkit on multigraphs.")
     parser.add_argument("--machine", action="store_true",
                         help="emit stable key=value lines instead of prose")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("gen", help="emit a generator-family graph as MEL")
-    p.add_argument("family")
-    p.add_argument("sizes", nargs="+")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("info", help="basic invariants of a graph")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("gonality", help="exact gonality with witness divisor")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_gonality)
-
-    p = sub.add_parser("rank", help="truncated divisor rank")
-    p.add_argument("graph")
-    p.add_argument("divisor")
-    p.add_argument("--cap", type=int, required=True)
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("reduce", help="q-reduced form with the firing script")
-    p.add_argument("graph")
-    p.add_argument("divisor")
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("scramble-order", help="order of a scramble given as egg lines")
-    p.add_argument("graph")
-    p.add_argument("scramble")
-    p.set_defaults(func=_cmd_scramble_order)
-
-    p = sub.add_parser("sn-bounds", help="lower/upper bounds on the scramble number")
-    p.add_argument("graph")
-    p.add_argument("--scramble", default=None, help="extra user scramble file")
-    p.add_argument("--budget", type=int, default=12, help="gonality vertex budget")
-    p.add_argument("--brute", type=int, nargs="?", const=0, default=None,
-                   metavar="MAX_EGGS", help="fold in the exact tiny-graph oracle")
-    p.set_defaults(func=_cmd_sn_bounds)
-
-    p = sub.add_parser("edge-scramble", help="emit the edge scramble of a graph")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_edge_scramble)
-
-    p = sub.add_parser("product-scramble", help="emit the k-deleted product scramble")
-    p.add_argument("graph_g")
-    p.add_argument("graph_h")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_product_scramble)
-
-    p = sub.add_parser("product", help="Cartesian product as MEL")
-    p.add_argument("graph_g")
-    p.add_argument("graph_h")
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("cone", help="cone over a graph as MEL")
-    p.add_argument("graph")
-    p.add_argument("l", type=int)
-    p.set_defaults(func=_cmd_cone)
-
-    p = sub.add_parser("certify", help="certify exact product gonality or emit bounds")
-    p.add_argument("graph_g")
-    p.add_argument("graph_h")
-    p.add_argument("--budget", type=int, default=12)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("reduce-alpha", help="recover alpha(G) from the cone's gonality")
-    p.add_argument("graph")
-    p.add_argument("--via", choices=["gonality", "scramble-sandwich"], default="gonality")
-    p.set_defaults(func=_cmd_reduce_alpha)
-
-    p = sub.add_parser("fixtures", help="rebuild and check the benchmark figure graphs")
-    p.add_argument("--out", default=None, help="directory to write fixture files")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=_cmd_fixtures)
-
+    for name in VERBS if verb is None else [verb]:
+        help_text, func, specs = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv):
+    """Parse `[--machine ...] VERB ARGS` with only VERB's parser, which
+    prints the same help and errors as it does inside the full parser.
+    Anything else, and arguments VERB's parser leaves over, go through the
+    full parser, whose usage line lists every verb."""
+    i = 0
+    while i < len(argv) and argv[i] == "--machine":
+        i += 1
+    if i < len(argv) and argv[i] in VERBS:
+        args, rest = build_parser(argv[i]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     out = _Out(args.machine)
     try:
         args.func(args, out)

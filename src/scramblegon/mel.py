@@ -3,9 +3,10 @@
 MEL v1 graphs: header line ``n m`` followed by m edge lines ``u v k`` where
 the multiplicity k is optional and defaults to 1.  Lines starting with ``#``
 are comments.  Writers emit sorted u < v lines with accumulated
-multiplicities.
+multiplicities.  A graph's multiplicities total less than 2**62, so that
+2|E| fits in int64.
 
-Divisors: the vertex count n, then n chip integers, whitespace-separated.
+Divisors: the vertex count n, then n int64 chip integers, whitespace-separated.
 Scrambles: one egg per line, space-separated vertex ids.
 """
 
@@ -50,6 +51,7 @@ def parse_mel(text):
     if len(lines) - 1 != m:
         raise MelError(lineno, "header promises %d edge lines, found %d" % (m, len(lines) - 1))
     edges = []
+    total = 0
     for lineno, line in lines[1:]:
         fields = _int_fields(lineno, line, 2, 3)
         u, v = fields[0], fields[1]
@@ -60,6 +62,10 @@ def parse_mel(text):
             raise MelError(lineno, "loop edge at vertex %d" % u)
         if k < 1:
             raise MelError(lineno, "multiplicity must be >= 1 in %r" % line)
+        total += k
+        if total >= 2 ** 62:
+            raise MelError(lineno, "edge multiplicities total %d, at or above the limit 2**62"
+                           % total)
         edges.append((u, v, k))
     return from_edge_list(n, edges)
 
@@ -84,6 +90,9 @@ def parse_divisor(text, n=None):
             values.append(int(tok))
         except ValueError:
             raise MelError(lineno, "non-integer token %r" % tok) from None
+    for (lineno, tok), value in zip(tokens[1:], values[1:]):
+        if not -2 ** 63 <= value < 2 ** 63:
+            raise MelError(lineno, "chip %s outside the int64 range" % tok)
     count = values[0]
     chips = values[1:]
     if count < 1 or len(chips) != count:

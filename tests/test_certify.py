@@ -221,6 +221,21 @@ def test_certify_finds_the_gonality_of_eight_factors_without_a_search(monkeypatc
         ct.certify_product(g, h)
 
 
+def test_equal_factors_share_their_invariants(monkeypatch):
+    c5 = mg.cycle(5)
+    ring = mg.from_edge_list(5, [(i, (i + 1) % 5, 1) for i in range(5)])
+    assert ring is not c5 and ring == c5
+    pairs = [(c5, c5, 1), (c5, ring, 1), (mg.cycle(4), c5, 2)]
+    stats = ct._stats
+    want = [ct._certify(stats(g, 12), stats(h, 12)) for g, h, _ in pairs]
+    calls = []
+    monkeypatch.setattr(ct, "_stats", lambda g, budget: calls.append(g) or stats(g, budget))
+    for (g, h, computed), cert in zip(pairs, want):
+        del calls[:]
+        assert ct.certify_product(g, h) == cert
+        assert len(calls) == computed
+
+
 def test_one_vertex_factors_bound_the_product_by_the_other_factor():
     # K1 [] H = H, so H's vertex scramble bounds the product from below
     k1, q3 = mg.path(1), mg.hypercube(3)

@@ -1,3 +1,4 @@
+import argparse
 import io
 
 import pytest
@@ -194,6 +195,17 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "info", str(bad))
     assert code == 2
     assert "error" in err
+    # 2|E| and every chip must fit in int64
+    for total, text in ((2 ** 62, "2 1\n0 1 %d\n" % 2 ** 62), (2 ** 63, "2 1\n0 1 %d\n" % 2 ** 63),
+                        (2 ** 62, "2 2\n0 1 %d\n0 1 %d\n" % (2 ** 62, 2 ** 62))):
+        bad.write_text(text)
+        assert run(capsys, "--machine", "info", str(bad)) == (
+            2, "", "error: line 2: edge multiplicities total %d, at or above the limit 2**62\n" % total)
+    k2 = write_graph(tmp_path, "k2.mel", mg.path(2))
+    chips = tmp_path / "chips.txt"
+    chips.write_text("2\n%d 0\n" % 2 ** 63)
+    for argv in (["rank", k2, str(chips), "--cap", "1"], ["reduce", k2, str(chips), "--q", "0"]):
+        assert run(capsys, *argv) == (2, "", "error: line 2: chip %d outside the int64 range\n" % 2 ** 63)
 
 
 def test_over_budget_gonality_exits_2(capsys, tmp_path):
@@ -201,3 +213,79 @@ def test_over_budget_gonality_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "gonality", path)
     assert code == 2
     assert "candidate-box budget" in err
+
+
+# one argv per verb, every option given
+ONE_ARGV_PER_VERB = [
+    ["gen", "random-graph", "6", "50", "--seed", "3"],
+    ["--machine", "info", "g.mel"],
+    ["gonality", "-"],
+    ["rank", "g.mel", "d.txt", "--cap", "2"],
+    ["reduce", "g.mel", "d.txt", "--q", "0"],
+    ["scramble-order", "g.mel", "e.scr"],
+    ["sn-bounds", "g.mel", "--scramble", "e.scr", "--budget", "5", "--brute"],
+    ["edge-scramble", "g.mel"],
+    ["product-scramble", "g.mel", "h.mel", "--k", "2"],
+    ["product", "g.mel", "h.mel"],
+    ["--machine", "--machine", "cone", "g.mel", "3"],
+    ["certify", "g.mel", "h.mel", "--budget", "9"],
+    ["reduce-alpha", "g.mel", "--via", "scramble-sandwich"],
+    ["fixtures", "--out", "fx", "--check"],
+]
+
+
+def test_a_verbs_own_parser_reads_its_argv_as_the_full_parser_does():
+    assert sorted(argv[argv.count("--machine")] for argv in ONE_ARGV_PER_VERB) == sorted(cli.VERBS)
+    for argv in ONE_ARGV_PER_VERB:
+        verb = argv[argv.count("--machine")]
+        assert cli.build_parser(verb).parse_args(argv) == cli.build_parser().parse_args(argv)
+        assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+
+
+def outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_help_and_errors_match_the_full_parser_byte_for_byte(capsys, monkeypatch, tmp_path):
+    path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
+    calls = [[], ["-h"], ["-h", "info"], ["--mach", "info", path], ["--machine", "info", path],
+             ["bogus"], ["info", path, "extra"], ["info", path, "--machine"], ["info"],
+             ["rank", path, path, "--cap", "x"], ["--machine", "--", "info", path]]
+    calls += [[verb, "-h"] for verb in cli.VERBS]
+    got = [outcome(capsys, argv) for argv in calls]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+    want = [outcome(capsys, argv) for argv in calls]
+    for argv, g, w in zip(calls, got, want):
+        assert g == w, argv
+    # a leftover argument is reported under the usage line that lists every verb
+    assert "{%s}" % ",".join(cli.VERBS) in got[calls.index(["info", path, "extra"])][2]
+
+
+def test_each_call_builds_only_its_verbs_parser(capsys, monkeypatch, tmp_path):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for argv in ONE_ARGV_PER_VERB:
+        del built[:]
+        cli._parse(argv)
+        assert built == [argv[argv.count("--machine")]]
+    path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
+    del built[:]
+    assert run(capsys, "--machine", "info", path)[0] == 0
+    assert run(capsys, "--machine", "info", path)[0] == 0
+    assert built == ["info", "info"]  # no parser is kept between calls
+    del built[:]
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    assert built == list(cli.VERBS) and len(built) == 14

@@ -27,11 +27,18 @@ def test_parse_mel_errors_carry_line_numbers():
         ("3 1\n1 1\n", 2),              # loop
         ("3 1\n0 1 0\n", 2),            # zero multiplicity
         ("# lead\n3 1\n0 1 2 9\n", 3),  # too many fields
+        # 2|E| must fit in int64
+        ("2 1\n0 1 %d\n" % 2 ** 62, 2),
+        ("2 1\n0 1 %d\n" % 2 ** 63, 2),
+        ("2 2\n0 1 %d\n0 1 %d\n" % (2 ** 62, 2 ** 62), 2),
+        ("2 2\n0 1 %d\n0 1 %d\n" % (2 ** 61, 2 ** 61), 3),
     ]
     for text, line in cases:
         with pytest.raises(mel.MelError) as err:
             mel.parse_mel(text)
         assert err.value.line == line
+    g = mel.parse_mel("2 2\n0 1 %d\n0 1 %d\n" % (2 ** 61, 2 ** 61 - 1))
+    assert g.edge_count() == 2 ** 62 - 1
 
 
 def test_divisor_roundtrip_and_validation():
@@ -44,6 +51,11 @@ def test_divisor_roundtrip_and_validation():
         mel.parse_divisor("2\n1 1\n", n=4)     # wrong host size
     with pytest.raises(mel.MelError):
         mel.parse_divisor("2\n1 x\n")
+    assert mel.parse_divisor("2\n%d\n%d\n" % (2 ** 63 - 1, -2 ** 63)) == [2 ** 63 - 1, -2 ** 63]
+    for chip in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(mel.MelError) as err:
+            mel.parse_divisor("2\n0\n%d\n" % chip)
+        assert err.value.line == 3
 
 
 def test_scramble_roundtrip():
