@@ -8,6 +8,11 @@ statements in a fixed, documented order and both factor orientations, so the
 emitted certificate is deterministic.  All applicable statements certify the
 same number, so the order only affects provenance.
 
+The paper's product lower bounds (Thm 4.1 at each k with kappa(G) >= k >= 1
+and |V(G)| >= 2k-1, a rule kept in `scrambles._product_k_failure`; Prop 4.3 at
+k = 2; Cor 4.2 from the k = 1 values) are one table, `_product_bounds`, read by
+the public formulas, the open bounds and the high-connectivity-tight statement.
+
 Two of the paper's product statements are left out, as an earlier statement
 always fires first with the same value and orientation:
 - G a tree and gon(H) = lam(H): tree-factor or tight-factor.
@@ -26,7 +31,8 @@ import numpy as np
 from . import divisors as dv
 from . import invariants as inv
 from . import multigraph as mg
-from .scrambles import BoundReport, edge_scramble, scramble_order, vertex_scramble_order
+from .scrambles import (BoundReport, _product_k_failure, edge_scramble, scramble_order,
+                        vertex_scramble_order)
 
 
 class HypothesisError(ValueError):
@@ -51,55 +57,6 @@ class Certificate:
     @property
     def certified(self):
         return self.value is not None
-
-
-def _require(checks, ok):
-    if not ok:
-        failed = [c.description for c in checks if not c.passed]
-        raise HypothesisError("hypothesis failure: " + "; ".join(failed))
-
-
-def _thm41(n_g, n_h, lam_g, lam_h, k):
-    return min(k * n_h, n_g * lam_h, (n_g - 2 * k + 2) * lam_h + 2 * lam_g)
-
-
-def _prop43(n_g, n_h, lam_h, delta_g):
-    return min(2 * n_h, n_g * lam_h, (n_g - 2) * lam_h + 2 * delta_g)
-
-
-def thm41_lower(g, h, k):
-    """sn(G [] H) >= min(k|V(H)|, |V(G)|lam(H), (|V(G)|-2k+2)lam(H)+2lam(G))
-    for kappa(G) >= k >= 1 and |V(G)| >= 2k-1, both factors connected."""
-    checks = [HypothesisCheck("%s connected" % name, str(ok), ok)
-              for name, ok in (("G", inv.is_connected(g)), ("H", inv.is_connected(h)))]
-    checks.append(HypothesisCheck("k >= 1", str(k), k >= 1))
-    kappa = inv.vertex_connectivity(g)
-    checks.append(HypothesisCheck("kappa(G) >= k", "%d >= %d" % (kappa, k), kappa >= k))
-    checks.append(HypothesisCheck("|V(G)| >= 2k-1", "%d >= %d" % (g.n, 2 * k - 1), g.n >= 2 * k - 1))
-    _require(checks, all(c.passed for c in checks))
-    return _thm41(g.n, h.n, inv.edge_connectivity(g), inv.edge_connectivity(h), k)
-
-
-def cor42_lower(g, h):
-    """sn(G [] H) >= max(min(|V(H)|, |V(G)|lam(H)), min(|V(G)|, |V(H)|lam(G)))."""
-    if g.n < 2 or h.n < 2:
-        raise HypothesisError("both factors need at least 2 vertices")
-    if not (inv.is_connected(g) and inv.is_connected(h)):
-        raise HypothesisError("both factors must be connected")
-    lam_g, lam_h = inv.edge_connectivity(g), inv.edge_connectivity(h)
-    # the larger of the two k = 1 Thm 4.1 values
-    return max(_thm41(g.n, h.n, lam_g, lam_h, 1), _thm41(h.n, g.n, lam_h, lam_g, 1))
-
-
-def prop43_lower(g, h):
-    """sn(G [] H) >= min(2|V(H)|, |V(G)|lam(H), (|V(G)|-2)lam(H)+2delta(G))
-    for kappa(G) >= 2."""
-    if not (inv.is_connected(g) and inv.is_connected(h)):
-        raise HypothesisError("both factors must be connected")
-    kappa = inv.vertex_connectivity(g)
-    if kappa < 2:
-        raise HypothesisError("need kappa(G) >= 2, got %d" % kappa)
-    return _prop43(g.n, h.n, inv.edge_connectivity(h), inv.min_degree(g))
 
 
 def _gon_upper(stats_g, stats_h):
@@ -155,6 +112,59 @@ def _stats(g, budget):
     return _FactorStats(graph=g, n=g.n, lam=lam,
                         kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
                         gon=gon, tree=g.is_simple() and g.edge_count() == g.n - 1)
+
+
+def _pair_stats(g, h, budget):
+    """Both factors' _stats, computed once when the factors are equal."""
+    stats_g = _stats(g, budget)
+    return stats_g, stats_g if h == g else _stats(h, budget)
+
+
+def _product_bounds(stats_g, stats_h):
+    """The paper's lower bounds on sn(G [] H) as (orientation, k, value,
+    Thm 4.1 value), orientation (G,H) then (H,G).  A one-vertex G gives
+    k = None and H's vertex scramble order, as G [] H = H.  Each k that
+    `_product_k_failure` admits gives Thm 4.1's value, which bounds the
+    k-deleted product scramble's order and which Prop 4.3 raises at k = 2 with
+    delta(G) for lam(G).  Cor 4.2 is the larger k = 1 value."""
+    for a, b, tag in ((stats_g, stats_h, "G,H"), (stats_h, stats_g, "H,G")):
+        if a.n == 1:
+            yield tag, None, vertex_scramble_order(b.n, b.lam), None
+        k = 1
+        while _product_k_failure(a.n, a.kappa, k) is None:
+            thm41 = min(k * b.n, a.n * b.lam, (a.n - 2 * k + 2) * b.lam + 2 * a.lam)
+            value = min(2 * b.n, a.n * b.lam, (a.n - 2) * b.lam + 2 * a.delta) if k == 2 else thm41
+            yield tag, k, value, thm41
+            k += 1
+
+
+def _table_entry(g, h, k):
+    """(value, Thm 4.1 value) of the table's (G,H) entry at k, or HypothesisError."""
+    stats_g, stats_h = _pair_stats(g, h, 0)
+    for tag, j, value, thm41 in _product_bounds(stats_g, stats_h):
+        if tag == "G,H" and j == k:
+            return value, thm41
+    raise HypothesisError(_product_k_failure(g.n, stats_g.kappa, k) or "k must be an integer")
+
+
+def thm41_lower(g, h, k):
+    """sn(G [] H) >= min(k|V(H)|, |V(G)|lam(H), (|V(G)|-2k+2)lam(H)+2lam(G))
+    for kappa(G) >= k >= 1 and |V(G)| >= 2k-1, both factors connected."""
+    return _table_entry(g, h, k)[1]
+
+
+def cor42_lower(g, h):
+    """sn(G [] H) >= max(min(|V(H)|, |V(G)|lam(H)), min(|V(G)|, |V(H)|lam(G)))."""
+    values = [value for _, k, value, _ in _product_bounds(*_pair_stats(g, h, 0)) if k == 1]
+    if len(values) < 2:
+        raise HypothesisError("both factors need at least 2 vertices")
+    return max(values)
+
+
+def prop43_lower(g, h):
+    """sn(G [] H) >= min(2|V(H)|, |V(G)|lam(H), (|V(G)|-2)lam(H)+2delta(G))
+    for kappa(G) >= 2."""
+    return _table_entry(g, h, 2)[0]
 
 
 def _check(checks, description, value, passed):
@@ -251,17 +261,13 @@ def _stmt_highconn_tight(a, b):
     checks = []
     if not _check_tight(checks, b):
         return None, checks
-    for k in range(1, a.kappa + 1):
-        if (a.n >= 2 * k - 1 and a.lam >= (k - 1) * b.lam
-                and a.n * b.lam <= k * b.n):
-            _check(checks, "witness k with kappa(G) >= k, |V(G)| >= 2k-1, "
-                           "lam(G) >= (k-1)lam(H), |V(G)|lam(H) <= k|V(H)|",
-                   "k = %d" % k, True)
-            return a.n * b.lam, checks
-    _check(checks, "witness k with kappa(G) >= k, |V(G)| >= 2k-1, "
-                   "lam(G) >= (k-1)lam(H), |V(G)|lam(H) <= k|V(H)|",
-           "none in 1..%d" % a.kappa, False)
-    return None, checks
+    # the last two conditions hold exactly where Thm 4.1's value at k is |V(G)| lam(H)
+    k = next((k for tag, k, _, thm41 in _product_bounds(a, b)
+              if tag == "G,H" and thm41 == a.n * b.lam), None)
+    ok = _check(checks, "witness k with kappa(G) >= k, |V(G)| >= 2k-1, "
+                        "lam(G) >= (k-1)lam(H), |V(G)|lam(H) <= k|V(H)|",
+                "none in 1..%d" % a.kappa if k is None else "k = %d" % k, k is not None)
+    return (a.n * b.lam if ok else None), checks
 
 
 def _stmt_uniform(a, b):
@@ -322,8 +328,7 @@ def certify_product(g, h, budget=12):
     Otherwise take the bounds from the closed-form lower formulas and the
     factor-gonality upper bound: where they meet they prove sn = gon too
     (statement "met-bounds"), and else they are emitted as open bounds."""
-    stats_g = _stats(g, budget)
-    return _certify(stats_g, stats_g if h == g else _stats(h, budget))
+    return _certify(*_pair_stats(g, h, budget))
 
 
 def _certify(stats_g, stats_h):
@@ -346,23 +351,10 @@ def _certify(stats_g, stats_h):
 
 
 def _open_bounds(stats_g, stats_h):
-    # both factors are connected (checked by _stats), and the kappa
-    # loop below keeps to the hypotheses of Thm 4.1 and Prop 4.3; Prop 4.3
-    # stands in for Thm 4.1 at k = 2, which it dominates as delta >= lam, and
-    # Cor 4.2 is the larger of the two k = 1 values.  A one-vertex G has
-    # kappa = lam = 0 and fits none of them, but G [] H = H, so H's vertex
-    # scramble bounds the product
-    lower, lsrc = 0, "trivial"
-    for a, b, tag in ((stats_g, stats_h, "G,H"), (stats_h, stats_g, "H,G")):
-        if a.n == 1 and vertex_scramble_order(b.n, b.lam) > lower:
-            lower, lsrc = vertex_scramble_order(b.n, b.lam), "vertex scramble of H (%s)" % tag
-        for k in range(1, min(a.kappa, (a.n + 1) // 2) + 1):
-            if k == 2:
-                value = _prop43(a.n, b.n, b.lam, a.delta)
-            else:
-                value = _thm41(a.n, b.n, a.lam, b.lam, k)
-            if value > lower:
-                lower, lsrc = value, "k=%d product scramble (%s)" % (k, tag)
+    # the best entry of the product-bound table, the first of equal ones
+    tag, k, lower, _ = max(_product_bounds(stats_g, stats_h), key=lambda entry: entry[2])
+    lsrc = ("vertex scramble of H (%s)" % tag if k is None
+            else "k=%d product scramble (%s)" % (k, tag))
     upper, usrc = _gon_upper(stats_g, stats_h), "factor gonality"
     if upper is None:
         upper, usrc = stats_g.n * stats_h.n, "vertex count"

@@ -132,6 +132,11 @@ def _cmd_scramble_order(args, out):
         out.kv("cut_witness", _fmt_set(order.witness_cut[0]))
 
 
+def _print_bounds(out, report):
+    for key in ("lower", "upper", "lower_source", "upper_source"):
+        out.kv(key, getattr(report, key))
+
+
 def _cmd_sn_bounds(args, out):
     g = _read_graph(args.graph)
     extras = []
@@ -140,10 +145,7 @@ def _cmd_sn_bounds(args, out):
     report = sc.sn_bounds(g, extra_scrambles=extras, gonality_budget=args.budget,
                           use_brute=args.brute is not None,
                           max_eggs=args.brute if args.brute else None)
-    out.kv("lower", report.lower)
-    out.kv("upper", report.upper)
-    out.kv("lower_source", report.lower_source)
-    out.kv("upper_source", report.upper_source)
+    _print_bounds(out, report)
     out.kv("exact", report.exact)
 
 
@@ -186,10 +188,7 @@ def _cmd_certify(args, out):
         out.kv("certified", cert.value, "certified sn = gon = %d" % cert.value)
     else:
         out.kv("certified", "open", "not certified; open bounds:")
-        out.kv("lower", cert.bounds.lower)
-        out.kv("upper", cert.bounds.upper)
-        out.kv("lower_source", cert.bounds.lower_source)
-        out.kv("upper_source", cert.bounds.upper_source)
+        _print_bounds(out, cert.bounds)
 
 
 def _cmd_reduce_alpha(args, out):

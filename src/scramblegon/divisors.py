@@ -28,7 +28,7 @@ class Divisor:
         self.chips = c
 
     def degree(self):
-        return int(self.chips.sum())
+        return sum(self.chips.tolist())  # Python ints: an int64 sum can wrap
 
     def is_effective(self):
         return bool((self.chips >= 0).all())

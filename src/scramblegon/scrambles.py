@@ -254,17 +254,25 @@ def edge_scramble(g):
     return Scramble(g, eggs)
 
 
+def _product_k_failure(n, kappa, k):
+    """Why the k-deleted product scramble (and its bounds in certify) does not
+    apply to a factor G of n vertices and connectivity kappa, or None."""
+    if k < 1:
+        return "k must be >= 1"
+    if kappa < k:
+        return "need kappa(G) >= k: kappa = %d < k = %d" % (kappa, k)
+    if n < 2 * k - 1:
+        return "need |V(G)| >= 2k - 1: %d < %d" % (n, 2 * k - 1)
+    return None
+
+
 def product_scramble(g, h, k):
     """The scramble on g [] h whose eggs are canonical g-copies minus (k-1)
     vertex subsets.  Needs kappa(g) >= k >= 1 and |V(g)| >= 2k - 1, which also
     guarantee every egg is connected."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    kappa = inv.vertex_connectivity(g)
-    if kappa < k:
-        raise ValueError("need kappa(G) >= k: kappa = %d < k = %d" % (kappa, k))
-    if g.n < 2 * k - 1:
-        raise ValueError("need |V(G)| >= 2k - 1: %d < %d" % (g.n, 2 * k - 1))
+    failure = _product_k_failure(g.n, inv.vertex_connectivity(g), k)
+    if failure:
+        raise ValueError(failure)
     if not inv.is_connected(h):
         raise ValueError("need H connected")
     host = mg.cartesian_product(g, h)

@@ -337,3 +337,34 @@ def omitted_product_statements(g, h):
                 values.append(k * b.n)
         result[gons] = values
     return result
+
+
+def product_lower_formulas(g, h):
+    """The paper's closed-form lower bounds on sn(G [] H) whose hypotheses
+    hold, from networkx invariants (lam by stoer_wagner with multiplicities,
+    kappa on the underlying simple graph, delta as the least weighted
+    degree), keyed ("thm41", k), "prop43" and "cor42"; empty unless both
+    factors are connected:
+    - Thm 4.1 for kappa(G) >= k >= 1 and |V(G)| >= 2k - 1:
+      min(k|V(H)|, |V(G)|lam(H), (|V(G)| - 2k + 2)lam(H) + 2lam(G));
+    - Prop 4.3 for kappa(G) >= 2:
+      min(2|V(H)|, |V(G)|lam(H), (|V(G)| - 2)lam(H) + 2delta(G));
+    - Cor 4.2 for |V(G)|, |V(H)| >= 2:
+      max(min(|V(H)|, |V(G)|lam(H)), min(|V(G)|, |V(H)|lam(G)))."""
+    if not (nx.is_connected(networkx_graph(g)) and nx.is_connected(networkx_graph(h))):
+        return {}
+    lam_g, kappa_g, _ = networkx_connectivity(g)
+    lam_h, _, _ = networkx_connectivity(h)
+    weighted = nx.Graph()
+    weighted.add_nodes_from(range(g.n))
+    weighted.add_weighted_edges_from(g.edges())
+    delta_g = min(d for _, d in weighted.degree(weight="weight"))
+    result = {}
+    for k in range(1, kappa_g + 1):
+        if g.n >= 2 * k - 1:
+            result["thm41", k] = min(k * h.n, g.n * lam_h, (g.n - 2 * k + 2) * lam_h + 2 * lam_g)
+    if kappa_g >= 2:
+        result["prop43"] = min(2 * h.n, g.n * lam_h, (g.n - 2) * lam_h + 2 * delta_g)
+    if g.n >= 2 and h.n >= 2:
+        result["cor42"] = max(min(h.n, g.n * lam_h), min(g.n, h.n * lam_g))
+    return result

@@ -29,6 +29,8 @@ def test_lower_bound_formulas_reject_bad_hypotheses():
         ct.thm41_lower(mg.path(4), mg.cycle(4), 2)   # kappa(P4) = 1 < 2
     with pytest.raises(ct.HypothesisError):
         ct.thm41_lower(mg.complete(4), mg.cycle(4), 3)  # |V| < 2k-1
+    with pytest.raises(ct.HypothesisError, match="k must be an integer"):
+        ct.thm41_lower(mg.cycle(4), mg.cycle(5), 1.5)
     with pytest.raises(ct.HypothesisError):
         ct.prop43_lower(mg.path(4), mg.cycle(4))
     with pytest.raises(ct.HypothesisError):
@@ -45,21 +47,43 @@ def test_formulas_bound_scramble_order_of_the_witness_scramble():
                 break
             order = sc.scramble_order(sc.product_scramble(g, h, k)).order
             assert order >= ct.thm41_lower(g, h, k)
+    # the product-bound table: every k it lists, in either orientation,
+    # builds a product scramble of at least the listed value, and k = 0 and
+    # one past its largest k are refused by the scramble and the formula
+    pairs.append((mg.complete(5), mg.cycle(3)))
+    for g, h in pairs:
+        table = list(ct._product_bounds(ct._stats(g, 0), ct._stats(h, 0)))
+        for tag, k, value, _ in table:
+            a, b = (g, h) if tag == "G,H" else (h, g)
+            assert sc.scramble_order(sc.product_scramble(a, b, k)).order >= value
+        top = max(k for tag, k, _, _ in table if tag == "G,H")
+        for k in (0, top + 1):
+            with pytest.raises(ValueError):
+                sc.product_scramble(g, h, k)
+            with pytest.raises(ct.HypothesisError):
+                ct.thm41_lower(g, h, k)
 
 
 def test_certify_statement_ids_and_values():
+    # two triangles sharing vertex 0
+    bowtie = mg.from_edge_list(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 3, 1), (2, 4, 1)])
     cases = [
         (mg.path(3), mg.complete(4), "tree-factor", 4),
         (mg.cycle(4), mg.cycle(5), "biconnected-gon2", 8),
         (mg.cycle(3), mg.complete(4), "rook", 8),
         (mg.cycle(2), mg.complete(4), "doubled-edge-times-complete", 6),
         (mg.cycle(2), mg.complete(3), "biconnected-gon2", 4),
+        (bowtie, mg.complete(6), "high-connectivity-tight", 12),
     ]
     for g, h, statement, value in cases:
         cert = ct.certify_product(g, h)
         assert cert.certified
         assert (cert.statement, cert.value) == (statement, value)
         assert all(check.passed for check in cert.hypotheses)
+    # K6 plays G: kappa(K6) = 5 admits k = 1..3, and Thm 4.1's value at k
+    # first reaches |V(G)| lam(H) = 12 at k = 3
+    cert = ct.certify_product(bowtie, mg.complete(6))
+    assert (cert.orientation, cert.hypotheses[-1].value) == ("H,G", "k = 3")
 
 
 def test_certify_is_orientation_symmetric_in_value():
@@ -76,30 +100,40 @@ def test_certify_open_case_reports_bounds():
     assert cert.statement == "open"
     assert (cert.bounds.lower, cert.bounds.upper) == (18, 30)
     assert cert.bounds.lower <= cert.bounds.upper
+    # on P2 x C5 the (H,G) k = 2 value ties the (G,H) k = 1 value 4; the
+    # first of equal bounds names the source
+    bounds = ct.certify_product(mg.path(2), mg.cycle(5), budget=0).bounds
+    assert (bounds.lower, bounds.lower_source) == (4, "k=1 product scramble (G,H)")
 
 
 def test_open_bounds_equal_the_best_public_lower_formula():
-    # budget 0 leaves the factor gonalities unknown, so most pairs stay open;
-    # their lower bound must be the best public formula whose hypotheses hold
+    # the public formulas give the oracle's closed-form values where its
+    # hypotheses hold and refuse elsewhere; budget 0 leaves the factor
+    # gonalities unknown, so most pairs stay open, and their lower bound must
+    # be the best of those values (no factor here has one vertex)
     factors = [mg.path(3), mg.cycle(2), mg.cycle(4), mg.cycle(5), mg.complete(4),
                mg.complete_bipartite(2, 3), mg.star(4), mg.hypercube(3), mg.complete(5),
                mg.from_edge_list(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1)])]
+
+    def formula(f, *args):
+        try:
+            return f(*args)
+        except ct.HypothesisError:
+            return None
+
     opened = 0
     for g in factors:
         for h in factors:
+            want = oracles.product_lower_formulas(g, h)
+            for k in range(0, g.n + 2):
+                assert formula(ct.thm41_lower, g, h, k) == want.get(("thm41", k))
+            assert formula(ct.prop43_lower, g, h) == want.get("prop43")
+            assert formula(ct.cor42_lower, g, h) == want.get("cor42")
             cert = ct.certify_product(g, h, budget=0)
             if cert.certified:
                 continue
             opened += 1
-            values = [0]
-            for a, b in ((g, h), (h, g)):
-                formulas = [ct.cor42_lower, ct.prop43_lower]
-                formulas += [lambda a, b, k=k: ct.thm41_lower(a, b, k) for k in range(1, a.n + 1)]
-                for formula in formulas:
-                    try:
-                        values.append(formula(a, b))
-                    except ct.HypothesisError:
-                        pass
+            values = list(want.values()) + list(oracles.product_lower_formulas(h, g).values())
             assert cert.bounds.lower == max(values)
     assert opened >= 50
 

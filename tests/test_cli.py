@@ -102,9 +102,8 @@ def test_sn_bounds_command(capsys, tmp_path):
     path = write_graph(tmp_path, "q3.mel", mg.hypercube(3))
     code, out, _ = run(capsys, "--machine", "sn-bounds", path, "--brute")
     assert code == 0
-    got = machine_map(out)
-    assert got["lower"] == "4" and got["upper"] == "4"
-    assert got["exact"] == "True"
+    assert out == ("lower=4\nupper=4\nlower_source=edge scramble\n"
+                   "upper_source=gonality\nexact=True\n")
     # --brute 0 means no cap; a negative cap is refused
     assert run(capsys, "--machine", "sn-bounds", path, "--brute", "0")[1] == out
     code, _, err = run(capsys, "sn-bounds", path, "--brute", "-3")
@@ -144,9 +143,12 @@ def test_certify_command(capsys, tmp_path):
     k6 = write_graph(tmp_path, "k6.mel", mg.complete(6))
     code, out, _ = run(capsys, "--machine", "certify", k6, k6)
     assert code == 0
-    got = machine_map(out)
-    assert got["certified"] == "open"
-    assert (got["lower"], got["upper"]) == ("18", "30")
+    assert out == ("statement=open\ncertified=open\nlower=18\nupper=30\n"
+                   "lower_source=k=3 product scramble (G,H)\nupper_source=factor gonality\n")
+    code, out, _ = run(capsys, "certify", k6, k6)
+    assert code == 0
+    assert out == ("statement: open\nnot certified; open bounds:\nlower: 18\nupper: 30\n"
+                   "lower_source: k=3 product scramble (G,H)\nupper_source: factor gonality\n")
 
 
 def test_every_printed_gonality_is_computed(capsys, tmp_path):

@@ -34,6 +34,13 @@ def test_fire_conserves_degree():
         assert dv.fire(d, v).degree() == d.degree()
 
 
+def test_degree_does_not_wrap_past_int64():
+    k2 = mg.complete(2)
+    assert dv.Divisor(k2, [2**62, 2**62]).degree() == 2**63
+    assert dv.Divisor(k2, [-2**63, -1]).degree() == -2**63 - 1
+    assert type(dv.Divisor(k2, [1, 2]).degree()) is int
+
+
 def test_fire_set_matches_sequential_firing():
     rng = random.Random(5)
     for _ in range(10):
