@@ -241,11 +241,17 @@ class CandidateBudgetError(ValueError):
     """A gonality search would scan a candidate box over CANDIDATE_BOX_BUDGET."""
 
 
+def _add_column(ways, b):
+    """ways[s], the rows of a box that sum to s (s < len(ways)), after one
+    more column, bounded by b."""
+    return [sum(ways[max(0, s - b):s + 1]) for s in range(len(ways))]
+
+
 def _box_rows(bounds, total_max):
     """Row count of _bounded_vectors(bounds, total_max), without building it."""
     ways = [1] + [0] * total_max  # ways[s]: rows of the columns so far summing to s
     for b in bounds:
-        ways = [sum(ways[max(0, s - b):s + 1]) for s in range(total_max + 1)]
+        ways = _add_column(ways, b)
     return sum(ways)
 
 
@@ -271,11 +277,15 @@ def _box_chunks(bounds, total_max):
     whose own box fits in a chunk.  In order, the rows are each head row
     followed by every tail row whose sum fits the head's remaining budget.  The
     head rows are streamed the same way, so each level holds its tail box and
-    a chunk of rows, never the whole box.
+    a chunk of rows, never the whole box.  The tail's row counts grow one
+    column at a time, so each suffix of the columns is counted once.
     """
-    k = max(len(bounds) - 1, 0)
-    while k and _box_rows(bounds[k - 1:], total_max) <= CHUNK_ROWS:
-        k -= 1
+    k, ways = len(bounds), [1] + [0] * total_max
+    while k:
+        wider = _add_column(ways, bounds[k - 1])
+        if sum(wider) > CHUNK_ROWS and k < len(bounds):
+            break
+        ways, k = wider, k - 1
     tails, tail_sums = _bounded_vectors(bounds[k:], total_max)
     # fits[first[t]:first[t + 1]]: indices of the tail rows with sum <= t
     fits = [np.flatnonzero(tail_sums <= t) for t in range(total_max + 1)]

@@ -90,12 +90,22 @@ def hitting_number(scramble):
     order.  Groups share no vertex, so a hitting set meets each group's
     vertices in a hitting set of that group: the minimum is the sum of the
     groups' minima, and the union of their witnesses attains it.  A
-    k-product scramble has one group per copy."""
+    k-product scramble has one group per copy.
+
+    When every egg has two vertices, the eggs are the edges of a graph, and
+    a set hits them all iff the rest of the vertices is independent in it:
+    h is n minus its alpha, and the witness the complement of a maximum
+    independent set, with no search over the eggs."""
     eggs = scramble.eggs
+    n = scramble.host.n
+    if all(len(egg) == 2 for egg in eggs):
+        spanned = mg.from_edge_list(n, [(*egg, 1) for egg in eggs])
+        witness = frozenset(range(n)) - inv.max_independent_set(spanned)
+        return len(witness), witness
     m = len(eggs)
     # the egg-vertex incidence graph: egg i is node i, vertex v is node m + v;
     # vertices in no egg are left unflagged, so every component holds an egg
-    nbrs = [[m + v for v in egg] for egg in eggs] + [[] for _ in range(scramble.host.n)]
+    nbrs = [[m + v for v in egg] for egg in eggs] + [[] for _ in range(n)]
     for i, egg in enumerate(eggs):
         for v in egg:
             nbrs[m + v].append(i)
@@ -396,14 +406,21 @@ def brute_force_sn(g, max_eggs=None):
     the witness size; when the cap prunes a failed search the result is
     flagged as a lower bound only (exact=False).
 
-    Eggs are vertex bitmasks.  Per k the distinct component eggs are
-    numbered by smallest member, and each constraint's options, its
-    components (disjoint, so in the same order), are one bitset of egg
-    numbers.  Egg i narrows an option set by one AND with its bitset of
-    compatible eggs: those meeting it, found from per-vertex bitsets of the
-    eggs containing it, and the disjoint ones whose cut reaches k.  A
-    disjoint pair's cut is settled by one flow the first time a narrowing
-    meets it, on capacity rows and neighbour lists built once per call.
+    Eggs are vertex bitmasks and constraints are numbered in combinations
+    order.  Per k the distinct component eggs are numbered by smallest
+    member, and each constraint's options, its components, are one bitset
+    of egg numbers.  The search branches on the first open constraint with
+    the fewest options, found from bitsets of the constraints by option
+    count.  Choosing egg i closes the constraints it avoids with one AND
+    against its bitset of constraints meeting it.  Of the rest it narrows
+    only those offering an egg not yet known to be compatible with i, found
+    from per-egg bitsets of the constraints offering it; each is narrowed,
+    in constraint order, by one AND with i's bitset of compatible eggs:
+    those meeting it, and the disjoint ones whose cut reaches k.  A disjoint
+    pair's cut is settled by one flow the first time a narrowing meets it,
+    on capacity rows and neighbour lists built once per call.  A branch
+    stops at the first constraint it empties, and its narrowings are undone
+    from a trail when the search backtracks.
     """
     n = g.n
     if max_eggs is not None and max_eggs < 1:
@@ -413,7 +430,6 @@ def brute_force_sn(g, max_eggs=None):
 
     rows = g.mult.tolist()
     nbrs = inv._adjacency(g.mult)
-    adj = [sum(1 << u for u in a) for a in nbrs]
 
     def bits(mask):
         """The positions of the set bits of mask, ascending."""
@@ -421,6 +437,26 @@ def brute_force_sn(g, max_eggs=None):
             low = mask & -mask
             yield low.bit_length() - 1
             mask ^= low
+
+    def union_tables(values):
+        """Tables lo, hi such that lo[m & 255] | hi[m >> 8] is the union of
+        values[v] over the vertices v of the vertex mask m."""
+        tables = []
+        for part in (values[:8], values[8:]):
+            table = [0]
+            for value in part:
+                table += [x | value for x in table]
+            tables.append(table)
+        return tables
+
+    def holders(masks):
+        """For each vertex, the bitset of the positions of the masks
+        holding it."""
+        held = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+        return [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
+                for col in held.T.astype(np.uint8)]
+
+    near_lo, near_hi = union_tables([sum(1 << u for u in a) for a in nbrs])
 
     def comp_masks(avoid_mask):
         """Components of the graph minus the avoided vertices, as bitmasks
@@ -430,10 +466,7 @@ def brute_force_sn(g, max_eggs=None):
         while rest:
             comp = frontier = rest & -rest
             while frontier:
-                grown = 0
-                for v in bits(frontier):
-                    grown |= adj[v]
-                frontier = grown & rest & ~comp
+                frontier = (near_lo[frontier & 255] | near_hi[frontier >> 8]) & rest & ~comp
                 comp |= frontier
             rest &= ~comp
             out.append(comp)
@@ -442,78 +475,116 @@ def brute_force_sn(g, max_eggs=None):
     capped = [False]
 
     def decide(k):
-        constraints = [sum(1 << v for v in c)
-                       for c in itertools.combinations(range(n), k - 1)]
+        constraints = [sum(c) for c in itertools.combinations([1 << v for v in range(n)], k - 1)]
         comps = [comp_masks(c) for c in constraints]
         eggs = sorted({e for cs in comps for e in cs}, key=lambda e: (e & -e, e))
         number = {e: i for i, e in enumerate(eggs)}
-        options = {c: sum(1 << number[e] for e in cs) for c, cs in zip(constraints, comps)}
-        vertices = [[v for v in range(n) if e >> v & 1] for e in eggs]
-        containing = [sum(1 << i for i, e in enumerate(eggs) if e >> v & 1) for v in range(n)]
+        # options[t]: the eggs constraint t may still take; offers[i]: the
+        # constraints whose options hold egg i; by_count[s]: the constraints
+        # with s options
+        options = []
+        offers = [0] * len(eggs)
+        by_count = [0] * (n + 1)
+        for t, cs in enumerate(comps):
+            opts = 0
+            for e in cs:
+                i = number[e]
+                opts |= 1 << i
+                offers[i] |= 1 << t
+            options.append(opts)
+            by_count[len(cs)] |= 1 << t
+        # the eggs, and the constraints, meeting a vertex mask
+        eggs_lo, eggs_hi = union_tables(holders(eggs))
+        held_lo, held_hi = union_tables(holders(constraints))
         # compatible[i]: the eggs known to be compatible with egg i, at first
         # those meeting it; unsettled[i]: the disjoint eggs no flow has
         # settled against it yet
-        compatible = []
-        for vs in vertices:
-            meets = 0
-            for v in vs:
-                meets |= containing[v]
-            compatible.append(meets)
+        compatible = [eggs_lo[e & 255] | eggs_hi[e >> 8] for e in eggs]
         everything = (1 << len(eggs)) - 1
         unsettled = [everything ^ meets for meets in compatible]
+        trail = []  # (constraint, its options before a narrowing)
         chosen = []
 
         def settle(i, fresh):
             """One flow from egg i to each egg numbered in fresh."""
+            side = list(bits(eggs[i]))
             for j in bits(fresh):
-                if inv._min_cut(rows, nbrs, vertices[i], vertices[j], k)[0] >= k:
+                if inv._min_cut(rows, nbrs, side, list(bits(eggs[j])), k)[0] >= k:
                     compatible[i] |= 1 << j
                     compatible[j] |= 1 << i
                 unsettled[j] &= ~(1 << i)
             unsettled[i] &= ~fresh
 
-        def branches(todo):
-            """(egg, todo after choosing it) for each option of the first
-            smallest option set of todo that leaves every constraint an egg."""
-            for i in bits(min(todo.values(), key=int.bit_count)):
-                e = eggs[i]
-                narrowed = {}
-                for c, opts in todo.items():
-                    if e & c:
-                        fresh = opts & unsettled[i]
-                        if fresh:
-                            settle(i, fresh)
-                        opts &= compatible[i]
-                        if not opts:
-                            break  # a dead end: no egg is left for c
-                        narrowed[c] = opts
-                else:
-                    yield i, narrowed
+        def replace(t, opts):
+            """Set constraint t's options to opts, keeping the index."""
+            bit = 1 << t
+            by_count[options[t].bit_count()] ^= bit
+            by_count[opts.bit_count()] ^= bit
+            for j in bits(options[t] ^ opts):
+                offers[j] ^= bit
+            options[t] = opts
 
-        def backtrack(todo):
-            """todo maps each constraint that no chosen egg avoids, in
-            constraint order, to its options compatible with every chosen
-            egg.  Depth first over a stack of branches generators, one per
-            chosen egg and the root, as a witness can hold more eggs than
-            Python allows nested calls; todo ends {} on success."""
+        def undo(mark):
+            while len(trail) > mark:
+                replace(*trail.pop())
+
+        def choose(i, open_):
+            """The constraints left open by choosing egg i, narrowed on the
+            trail, or None when one of them is left no egg."""
+            open_ &= held_lo[eggs[i] & 255] | held_hi[eggs[i] >> 8]
+            offering = 0
+            for j in bits(everything & ~compatible[i]):
+                offering |= offers[j]
+            for t in bits(open_ & offering):
+                opts = options[t]
+                fresh = opts & unsettled[i]
+                if fresh:
+                    settle(i, fresh)
+                narrowed = opts & compatible[i]
+                if narrowed != opts:
+                    if not narrowed:
+                        return None
+                    trail.append((t, opts))
+                    replace(t, narrowed)
+            return open_
+
+        def branch_options(open_):
+            """The options of the first open constraint with fewest options."""
+            for group in by_count:
+                fewest = open_ & group
+                if fewest:
+                    return options[(fewest & -fewest).bit_length() - 1]
+
+        def search():
+            """Depth first over a stack of frames [options left to try, open
+            constraints, trail mark], one per chosen egg and the root, as a
+            witness can hold more eggs than Python allows nested calls.
+            True when every constraint is closed."""
+            open_ = (1 << len(constraints)) - 1
             stack = []
-            while todo:
-                if max_eggs is not None and len(set(chosen)) >= max_eggs:
+            while open_:
+                if max_eggs is not None and len(chosen) >= max_eggs:
                     capped[0] = True
                 else:
-                    stack.append(branches(todo))
-                todo = None
-                while todo is None and stack:
+                    stack.append([branch_options(open_), open_, len(trail)])
+                open_ = None
+                while open_ is None and stack:
+                    frame = stack[-1]
+                    undo(frame[2])
                     del chosen[len(stack) - 1:]  # keep the eggs of the frames below
-                    e, todo = next(stack[-1], (None, None))
-                    if todo is None:
+                    if not frame[0]:
                         stack.pop()
-                    else:
-                        chosen.append(e)
-            return todo is not None
+                        continue
+                    low = frame[0] & -frame[0]
+                    frame[0] ^= low
+                    i = low.bit_length() - 1
+                    open_ = choose(i, frame[1])
+                    if open_ is not None:
+                        chosen.append(i)
+            return open_ is not None
 
-        if backtrack(options):
-            return [frozenset(vertices[i]) for i in set(chosen)]
+        if search():
+            return [frozenset(bits(eggs[i])) for i in chosen]
         return None
 
     best = 1

@@ -1,7 +1,10 @@
 """Slow, independent reference implementations used only to cross-check the
 library.  Everything here exhausts definitions directly (bitmask subsets,
 multiset enumeration, exact rational linear algebra, Dhar's burn in Python
-integers) and shares no search logic with the package under test.
+integers) and shares no search logic with the package under test, except
+the earlier forms of package routines kept as references for their exact
+outputs: `restart_smooth_two_valent`, `recounting_box_chunks` and
+`sweep_brute_force_sn`.
 """
 
 import functools
@@ -15,6 +18,7 @@ import numpy as np
 from scramblegon import divisors as dv
 from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
+from scramblegon import scrambles as sc
 
 
 def brute_alpha(g):
@@ -368,3 +372,181 @@ def product_lower_formulas(g, h):
     if g.n >= 2 and h.n >= 2:
         result["cor42"] = max(min(h.n, g.n * lam_h), min(g.n, h.n * lam_g))
     return result
+
+
+def recounting_box_chunks(bounds, total_max):
+    """`divisors._box_chunks` as it counted the row box of every tail it
+    tried from scratch: the rows of _bounded_vectors(bounds, total_max), in
+    its order, in chunks of at most CHUNK_ROWS rows.
+
+    The columns split into a head and the longest tail (one column at least)
+    whose own box fits in a chunk.  In order, the rows are each head row
+    followed by every tail row whose sum fits the head's remaining budget.  The
+    head rows are streamed the same way, so each level holds its tail box and
+    a chunk of rows, never the whole box.
+    """
+    k = max(len(bounds) - 1, 0)
+    while k and dv._box_rows(bounds[k - 1:], total_max) <= dv.CHUNK_ROWS:
+        k -= 1
+    tails, tail_sums = dv._bounded_vectors(bounds[k:], total_max)
+    # fits[first[t]:first[t + 1]]: indices of the tail rows with sum <= t
+    fits = [np.flatnonzero(tail_sums <= t) for t in range(total_max + 1)]
+    first = np.cumsum([0] + [f.size for f in fits])
+    fits = np.concatenate(fits)
+    head_chunks = recounting_box_chunks(bounds[:k], total_max) if k else [np.zeros((1, 0), dtype=np.int64)]
+    for heads in head_chunks:
+        budget = total_max - heads.sum(axis=1)
+        counts = first[budget + 1] - first[budget]
+        ends = np.cumsum(counts)
+        shift = first[budget] - (ends - counts)  # row r of head h takes tail fits[shift[h] + r]
+        total = int(ends[-1])
+        for start in range(0, total, dv.CHUNK_ROWS):
+            r = np.arange(start, min(start + dv.CHUNK_ROWS, total))
+            h = np.searchsorted(ends, r, side="right")
+            yield np.hstack([heads[h], tails[fits[shift[h] + r]]])
+
+
+def sweep_brute_force_sn(g, max_eggs=None):
+    """`scrambles.brute_force_sn` as a search that narrows every open
+    constraint for every branch it tries, kept as the reference for its
+    values, witness eggs and flows.
+
+    Exact scramble number by exhausting the definition (tiny graphs only).
+
+    sn >= k iff every (k-1)-subset C admits an egg avoiding it, with all
+    chosen eggs pairwise either intersecting or separated by cuts >= k.  Any
+    such egg may be grown to a full component of G - C: growing preserves
+    avoidance and only raises pairwise cuts, so searching over components of
+    G - C per constraint C is lossless.  max_eggs, None or at least 1, caps
+    the witness size; when the cap prunes a failed search the result is
+    flagged as a lower bound only (exact=False).
+
+    Eggs are vertex bitmasks.  Per k the distinct component eggs are
+    numbered by smallest member, and each constraint's options, its
+    components (disjoint, so in the same order), are one bitset of egg
+    numbers.  Egg i narrows an option set by one AND with its bitset of
+    compatible eggs: those meeting it, found from per-vertex bitsets of the
+    eggs containing it, and the disjoint ones whose cut reaches k.  A
+    disjoint pair's cut is settled by one flow the first time a narrowing
+    meets it, on capacity rows and neighbour lists built once per call.
+    """
+    n = g.n
+    if max_eggs is not None and max_eggs < 1:
+        raise ValueError("max_eggs must be at least 1, got %d" % max_eggs)
+    if n > 16:
+        raise ValueError("brute-force oracle is exponential; refusing n > 16")
+
+    rows = g.mult.tolist()
+    nbrs = inv._adjacency(g.mult)
+    adj = [sum(1 << u for u in a) for a in nbrs]
+
+    def bits(mask):
+        """The positions of the set bits of mask, ascending."""
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def comp_masks(avoid_mask):
+        """Components of the graph minus the avoided vertices, as bitmasks
+        sorted by smallest member."""
+        rest = ((1 << n) - 1) & ~avoid_mask
+        out = []
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                grown = 0
+                for v in bits(frontier):
+                    grown |= adj[v]
+                frontier = grown & rest & ~comp
+                comp |= frontier
+            rest &= ~comp
+            out.append(comp)
+        return out
+
+    capped = [False]
+
+    def decide(k):
+        constraints = [sum(1 << v for v in c)
+                       for c in itertools.combinations(range(n), k - 1)]
+        comps = [comp_masks(c) for c in constraints]
+        eggs = sorted({e for cs in comps for e in cs}, key=lambda e: (e & -e, e))
+        number = {e: i for i, e in enumerate(eggs)}
+        options = {c: sum(1 << number[e] for e in cs) for c, cs in zip(constraints, comps)}
+        vertices = [[v for v in range(n) if e >> v & 1] for e in eggs]
+        containing = [sum(1 << i for i, e in enumerate(eggs) if e >> v & 1) for v in range(n)]
+        # compatible[i]: the eggs known to be compatible with egg i, at first
+        # those meeting it; unsettled[i]: the disjoint eggs no flow has
+        # settled against it yet
+        compatible = []
+        for vs in vertices:
+            meets = 0
+            for v in vs:
+                meets |= containing[v]
+            compatible.append(meets)
+        everything = (1 << len(eggs)) - 1
+        unsettled = [everything ^ meets for meets in compatible]
+        chosen = []
+
+        def settle(i, fresh):
+            """One flow from egg i to each egg numbered in fresh."""
+            for j in bits(fresh):
+                if inv._min_cut(rows, nbrs, vertices[i], vertices[j], k)[0] >= k:
+                    compatible[i] |= 1 << j
+                    compatible[j] |= 1 << i
+                unsettled[j] &= ~(1 << i)
+            unsettled[i] &= ~fresh
+
+        def branches(todo):
+            """(egg, todo after choosing it) for each option of the first
+            smallest option set of todo that leaves every constraint an egg."""
+            for i in bits(min(todo.values(), key=int.bit_count)):
+                e = eggs[i]
+                narrowed = {}
+                for c, opts in todo.items():
+                    if e & c:
+                        fresh = opts & unsettled[i]
+                        if fresh:
+                            settle(i, fresh)
+                        opts &= compatible[i]
+                        if not opts:
+                            break  # a dead end: no egg is left for c
+                        narrowed[c] = opts
+                else:
+                    yield i, narrowed
+
+        def backtrack(todo):
+            """todo maps each constraint that no chosen egg avoids, in
+            constraint order, to its options compatible with every chosen
+            egg.  Depth first over a stack of branches generators, one per
+            chosen egg and the root, as a witness can hold more eggs than
+            Python allows nested calls; todo ends {} on success."""
+            stack = []
+            while todo:
+                if max_eggs is not None and len(set(chosen)) >= max_eggs:
+                    capped[0] = True
+                else:
+                    stack.append(branches(todo))
+                todo = None
+                while todo is None and stack:
+                    del chosen[len(stack) - 1:]  # keep the eggs of the frames below
+                    e, todo = next(stack[-1], (None, None))
+                    if todo is None:
+                        stack.pop()
+                    else:
+                        chosen.append(e)
+            return todo is not None
+
+        if backtrack(options):
+            return [frozenset(vertices[i]) for i in set(chosen)]
+        return None
+
+    best = 1
+    witness_eggs = [set(range(n))] if inv.is_connected(g) else [{0}]
+    for k in range(2, n + 1):
+        capped[0] = False
+        eggs = decide(k)
+        if eggs is None:
+            return sc.BruteForceResult(best, sc.Scramble(g, witness_eggs), not capped[0])
+        best, witness_eggs = k, eggs
+    return sc.BruteForceResult(best, sc.Scramble(g, witness_eggs), True)

@@ -108,6 +108,12 @@ def test_sn_bounds_command(capsys, tmp_path):
     assert run(capsys, "--machine", "sn-bounds", path, "--brute", "0")[1] == out
     code, _, err = run(capsys, "sn-bounds", path, "--brute", "-3")
     assert code == 2 and "max_eggs" in err
+    # the oracle closes C3 x C4 where the gonality search is skipped
+    path = write_graph(tmp_path, "c3c4.mel", mg.cartesian_product(mg.cycle(3), mg.cycle(4)))
+    code, out, _ = run(capsys, "--machine", "sn-bounds", path, "--budget", "0", "--brute")
+    assert code == 0
+    assert out == ("lower=6\nupper=6\nlower_source=edge scramble\n"
+                   "upper_source=brute force\nexact=True\n")
 
 
 def test_edge_and_product_scramble_commands(capsys, tmp_path):

@@ -296,6 +296,28 @@ def test_box_chunks_concatenate_to_the_box(monkeypatch):
             assert np.array_equal(np.vstack(chunks), rows)
 
 
+def test_box_chunks_are_the_chunks_of_recounted_tails(monkeypatch):
+    # the gonality ladder's products and cones, at every degree up to their
+    # gonality, with the chunk size that scans them and two that split the
+    # columns over more levels
+    c5 = mg.cycle(5)
+    ladder = [(mg.cartesian_product(mg.complete(4), mg.complete(3)), 8),
+              (mg.cartesian_product(mg.cycle(3), c5), 6),
+              (mg.cartesian_product(mg.cycle(3), mg.cycle(4)), 6),
+              (mg.cone(c5, 5), 8),
+              (mg.cartesian_product(mg.complete(3), mg.complete(3)), 6),
+              (mg.random_graph(10, 0.5, 0), 5)]
+    for chunk in (64, 512, dv.CHUNK_ROWS):
+        monkeypatch.setattr(dv, "CHUNK_ROWS", chunk)
+        for g, gon in ladder:
+            bounds = [int(val) - 1 for val in g.valences()[1:]]
+            for degree in range(1, gon + 1):
+                chunks = list(dv._box_chunks(bounds, degree - 1))
+                reference = list(oracles.recounting_box_chunks(bounds, degree - 1))
+                assert len(chunks) == len(reference)
+                assert all(np.array_equal(a, b) for a, b in zip(chunks, reference))
+
+
 def test_box_row_count_matches_enumeration():
     rng = random.Random(83)
     for _ in range(20):

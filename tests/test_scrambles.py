@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import math
 import random
@@ -223,6 +224,31 @@ def test_vertex_scramble_order_is_connectivity_capped():
         assert order == sc.vertex_scramble_order(g.n, inv.edge_connectivity(g))
 
 
+# a random multigraph with at least one edge, and a nonempty subset of its
+# edges as two-vertex eggs
+multigraph_with_edge_eggs = st.builds(
+    lambda seed, n, p: _multigraph_with_edge_eggs(random.Random(seed), n, p),
+    st.integers(0, 1 << 30), st.integers(2, 9), st.sampled_from([0.3, 0.6, 0.9]))
+
+
+def _multigraph_with_edge_eggs(rng, n, p):
+    g = oracles.random_connected_multigraph(rng, n, p)
+    edges = [{u, v} for u, v, _ in g.edges()]
+    return g, [e for e in edges if rng.random() < 0.7] or edges[:1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_with_edge_eggs)
+def test_two_vertex_eggs_are_hit_by_a_vertex_cover_property(case):
+    # the duality path against the branch and bound it stands in for
+    g, eggs = case
+    s = sc.Scramble(g, eggs)
+    size, witness = sc.hitting_number(s)
+    assert size == sc._group_hitting_number(list(s.eggs))[0]
+    assert size == oracles.brute_hitting_number(g.n, eggs)
+    assert len(witness) == size and all(witness & egg for egg in s.eggs)
+
+
 def test_edge_scramble_hitting_is_vertex_cover():
     rng = random.Random(59)
     for _ in range(10):
@@ -442,24 +468,95 @@ def _oracle_records():
         # disconnected: a search that meets a settled pair again reflows it
         (mg.random_graph(6, 0.3, 0), 1, True, 8,
          [1]),
+        # recorded from the search that narrowed every open constraint for
+        # every branch it tried, now `oracles.sweep_brute_force_sn`
+        (mg.cartesian_product(mg.cycle(3), mg.cycle(5)), 6, True, 6338,
+         [33, 66, 1025, 2050, 4092, 6078, 6140, 7133, 7164, 7676, 7932, 8060, 8124,
+          8156, 8172, 8180, 8184, 10174, 10236, 11229, 11260, 11772, 12028, 12156,
+          12220, 12252, 12268, 12276, 12280, 12702, 13276, 13820, 14014, 14076, 14142,
+          14204, 14254, 14262, 14264, 14316, 14324, 14813, 14844, 15069, 15100, 15197,
+          15228, 15261, 15292, 15308, 15317, 15321, 15348, 15352, 15612, 15740, 15804,
+          15836, 15844, 15864, 15996, 16060, 16092, 16108, 16116, 16120, 16188, 16220,
+          16236, 16244, 16248, 16284, 16300, 16308, 16340, 16344, 16360, 16368, 18366,
+          18428, 19421, 19452, 19964, 20220, 20348, 20412, 20444, 20460, 20468, 20472,
+          21407, 21438, 21469, 21500, 21950, 22012, 22206, 22268, 22334, 22396, 22430,
+          22446, 22454, 22456, 22492, 22508, 22516, 23005, 23036, 23261, 23292, 23389,
+          23420, 23453, 23484, 23500, 23509, 23513, 23540, 23544, 23804, 23932, 23996,
+          24028, 24044, 24052, 24056, 24188, 24252, 24284, 24300, 24308, 24312, 24380,
+          24412, 24428, 24436, 24440, 24476, 24492, 24500, 24532, 24536, 24548, 24552,
+          24560, 25373, 25532, 26046, 26108, 26302, 26364, 26430, 26492, 26526, 26542,
+          26550, 26552, 26588, 26604, 26612, 27101, 27132, 27357, 27388, 27516, 27596,
+          27605, 27609, 27636, 27640, 27900, 28028, 28092, 28124, 28140, 28148, 28152,
+          28284, 28348, 28380, 28396, 28404, 28408, 28476, 28508, 28524, 28528, 28572,
+          28588, 28596, 28628, 28632, 28644, 28648, 29149, 29180, 29343, 29374, 29405,
+          29436, 29502, 29564, 29583, 29591, 29595, 29614, 29622, 29624, 29644, 29653,
+          29657, 29684, 29886, 29948, 30014, 30076, 30126, 30134, 30136, 30172, 30188,
+          30196, 30270, 30332, 30366, 30382, 30390, 30392, 30428, 30444, 30452, 30492,
+          30510, 30518, 30520, 30572, 30580, 30606, 30614, 30616, 30630, 30632, 30640,
+          30676, 30692, 30941, 30972, 31069, 31100, 31132, 31180, 31189, 31193, 31220,
+          31224, 31325, 31356, 31389, 31420, 31436, 31445, 31449, 31476, 31480, 31548,
+          31564, 31573, 31577, 31604, 31608, 31628, 31637, 31641, 31668, 31684, 31688,
+          31697, 31728, 31868, 31932, 31964, 31980, 31988, 31992, 32060, 32092, 32108,
+          32116, 32120, 32172, 32180, 32212, 32216, 32232, 32240, 32316, 32348, 32364,
+          32372, 32376, 32412, 32428, 32436, 32468, 32472, 32484, 32488, 32496, 32556,
+          32564, 32596, 32600, 32612, 32616, 32660, 32676, 32720, 32736]),
     ]
 
 
-def test_brute_force_sn_answers_as_the_list_search_did_with_no_more_flows(monkeypatch):
+@contextlib.contextmanager
+def counted_flows():
+    """The (side_a, side_b) of every `invariants._min_cut` call made inside
+    the block."""
     flows = []
     cut = inv._min_cut
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         flows.append(args[2:4])
-        return cut(*args, **kwargs)
+        return cut(*args)
 
-    monkeypatch.setattr(inv, "_min_cut", counted)
+    inv._min_cut = counted
+    try:
+        yield flows
+    finally:
+        inv._min_cut = cut
+
+
+def egg_masks(scramble):
+    return sorted(sum(1 << v for v in egg) for egg in scramble.eggs)
+
+
+def test_brute_force_sn_answers_as_the_list_search_did_with_no_more_flows():
     for g, value, exact, pair_cuts, eggs in _oracle_records():
-        flows.clear()
-        result = sc.brute_force_sn(g)
+        with counted_flows() as flows:
+            result = sc.brute_force_sn(g)
         assert (result.value, result.exact) == (value, exact)
-        assert sorted(sum(1 << v for v in egg) for egg in result.witness.eggs) == eggs
+        assert egg_masks(result.witness) == eggs
         assert len(flows) <= pair_cuts
+
+
+# a random multigraph of at most 9 vertices, connected or not, and a cap
+graph_and_cap = st.builds(
+    lambda seed, n, p, multiple, cap: (_random_multigraph(random.Random(seed), n, p, multiple), cap),
+    st.integers(0, 1 << 30), st.integers(1, 9), st.sampled_from([0.2, 0.4, 0.6, 0.9]),
+    st.booleans(), st.sampled_from([None, 1, 2, 3]))
+
+
+def _random_multigraph(rng, n, p, multiple):
+    return mg.from_edge_list(n, [(u, v, rng.randint(1, 3) if multiple else 1)
+                                 for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_and_cap)
+def test_brute_force_sn_matches_the_sweep_search_with_no_more_flows_property(case):
+    g, cap = case
+    with counted_flows() as flows:
+        result = sc.brute_force_sn(g, max_eggs=cap)
+    with counted_flows() as reference_flows:
+        reference = oracles.sweep_brute_force_sn(g, max_eggs=cap)
+    assert (result.value, result.exact) == (reference.value, reference.exact)
+    assert egg_masks(result.witness) == egg_masks(reference.witness)
+    assert len(flows) <= len(reference_flows)
 
 
 def test_bound_report_rejects_crossed_bounds():
