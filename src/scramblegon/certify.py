@@ -19,12 +19,16 @@ always fires first with the same value and orientation:
 - kappa(G) >= gon(G) = k: this forces k = kappa(G) = lam(G), so G is a tree
   (tree-factor), or k = 2 with lam(H) <= 2 (tight-factor or
   biconnected-gon2), or k >= 3 with lam(H) = 1 (tight-factor).
-The gonality of a factor with at most `budget` vertices is computed, with no
-search where its scramble sandwich closes; a larger factor's is unknown.
+A certify_product call works out each factor's invariants once, and kappa,
+the gonality and the shape tests only when a statement or bound first reads
+them.  The gonality of a factor with at most `budget` vertices is computed,
+with no search where its scramble sandwich closes; a larger factor's is
+unknown.  So a factor whose search would raise CandidateBudgetError fails
+only the pairs that read its gonality.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -66,10 +70,6 @@ def _gon_upper(stats_g, stats_h):
     return min(terms, default=None)
 
 
-def _is_complete_simple(g):
-    return g.n >= 2 and g.is_simple() and g.edge_count() == g.n * (g.n - 1) // 2
-
-
 def _complete_bipartite_parts(g):
     """(m, n) with m <= n when g is a complete bipartite simple graph, else None.
 
@@ -85,33 +85,52 @@ def _complete_bipartite_parts(g):
     return tuple(sorted((m, g.n - m)))
 
 
-def _is_doubled_pair(g):
-    """The 2-vertex doubled edge (the multigraph 2-cycle)."""
-    return g.n == 2 and int(g.mult[0, 1]) == 2
-
-
-@dataclass
 class _FactorStats:
-    graph: object
-    n: int
-    lam: int
-    kappa: int
-    delta: int
-    gon: object  # int, or None when the factor has more than budget vertices
-    tree: bool
+    """Invariants of one factor, for one certify_product call.  n, lam, delta
+    and tree are computed at once; kappa, gon and the shape tests when a
+    statement or bound first reads them, and then kept.  gon is None when
+    the factor has more than `budget` vertices."""
+
+    def __init__(self, g, budget):
+        self.graph, self.n, self.budget = g, g.n, budget
+        self.lam = inv.edge_connectivity(g)
+        self.delta = inv.min_degree(g)
+        self.tree = g.is_simple() and g.edge_count() == g.n - 1
+
+    @cached_property
+    def kappa(self):
+        return inv.vertex_connectivity(self.graph)
+
+    @cached_property
+    def gon(self):
+        # gon >= sn >= the vertex scramble's order; where that meets the
+        # positive-rank upper bound (n - alpha, or n) no divisor search runs
+        if self.n > self.budget:
+            return None
+        return dv._sandwiched_gonality(self.graph, vertex_scramble_order(self.n, self.lam))
+
+    @cached_property
+    def complete_simple(self):
+        g = self.graph
+        return g.n >= 2 and g.is_simple() and g.edge_count() == g.n * (g.n - 1) // 2
+
+    @cached_property
+    def bipartite_parts(self):
+        return _complete_bipartite_parts(self.graph)
+
+    @cached_property
+    def doubled_pair(self):
+        # the 2-vertex doubled edge (the multigraph 2-cycle)
+        return self.n == 2 and int(self.graph.mult[0, 1]) == 2
 
 
 def _stats(g, budget):
-    """Invariants of a factor, each computed once; HypothesisError if it is disconnected."""
-    if not inv.is_connected(g):
+    """A factor's _FactorStats; HypothesisError if it is disconnected, which
+    on two or more vertices is exactly lam = 0."""
+    stats = _FactorStats(g, budget)
+    if g.n >= 2 and stats.lam == 0:
         raise HypothesisError("both factors must be connected")
-    lam = inv.edge_connectivity(g)
-    # gon >= sn >= the vertex scramble's order; where that meets the
-    # positive-rank upper bound (n - alpha, or n) no divisor search runs
-    gon = dv._sandwiched_gonality(g, vertex_scramble_order(g.n, lam)) if g.n <= budget else None
-    return _FactorStats(graph=g, n=g.n, lam=lam,
-                        kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
-                        gon=gon, tree=g.is_simple() and g.edge_count() == g.n - 1)
+    return stats
 
 
 def _pair_stats(g, h, budget):
@@ -186,7 +205,7 @@ def _stmt_tree_factor(a, b):
     ok = _check(checks, "G is a tree", str(a.tree), a.tree)
     ok &= _check(checks, "|V(H)|/lam(H) <= |V(G)|",
                  "%d/%d <= %d" % (b.n, b.lam, a.n),
-                 b.lam > 0 and Fraction(b.n, b.lam) <= a.n)
+                 b.lam > 0 and b.n <= a.n * b.lam)
     return (b.n if ok else None), checks
 
 
@@ -196,29 +215,29 @@ def _stmt_tight_factor(a, b):
     ok = _check_tight(checks, b)
     ok &= _check(checks, "|V(G)| <= |V(H)|/lam(H)",
                  "%d <= %d/%d" % (a.n, b.n, b.lam),
-                 b.lam > 0 and a.n <= Fraction(b.n, b.lam))
+                 b.lam > 0 and a.n * b.lam <= b.n)
     return (a.n * b.lam if ok else None), checks
 
 
 def _stmt_complete_bipartite_factor(a, b):
     # H = K_{m,n}, m <= n, |V(G)| <= (m+n)/m  =>  value m |V(G)|
     checks = []
-    parts = _complete_bipartite_parts(b.graph)
+    parts = b.bipartite_parts
     ok = _check(checks, "H is complete bipartite", str(parts), parts is not None)
     if not ok:
         return None, checks
     m, n = parts
     ok &= _check(checks, "|V(G)| <= (m+n)/m",
                  "%d <= (%d+%d)/%d" % (a.n, m, n, m),
-                 a.n <= Fraction(m + n, m))
+                 a.n * m <= m + n)
     return (m * a.n if ok else None), checks
 
 
 def _stmt_rook(a, b):
     # G = K_m, H = K_n simple complete, m <= min(n, 5)  =>  value (m-1) n
     checks = []
-    ok = _check(checks, "G is complete simple", str(a.n), _is_complete_simple(a.graph))
-    ok &= _check(checks, "H is complete simple", str(b.n), _is_complete_simple(b.graph))
+    ok = _check(checks, "G is complete simple", str(a.n), a.complete_simple)
+    ok &= _check(checks, "H is complete simple", str(b.n), b.complete_simple)
     if ok:
         ok &= _check(checks, "|V(G)| <= min(|V(H)|, 5)",
                      "%d <= min(%d, 5)" % (a.n, b.n), a.n <= min(b.n, 5))
@@ -235,10 +254,10 @@ def _stmt_biconnected_gon2(a, b):
         ok &= _check(checks, "gon(G) = 2", str(a.gon), a.gon == 2)
     ok &= _check(checks, "|V(H)|/lam(H) <= |V(G)|/2",
                  "%d/%d <= %d/2" % (b.n, b.lam, a.n),
-                 b.lam > 0 and Fraction(b.n, b.lam) <= Fraction(a.n, 2))
+                 b.lam > 0 and 2 * b.n <= a.n * b.lam)
     ok &= _check(checks, "|V(H)| <= |V(G)|lam(H)/2 + delta(G) - lam(H)",
                  "%d <= %d*%d/2 + %d - %d" % (b.n, a.n, b.lam, a.delta, b.lam),
-                 b.n <= Fraction(a.n * b.lam, 2) + a.delta - b.lam)
+                 2 * b.n <= a.n * b.lam + 2 * (a.delta - b.lam))
     return (2 * b.n if ok else None), checks
 
 
@@ -250,7 +269,7 @@ def _stmt_biconnected_tight(a, b):
     ok &= _check_tight(checks, b)
     ok &= _check(checks, "|V(G)| <= 2|V(H)|/lam(H)",
                  "%d <= 2*%d/%d" % (a.n, b.n, b.lam),
-                 b.lam > 0 and a.n <= Fraction(2 * b.n, b.lam))
+                 b.lam > 0 and a.n * b.lam <= 2 * b.n)
     ok &= _check(checks, "lam(H) <= delta(G)", "%d <= %d" % (b.lam, a.delta), b.lam <= a.delta)
     return (a.n * b.lam if ok else None), checks
 
@@ -290,8 +309,8 @@ def _stmt_uniform(a, b):
 def _stmt_doubled_edge_times_complete(a, b):
     # G the doubled edge, H = K_n (n >= 2)  =>  value 2n - 2
     checks = []
-    ok = _check(checks, "G is the 2-vertex doubled edge", str(a.n), _is_doubled_pair(a.graph))
-    ok &= _check(checks, "H is complete simple", str(b.n), _is_complete_simple(b.graph))
+    ok = _check(checks, "G is the 2-vertex doubled edge", str(a.n), a.doubled_pair)
+    ok &= _check(checks, "H is complete simple", str(b.n), b.complete_simple)
     return (2 * b.n - 2 if ok else None), checks
 
 

@@ -133,6 +133,12 @@ def dhar_burn(divisor, q):
     return BurnResult(verts[burned].tolist(), verts[~burned].tolist())
 
 
+def _check_chip_size(size):
+    if size >= 2**63:
+        raise ValueError("chips could total %d in absolute value during q-reduction, "
+                         "past the int64 limit 2**63 - 1" % size)
+
+
 def _reduce_chips(mult, burn, chips, q, script=None):
     """q-reduction of a raw chip vector; `burn` is _burn_matrix(mult).
 
@@ -140,6 +146,11 @@ def _reduce_chips(mult, burn, chips, q, script=None):
     farthest layer: firing the ball of radius k-1 hands every layer-k vertex
     at least one chip per firing while touching no farther layer.  Phase 2 is
     the Dhar loop of _batch_reduce_effective on the one row.
+
+    No chip count exceeds the total of |chips|, which a phase-1 step raises
+    by at most its firings times sum |delta| and phase 2 never raises.  So
+    ValueError is raised, on entry or before a step's product and script,
+    once that total could reach 2**63.
     """
     chips = np.array(chips, dtype=np.int64)
     n = mult.shape[0]
@@ -147,6 +158,8 @@ def _reduce_chips(mult, burn, chips, q, script=None):
     if len(reached) < n:
         raise ValueError("q-reduction needs a connected host graph")
     dist = np.array([reached[v] for v in range(n)])
+    size = sum(abs(c) for c in chips.tolist())  # Python ints: cannot wrap
+    _check_chip_size(size)
 
     for layer in range(int(dist.max()), 0, -1):
         on_layer = dist == layer
@@ -155,6 +168,8 @@ def _reduce_chips(mult, burn, chips, q, script=None):
             continue
         ball = dist < layer
         delta = _fire_set_delta(mult, ball)
+        size += (-worst) * int(np.abs(delta).sum())
+        _check_chip_size(size)
         chips += (-worst) * delta
         if script is not None:
             members = frozenset(np.nonzero(ball)[0].tolist())
@@ -388,9 +403,7 @@ def _gonality_upper(g):
     divisor of that degree has rank >= 1, genus + 1 chips on one vertex
     say), n - alpha for a simple g on two or more vertices (one chip on each
     vertex outside a maximum independent set), and n (one chip on every
-    vertex).  A disconnected g raises ValueError before alpha is computed."""
-    if not inv.is_connected(g):
-        raise ValueError("gonality needs a connected graph")
+    vertex), for a connected g."""
     genus_bound = g.edge_count() - g.n + 2
     if g.n >= 2 and g.is_simple():
         return min(genus_bound, g.n - inv.independence_number(g))
@@ -433,6 +446,9 @@ def gonality(g):
     if g.n == 1:
         # single vertex: one chip already has positive rank, zero chips do not
         return 1, Divisor(g, [1])
+    # checked before _gonality_upper computes alpha
+    if not inv.is_connected(g):
+        raise ValueError("gonality needs a connected graph")
     upper = _gonality_upper(g)
     found = _scan_degrees(g, min(inv.edge_connectivity(g), g.n), upper, upper + 1)
     if found is None:

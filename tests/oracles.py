@@ -3,18 +3,20 @@ library.  Everything here exhausts definitions directly (bitmask subsets,
 multiset enumeration, exact rational linear algebra, Dhar's burn in Python
 integers) and shares no search logic with the package under test, except
 the earlier forms of package routines kept as references for their exact
-outputs: `restart_smooth_two_valent`, `recounting_box_chunks` and
-`sweep_brute_force_sn`.
+outputs: `restart_smooth_two_valent`, `recounting_box_chunks`,
+`sweep_brute_force_sn` and `eager_factor_stats`.
 """
 
 import functools
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 
+from scramblegon import certify as ct
 from scramblegon import divisors as dv
 from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
@@ -341,6 +343,23 @@ def omitted_product_statements(g, h):
                 values.append(k * b.n)
         result[gons] = values
     return result
+
+
+def eager_factor_stats(g, budget):
+    """`certify._stats` as it computed every factor invariant up front, the
+    gonality sandwich included (and its CandidateBudgetError with it), with
+    the shape tests the statements read; HypothesisError if g is
+    disconnected."""
+    if not inv.is_connected(g):
+        raise ct.HypothesisError("both factors must be connected")
+    lam = inv.edge_connectivity(g)
+    gon = dv._sandwiched_gonality(g, sc.vertex_scramble_order(g.n, lam)) if g.n <= budget else None
+    return types.SimpleNamespace(
+        graph=g, n=g.n, lam=lam, kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
+        gon=gon, tree=g.is_simple() and g.edge_count() == g.n - 1,
+        complete_simple=g.n >= 2 and g.is_simple() and g.edge_count() == g.n * (g.n - 1) // 2,
+        bipartite_parts=networkx_complete_bipartite_parts(g),
+        doubled_pair=g.n == 2 and int(g.mult[0, 1]) == 2)
 
 
 def product_lower_formulas(g, h):

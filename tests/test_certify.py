@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import itertools
 import random
 import re
@@ -160,10 +160,17 @@ def test_every_open_bound_names_a_scramble_that_attains_it():
     assert checked >= 6
 
 
+def _with_gon(stats, gon):
+    """A copy of a factor's stats that reads `gon` as its gonality."""
+    stats = copy.copy(stats)
+    stats.gon = gon
+    return stats
+
+
 def test_open_bounds_raise_on_a_factor_gonality_below_the_lower_bound():
     # gon(Q3) = 4; taken as 1 it puts the factor-gonality upper bound 8
     # under the product-scramble lower bound 18, which must not be reported
-    q3 = dataclasses.replace(ct._stats(mg.hypercube(3), 12), gon=1)
+    q3 = _with_gon(ct._stats(mg.hypercube(3), 12), 1)
     with pytest.raises(ValueError, match="lower 18 > upper 8"):
         ct._open_bounds(q3, q3)
 
@@ -226,8 +233,7 @@ def test_omitted_statements_certify_what_an_earlier_statement_certifies():
         stats_g, stats_h = ct._stats(g, 0), ct._stats(h, 0)
         for (gon_g, gon_h), values in oracles.omitted_product_statements(g, h).items():
             if values:
-                cert = ct._certify(dataclasses.replace(stats_g, gon=gon_g),
-                                   dataclasses.replace(stats_h, gon=gon_h))
+                cert = ct._certify(_with_gon(stats_g, gon_g), _with_gon(stats_h, gon_h))
                 assert cert.certified and set(values) == {cert.value}
                 fired += 1
     assert fired >= 200
@@ -268,6 +274,49 @@ def test_equal_factors_share_their_invariants(monkeypatch):
         del calls[:]
         assert ct.certify_product(g, h) == cert
         assert len(calls) == computed
+
+
+def _fixture_factors():
+    """The 20 fixture-family factors: P2-P6, C3-C7, K2-K5, five K_{m,n}, Q3."""
+    return ([mg.path(n) for n in range(2, 7)] + [mg.cycle(n) for n in range(3, 8)]
+            + [mg.complete(n) for n in range(2, 6)]
+            + [mg.complete_bipartite(m, n) for m, n in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))]
+            + [mg.hypercube(3)])
+
+
+def test_lazy_factor_stats_certify_as_the_eager_reference():
+    # every certificate, hypotheses included, equals the one built from
+    # stats whose invariants are all computed up front
+    factors = _fixture_factors()
+    for budget in (0, 12):
+        eager = [oracles.eager_factor_stats(g, budget) for g in factors]
+        for (g, stats_g), (h, stats_h) in itertools.product(zip(factors, eager), repeat=2):
+            assert ct.certify_product(g, h, budget=budget) == ct._certify(stats_g, stats_h)
+
+
+def test_tree_factor_pairs_read_neither_kappa_nor_a_gonality_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kappa or a gonality search was computed")
+
+    monkeypatch.setattr(inv, "vertex_connectivity", refuse)
+    monkeypatch.setattr(dv, "_first_positive_rank_row", refuse)
+    q3 = mg.hypercube(3)
+    for g, h in ((mg.path(3), q3), (q3, mg.path(3)), (mg.star(4), q3)):
+        cert = ct.certify_product(g, h)
+        assert (cert.statement, cert.value) == ("tree-factor", 8)
+
+
+def test_an_over_budget_factor_fails_only_the_pairs_that_read_its_gonality(monkeypatch):
+    # with no candidate box admitted Q3's sandwich, which scans degree 3,
+    # raises; the eager stats raised on every pair with Q3 in it
+    monkeypatch.setattr(dv, "CANDIDATE_BOX_BUDGET", 0)
+    q3 = mg.hypercube(3)
+    with pytest.raises(dv.CandidateBudgetError):
+        oracles.eager_factor_stats(q3, 12)
+    cert = ct.certify_product(mg.path(3), q3)
+    assert (cert.statement, cert.value) == ("tree-factor", 8)
+    with pytest.raises(dv.CandidateBudgetError):
+        ct.certify_product(mg.cycle(4), q3)  # tight-factor reads gon(Q3)
 
 
 def test_one_vertex_factors_bound_the_product_by_the_other_factor():

@@ -214,6 +214,12 @@ def test_error_exit_codes(capsys, tmp_path):
     chips.write_text("2\n%d 0\n" % 2 ** 63)
     for argv in (["rank", k2, str(chips), "--cap", "1"], ["reduce", k2, str(chips), "--q", "0"]):
         assert run(capsys, *argv) == (2, "", "error: line 2: chip %d outside the int64 range\n" % 2 ** 63)
+    # chips that fit in int64 but whose q-reduction could leave it
+    k2 = write_graph(tmp_path, "k2.mel", mg.from_edge_list(2, [(0, 1, 2 ** 61)]))
+    chips.write_text("2\n%d %d\n" % (-2 ** 62, 2 ** 62 + 5))
+    assert run(capsys, "--machine", "reduce", k2, str(chips), "--q", "1") == (
+        2, "", "error: chips could total %d in absolute value during q-reduction, past the "
+               "int64 limit 2**63 - 1\n" % (2 ** 63 + 5))
 
 
 def test_over_budget_gonality_exits_2(capsys, tmp_path):

@@ -109,6 +109,19 @@ def test_q_reduce_script_follows_the_bfs_layers():
                                            [1, 2, 3, 4], [4, 5], [1, 2, 3, 4, 5]]
 
 
+def test_q_reduce_refuses_chips_that_could_leave_int64():
+    # |chips| totalling 2**63 + 5 on entry, and a phase-1 step that would
+    # hand vertex 1 four times 2**61 chips; the first is refused before any
+    # firing, the second before that step's
+    k2 = mg.from_edge_list(2, [(0, 1, 2**61)])
+    heavy = mg.from_edge_list(3, [(0, 1, 2**61), (1, 2, 1)])
+    for d, q in ((dv.Divisor(k2, [-2**62, 2**62 + 5]), 1), (dv.Divisor(heavy, [0, 0, -4]), 0)):
+        with pytest.raises(ValueError, match="int64 limit"):
+            dv.q_reduce(d, q, with_script=True)
+    # one firing of 2**61 chips fits
+    assert dv.q_reduce(dv.Divisor(k2, [-1, 6]), 1).chips.tolist() == [2**61 - 1, 6 - 2**61]
+
+
 def test_q_reduced_form_is_an_equivalence_invariant():
     rng = random.Random(13)
     for _ in range(15):
@@ -239,9 +252,8 @@ def test_gonality_refuses_a_disconnected_graph_before_computing_alpha(monkeypatc
     monkeypatch.setattr(inv, "independence_number", refuse)
     triangles = mg.from_edge_list(6, [(0, 1, 1), (1, 2, 1), (2, 0, 1),
                                       (3, 4, 1), (4, 5, 1), (5, 3, 1)])
-    for search in (dv.gonality, lambda g: dv._sandwiched_gonality(g, 1)):
-        with pytest.raises(ValueError, match="connected"):
-            search(triangles)
+    with pytest.raises(ValueError, match="connected"):
+        dv.gonality(triangles)
 
 
 def test_gonality_witness_is_the_lexicographically_least_reduced_one():

@@ -188,7 +188,9 @@ def test_bridge_side_is_a_component_minus_the_far_end():
 
 
 def test_import_does_not_load_networkx():
-    code = "import sys, scramblegon; print('networkx' in sys.modules)"
+    # nor fractions and decimal, which the package does not need either
+    code = ("import sys, scramblegon; "
+            "print(any(m in sys.modules for m in ('networkx', 'fractions', 'decimal')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(scramblegon.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
