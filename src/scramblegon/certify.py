@@ -35,7 +35,7 @@ import numpy as np
 from . import divisors as dv
 from . import invariants as inv
 from . import multigraph as mg
-from .scrambles import (BoundReport, _product_k_failure, edge_scramble, scramble_order,
+from .scrambles import (BoundReport, _edge_scramble_order, _product_k_failure,
                         vertex_scramble_order)
 
 
@@ -397,7 +397,7 @@ def check_all_equal(g):
         return None
     alpha = inv.independence_number(g)
     value = n - alpha
-    order = scramble_order(edge_scramble(g)).order
+    order = _edge_scramble_order(g, alpha)
     if order != value:
         raise RuntimeError("soundness bug: edge scramble order %d != n - alpha = %d"
                            % (order, value))

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from . import invariants as inv
+from . import scrambles as sc
 
 
 class Divisor:
@@ -319,6 +320,21 @@ def _box_chunks(bounds, total_max):
             yield np.hstack([heads[h], tails[fits[shift[h] + r]]])
 
 
+def _box_bounds(g):
+    """The box's column bounds: val(v) - 1 chips on each vertex v but 0."""
+    return [int(val) - 1 for val in g.valences()[1:]]
+
+
+def _check_box(g, bounds, degree):
+    """Raise CandidateBudgetError when the degree's candidate box, of columns
+    `bounds` (_box_bounds(g)), would take over CANDIDATE_BOX_BUDGET."""
+    box_bytes = _box_rows(bounds, degree - 1) * g.n * 8
+    if box_bytes > CANDIDATE_BOX_BUDGET:
+        raise CandidateBudgetError(
+            "the degree-%d candidate box would take %.1f MiB of chips, over the "
+            "%d MiB candidate-box budget" % (degree, box_bytes / 2**20, CANDIDATE_BOX_BUDGET >> 20))
+
+
 def _reduced_effective_divisors(g, degree):
     """The candidates for the 0-reduced effective divisors of the given degree
     that keep a chip on vertex 0: the raw rows of a bounded box, as chip
@@ -331,12 +347,8 @@ def _reduced_effective_divisors(g, degree):
     are not burned at 0 here: the caller keeps the reduced ones.
     """
     n = g.n
-    bounds = [int(val) - 1 for val in g.valences()[1:]]
-    box_bytes = _box_rows(bounds, degree - 1) * n * 8
-    if box_bytes > CANDIDATE_BOX_BUDGET:
-        raise CandidateBudgetError(
-            "the degree-%d candidate box would take %.1f MiB of chips, over the "
-            "%d MiB candidate-box budget" % (degree, box_bytes / 2**20, CANDIDATE_BOX_BUDGET >> 20))
+    bounds = _box_bounds(g)
+    _check_box(g, bounds, degree)
     for rows in _box_chunks(bounds, degree - 1):
         chips = np.empty((rows.shape[0], n), dtype=np.int64)
         chips[:, 0] = degree - rows.sum(axis=1)
@@ -397,60 +409,95 @@ def _first_positive_rank_row(g, burn, degree):
     return None
 
 
-def _gonality_upper(g):
+def _gonality_upper(g, alpha):
     """The positive-rank upper bound on gon(g): the least of genus + 1 =
     |E| - n + 2 (|E| with multiplicity; by Riemann-Roch for graphs every
     divisor of that degree has rank >= 1, genus + 1 chips on one vertex
     say), n - alpha for a simple g on two or more vertices (one chip on each
     vertex outside a maximum independent set), and n (one chip on every
-    vertex), for a connected g."""
+    vertex), for a connected g of independence number alpha."""
     genus_bound = g.edge_count() - g.n + 2
     if g.n >= 2 and g.is_simple():
-        return min(genus_bound, g.n - inv.independence_number(g))
+        return min(genus_bound, g.n - alpha)
     return min(genus_bound, g.n)
 
 
-def _scan_degrees(g, lower, upper, stop):
+def _scan_start(g, lower, upper, alpha):
+    """The degree a scan for gon(g) starts at, given a sound lower bound
+    lower <= upper = _gonality_upper(g, alpha): lower, raised to the edge
+    scramble's order (sn <= gon), which is worked out only when lower is
+    below upper, where a scan below upper would run."""
+    if lower < upper:
+        return max(lower, sc._edge_scramble_order(g, alpha))
+    return lower
+
+
+def _scan_degrees(g, lower, start, stop):
     """(degree, row) of the first 0-reduced positive-rank row of the degrees
-    max(lower, 1) .. stop - 1, or None, for a connected g; raises ValueError
-    on lower > upper.  Every positive-rank class has a 0-reduced
-    representative with a chip on vertex 0, so the scan is lossless.
+    start .. stop - 1, or None, for a connected g on two or more vertices
+    and a sound lower bound lower <= start.  Every positive-rank class has a
+    0-reduced representative with a chip on vertex 0, so the scan is
+    lossless.  A refusal names the degree a scan from lower would stop at:
+    the box grows with the degree, so that is the first over-budget degree
+    from lower up, and the degrees below start are checked first.
     """
-    if lower > upper:
-        raise ValueError("gonality lower bound %d exceeds upper bound %d" % (lower, upper))
+    if start < stop:
+        bounds = _box_bounds(g)
+        for degree in range(lower, start):
+            _check_box(g, bounds, degree)
     burn = _burn_matrix(g.mult)
-    # on two or more vertices no divisor of degree < 1 has positive rank
-    for degree in range(max(lower, 1), stop):
+    for degree in range(start, stop):
         row = _first_positive_rank_row(g, burn, degree)
         if row is not None:
             return degree, row
     return None
 
 
-def _sandwiched_gonality(g, lower):
-    """gon(g) of a connected g, given a sound lower bound on it (a scramble
-    order, say).  Only the degrees below _gonality_upper are scanned: when
+def _sandwich_scan(g, lower, start, upper):
+    """gon(g) of a connected g, given start <= gon(g) <= upper =
+    _gonality_upper(g) and the sound lower bound lower <= start that a
+    refusal counts from.  Only the degrees below upper are scanned: when
     none has a positive-rank divisor, the upper bound's own divisor is one.
     """
-    upper = _gonality_upper(g)
-    found = _scan_degrees(g, lower, upper, upper)
+    found = _scan_degrees(g, lower, start, upper)
     return upper if found is None else found[0]
+
+
+def _sandwiched_gonality(g, lower):
+    """gon(g) of a connected g, given a sound lower bound on it (a scramble
+    order, say), with no witness: the degrees from `_scan_start` up to
+    below `_gonality_upper` are scanned, and alpha is worked out once for
+    both."""
+    lower = max(lower, 1)  # no divisor of degree < 1 has positive rank
+    alpha = inv.independence_number(g)
+    upper = _gonality_upper(g, alpha)
+    if lower > upper:
+        raise ValueError("gonality lower bound %d exceeds upper bound %d" % (lower, upper))
+    return _sandwich_scan(g, lower, _scan_start(g, lower, upper, alpha), upper)
 
 
 def gonality(g):
     """Exact gonality with a positive-rank witness divisor: the 0-reduced one
-    of least degree with the lexicographically least chips[1:], scanned from
-    min(lam, n) up.  Raises CandidateBudgetError, before scanning it, when a
-    degree's candidate box would exceed CANDIDATE_BOX_BUDGET.
+    of least degree with the lexicographically least chips[1:].  The scan
+    runs up to `_gonality_upper` from the edge scramble's order, or from the
+    vertex scramble's order min(lam, n) where that is higher; no degree below
+    either has a positive-rank divisor, as sn <= gon.  Raises
+    CandidateBudgetError, before scanning it, when a degree's candidate box
+    would exceed CANDIDATE_BOX_BUDGET, naming the first such degree from
+    min(lam, n) up; when that is min(lam, n) itself, before alpha or any
+    edge-scramble flow is worked out.
     """
     if g.n == 1:
         # single vertex: one chip already has positive rank, zero chips do not
         return 1, Divisor(g, [1])
-    # checked before _gonality_upper computes alpha
+    # checked before alpha is computed
     if not inv.is_connected(g):
         raise ValueError("gonality needs a connected graph")
-    upper = _gonality_upper(g)
-    found = _scan_degrees(g, min(inv.edge_connectivity(g), g.n), upper, upper + 1)
+    lower = min(inv.edge_connectivity(g), g.n)
+    _check_box(g, _box_bounds(g), lower)
+    alpha = inv.independence_number(g)
+    upper = _gonality_upper(g, alpha)
+    found = _scan_degrees(g, lower, _scan_start(g, lower, upper, alpha), upper + 1)
     if found is None:
         raise RuntimeError("soundness bug: no positive-rank divisor of degree <= %d found" % upper)
     return found[0], Divisor(g, found[1])

@@ -190,11 +190,63 @@ def _cut_bound_table(g, member):
     return table
 
 
-def _pair_bounds(table, i):
-    """B(i, j) for every later egg j: the least, over the sizes s of the side
-    holding egg i, of max(F[i, s], F[j, n - s]).  Both sides of a cut have
-    its boundary, so B(i, j) is at most every cut separating the two eggs."""
-    return np.maximum(table[i], table[i + 1:, ::-1]).min(axis=1)
+def _pair_bounds(table, i, first=None):
+    """B(i, j) for every egg j from `first` on, by default every later egg:
+    the least, over the sizes s of the side holding egg i, of max(F[i, s],
+    F[j, n - s]).  Both sides of a cut have its boundary, so B(i, j) is at
+    most every cut separating the two eggs."""
+    return np.maximum(table[i], table[i + 1 if first is None else first:, ::-1]).min(axis=1)
+
+
+def _cut_setup(g, eggs):
+    """What the egg-cut flows and bounds of one call read, built once: the
+    host's capacity rows and neighbour lists, the 0/1 egg-vertex matrix and
+    its `_cut_bound_table`."""
+    member = np.zeros((len(eggs), g.n), dtype=np.int64)
+    for i, egg in enumerate(eggs):
+        member[i, list(egg)] = 1
+    return g.mult.tolist(), inv._adjacency(g.mult), member, _cut_bound_table(g, member)
+
+
+def _least_edge_egg_cut(g, eggs, setup, limit):
+    """min(e, limit), e the minimum egg-cut, for eggs that are exactly the
+    adjacent vertex pairs of g (in any order; `setup` is their `_cut_setup`),
+    with no flow capped above limit: the restricted edge connectivity of
+    Esfahanian and Hakimi.
+
+    In a least egg-cut every vertex of positive valence has a neighbour on
+    its own side: moving one that has none across would cut fewer edges and
+    leave an egg on each side.  So for one such vertex u, the one with the
+    fewest distinct neighbours, the flows from each egg {u, w} to the eggs
+    disjoint from it reach e.  The running minimum starts at the least
+    boundary of an egg that has a disjoint egg, itself an egg-cut; a flow
+    whose pair bound (`_pair_bounds`) reaches it is skipped, and each other
+    flow is capped at it."""
+    rows, nbrs, member, table = setup
+    ends = np.array([sorted(egg) for egg in eggs])
+    a, b = ends[:, 0], ends[:, 1]
+    distinct = np.array([len(x) for x in nbrs])
+    # {a, b} meets itself and distinct[a] + distinct[b] - 2 other eggs
+    has_disjoint = distinct[a] + distinct[b] - 1 < len(eggs)
+    if not has_disjoint.any():
+        return limit  # no two eggs are disjoint: e is infinite
+    deg = g.mult.sum(axis=1)
+    best = min(limit, int((deg[a] + deg[b] - 2 * g.mult[a, b])[has_disjoint].min()))
+    u = min((v for v in range(g.n) if nbrs[v]), key=lambda v: len(nbrs[v]))
+    number = {egg: i for i, egg in enumerate(eggs)}
+    for w in nbrs[u]:
+        i = number[frozenset((u, w))]
+        bounds = _pair_bounds(table, i, first=0)
+        disjoint = member @ member[i] == 0
+        for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
+            if bounds[j] >= best:  # the running minimum fell within this row
+                continue
+            value = inv._min_cut(rows, nbrs, eggs[i], eggs[j], best)[0]
+            if value < best:
+                best = value
+                if best == 0:
+                    return best
+    return best
 
 
 def egg_cut_number(scramble):
@@ -208,16 +260,22 @@ def egg_cut_number(scramble):
     each remaining flow is capped at the running minimum: neither kind of
     pair can cut strictly below it, so neither can replace the witness.  The
     bounds are built one egg row at a time, in O(eggs * n) memory, and every
-    flow runs on capacity rows and neighbour lists built once per call."""
+    flow runs on capacity rows and neighbour lists built once per call.
+
+    When the eggs are exactly the adjacent vertex pairs of the host, as in
+    `edge_scramble`, the minimum e comes first from the flows at one vertex
+    (`_least_edge_egg_cut`).  The scan in egg order then only finds the
+    witness: its running minimum starts at e + 1 and it stops at the first
+    pair that cuts e."""
     g = scramble.host
     eggs = scramble.eggs
-    rows = g.mult.tolist()
-    nbrs = inv._adjacency(g.mult)
-    member = np.zeros((len(eggs), g.n), dtype=np.int64)
-    for i, egg in enumerate(eggs):
-        member[i, list(egg)] = 1
-    table = _cut_bound_table(g, member)
-    best = math.inf
+    setup = rows, nbrs, member, table = _cut_setup(g, eggs)
+    least, best = 0, math.inf
+    if all(len(egg) == 2 for egg in eggs) and len(eggs) == np.count_nonzero(g.mult) // 2:
+        least = _least_edge_egg_cut(g, eggs, setup, math.inf)
+        if least is math.inf:
+            return least, None
+        best = least + 1
     witness = None
     for i, a in enumerate(eggs[:-1]):
         bounds = _pair_bounds(table, i)
@@ -229,7 +287,7 @@ def egg_cut_number(scramble):
             if value < best:
                 best = value
                 witness = (frozenset(side), value)
-                if best == 0:
+                if best == least:
                     return best, witness
     return best, witness
 
@@ -256,12 +314,24 @@ def vertex_scramble_order(n, lam):
 def edge_scramble(g):
     """One egg per adjacent vertex pair; parallel edges collapse to one egg.
 
-    Its hitting number is n - alpha by vertex-cover duality.
+    Its hitting number is n - alpha by vertex-cover duality, and its egg-cut
+    the restricted edge connectivity, which `egg_cut_number` finds from the
+    flows at one vertex.  `_edge_scramble_order` gives the order alone.
     """
     eggs = [{u, v} for u, v, _ in g.edges()]
     if not eggs:
         raise ValueError("edge scramble needs at least one edge")
     return Scramble(g, eggs)
+
+
+def _edge_scramble_order(g, alpha):
+    """scramble_order(edge_scramble(g)).order, min(n - alpha, e), for a g
+    with an edge and independence number alpha: no hitting-set search, no
+    witness, and no flow capped above n - alpha."""
+    ends = np.transpose(np.nonzero(np.triu(g.mult))).tolist()
+    eggs = [frozenset(pair) for pair in ends]
+    hitting = g.n - alpha
+    return min(hitting, _least_edge_egg_cut(g, eggs, _cut_setup(g, eggs), hitting))
 
 
 def _product_k_failure(n, kappa, k):
@@ -313,21 +383,27 @@ class BoundReport:
 
 def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
     """Bounds for a piece of sn_bounds' one pass: connected, smooth, and
-    bridgeless (smoothing keeps it so) or on at most two vertices."""
+    bridgeless (smoothing keeps it so) or on at most two vertices.  Its
+    independence number is worked out once, for both the edge scramble's
+    order and the gonality's upper bound."""
     lower, lsrc = 0, "trivial"
     order = vertex_scramble_order(g.n, inv.edge_connectivity(g))
     if order > lower:
         lower, lsrc = order, "vertex scramble"
-    if g.edge_count() > 0:
-        order = scramble_order(edge_scramble(g)).order
-        if order > lower:
-            lower, lsrc = order, "edge scramble"
+    alpha = inv.independence_number(g)
     if g.n <= gonality_budget:
-        # sn <= gon, so the scramble lower bound is a sound starting degree,
-        # and where it meets n - alpha (or n) the gonality needs no search
-        upper, usrc = dv._sandwiched_gonality(g, lower), "gonality"
+        upper, usrc = dv._gonality_upper(g, alpha), "gonality"
     else:
         upper, usrc = g.n, "vertex count"
+    # sn <= gon <= upper either way, so where the vertex scramble meets
+    # upper neither the edge scramble nor a search can say more
+    if lower < upper:
+        order = _edge_scramble_order(g, alpha)
+        if order > lower:
+            lower, lsrc = order, "edge scramble"
+        if usrc == "gonality":
+            # the scramble lower bound is a sound starting degree
+            upper = dv._sandwich_scan(g, lower, lower, upper)
     if use_brute:
         result = brute_force_sn(g, max_eggs=max_eggs)
         if result.value > lower:

@@ -3,8 +3,8 @@ library.  Everything here exhausts definitions directly (bitmask subsets,
 multiset enumeration, exact rational linear algebra, Dhar's burn in Python
 integers) and shares no search logic with the package under test, except
 the earlier forms of package routines kept as references for their exact
-outputs: `restart_smooth_two_valent`, `recounting_box_chunks`,
-`sweep_brute_force_sn` and `eager_factor_stats`.
+outputs: `all_pairs_egg_cut_number`, `restart_smooth_two_valent`,
+`recounting_box_chunks`, `sweep_brute_force_sn` and `eager_factor_stats`.
 """
 
 import functools
@@ -151,6 +151,36 @@ def networkx_egg_cut_number(scramble):
             value, side = networkx_min_cut(scramble.host, a, b)
             if value < best:
                 best, witness = value, (side, value)
+    return best, witness
+
+
+def all_pairs_egg_cut_number(scramble):
+    """`scrambles.egg_cut_number` as it scanned every scramble, the full edge
+    scramble included: every disjoint egg pair in egg order, skipped where
+    its degree bound reaches the running minimum and else one flow capped at
+    it, the first pair attaining the minimum giving the witness."""
+    g = scramble.host
+    eggs = scramble.eggs
+    rows = g.mult.tolist()
+    nbrs = inv._adjacency(g.mult)
+    member = np.zeros((len(eggs), g.n), dtype=np.int64)
+    for i, egg in enumerate(eggs):
+        member[i, list(egg)] = 1
+    table = sc._cut_bound_table(g, member)
+    best = math.inf
+    witness = None
+    for i, a in enumerate(eggs[:-1]):
+        bounds = sc._pair_bounds(table, i)
+        disjoint = member[i + 1:] @ member[i] == 0
+        for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
+            if bounds[j] >= best:
+                continue
+            value, side = inv._min_cut(rows, nbrs, a, eggs[i + 1 + j], best)
+            if value < best:
+                best = value
+                witness = (frozenset(side), value)
+                if best == 0:
+                    return best, witness
     return best, witness
 
 

@@ -306,17 +306,25 @@ def test_tree_factor_pairs_read_neither_kappa_nor_a_gonality_search(monkeypatch)
         assert (cert.statement, cert.value) == ("tree-factor", 8)
 
 
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return mg.from_edge_list(10, [(u, v, 1) for u, v in outer + inner + spokes])
+
+
 def test_an_over_budget_factor_fails_only_the_pairs_that_read_its_gonality(monkeypatch):
-    # with no candidate box admitted Q3's sandwich, which scans degree 3,
-    # raises; the eager stats raised on every pair with Q3 in it
+    # with no candidate box admitted the Petersen graph's sandwich, which
+    # scans degree 4 (its edge scramble's order, below n - alpha = 6),
+    # raises; the eager stats raised on every pair with it in it
     monkeypatch.setattr(dv, "CANDIDATE_BOX_BUDGET", 0)
-    q3 = mg.hypercube(3)
+    petersen = _petersen()
     with pytest.raises(dv.CandidateBudgetError):
-        oracles.eager_factor_stats(q3, 12)
-    cert = ct.certify_product(mg.path(3), q3)
-    assert (cert.statement, cert.value) == ("tree-factor", 8)
+        oracles.eager_factor_stats(petersen, 12)
+    cert = ct.certify_product(mg.path(4), petersen)
+    assert (cert.statement, cert.value) == ("tree-factor", 10)
     with pytest.raises(dv.CandidateBudgetError):
-        ct.certify_product(mg.cycle(4), q3)  # tight-factor reads gon(Q3)
+        ct.certify_product(mg.cycle(4), petersen)  # tight-factor reads its gonality
 
 
 def test_one_vertex_factors_bound_the_product_by_the_other_factor():

@@ -10,6 +10,7 @@ from scramblegon import certify as ct
 from scramblegon import divisors as dv
 from scramblegon import invariants as inv
 from scramblegon import multigraph as mg
+from scramblegon import scrambles as sc
 
 
 def random_divisor(rng, g, low=-2, high=3):
@@ -349,6 +350,66 @@ def test_gonality_refuses_an_over_budget_box_without_building_it(monkeypatch):
         dv.gonality(mg.complete(14))
 
 
+def test_gonality_refuses_at_the_vertex_scramble_order_before_any_flow(monkeypatch):
+    # G(30, .5, 3): the box at min(lam, n) = 9 is over the budget, so the
+    # refusal comes before alpha or any edge-scramble flow is worked out
+    def refuse(*args, **kwargs):
+        raise AssertionError("alpha or the edge scramble's order was computed")
+
+    monkeypatch.setattr(inv, "independence_number", refuse)
+    monkeypatch.setattr(sc, "_edge_scramble_order", refuse)
+    with pytest.raises(dv.CandidateBudgetError, match="degree-9 .* 8836.7 MiB"):
+        dv.gonality(mg.random_graph(30, 0.5, 3))
+
+
+def test_a_refusal_names_the_first_over_budget_degree_from_the_vertex_scramble_order(monkeypatch):
+    # the cone over C8 (reduce_alpha(C8)): the scan would start at the edge
+    # scramble's order 12 = n - alpha, whose box is over the budget; a scan
+    # from min(lam, n) = 10 stopped at degree 11, which is named, and no
+    # degree is scanned.  The value-only sandwich scans nothing and answers.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a degree was scanned")
+
+    monkeypatch.setattr(dv, "_first_positive_rank_row", refuse)
+    cone = mg.cone(mg.cycle(8), 8)
+    assert min(inv.edge_connectivity(cone), cone.n) == 10
+    with pytest.raises(dv.CandidateBudgetError, match="degree-11 .* 399.0 MiB"):
+        dv.gonality(cone)
+    assert dv._sandwiched_gonality(cone, 10) == 12
+
+
+def test_the_gonality_ladder_scans_from_the_edge_scramble_order(monkeypatch):
+    # each scan starts at the edge scramble's order, which is the gonality
+    # here; from min(lam, n) these scanned 4, 3, 3, 2 and 3 degrees more
+    scanned = []
+    scan = dv._first_positive_rank_row
+
+    def spy(g, burn, degree):
+        scanned.append(degree)
+        return scan(g, burn, degree)
+
+    monkeypatch.setattr(dv, "_first_positive_rank_row", spy)
+    product = mg.cartesian_product
+    ladder = [(product(mg.complete(4), mg.complete(3)), 8),
+              (product(mg.cycle(3), mg.cycle(5)), 6),
+              (product(mg.cycle(3), mg.cycle(4)), 6),
+              (mg.cone(mg.cycle(5), 5), 8),
+              (product(mg.complete(3), mg.complete(3)), 6)]
+    for g, gon in ladder:
+        del scanned[:]
+        assert dv.gonality(g)[0] == gon
+        assert scanned == [gon]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(
+    lambda seed, n, p: oracles.random_connected_multigraph(random.Random(seed), n, p),
+    st.integers(0, 1 << 30), st.integers(1, 7), st.sampled_from([0.3, 0.5, 0.8])))
+def test_gonality_is_the_lex_least_witness_property(g):
+    value, witness = dv.gonality(g)
+    assert (value, witness.chips.tolist()) == oracles.lex_least_gonality_witness(g)
+
+
 # a small random connected graph, simple or with multiplicities up to 3,
 # drawn from a seed so that hypothesis shrinks towards small seeds and sizes
 connected_graphs = st.builds(
@@ -394,7 +455,7 @@ def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
     closed = by_genus = 0
     for g in graphs:
         lower = vertex_scramble_order(g)
-        if lower != dv._gonality_upper(g):
+        if lower != dv._gonality_upper(g, inv.independence_number(g)):
             continue
         genus_bound = g.edge_count() - g.n + 2
         if lower == genus_bound:
@@ -420,14 +481,12 @@ def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
 @example(mg.path(5))
 def test_the_upper_bound_is_above_the_gonality_property(g):
     # and genus + 1 chips on one vertex have positive rank (Riemann-Roch)
-    assert dv._gonality_upper(g) >= dv.gonality(g)[0]
+    assert dv._gonality_upper(g, inv.independence_number(g)) >= dv.gonality(g)[0]
     genus_bound = g.edge_count() - g.n + 2
     assert dv.has_positive_rank(dv.Divisor(g, [genus_bound] + [0] * (g.n - 1)))
 
 
 def test_the_sandwich_scans_only_below_its_upper_bound(monkeypatch):
-    # gon(Q3) = 4 = n - alpha: from the lower bound 3 only degree 3 is
-    # scanned, and finding nothing there proves 4
     scanned = []
     scan = dv._first_positive_rank_row
 
@@ -436,10 +495,18 @@ def test_the_sandwich_scans_only_below_its_upper_bound(monkeypatch):
         return scan(g, burn, degree)
 
     monkeypatch.setattr(dv, "_first_positive_rank_row", spy)
-    assert dv._sandwiched_gonality(mg.hypercube(3), 3) == 4
+    # lam = 2, the edge scramble's order 3 and gon = 4 = n - alpha: from the
+    # lower bound 2 only degree 3 is scanned, and finding nothing proves 4
+    g = mg.from_edge_list(7, [(0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 2, 1), (1, 5, 1), (1, 6, 1),
+                              (2, 3, 1), (2, 6, 1), (3, 6, 1), (4, 6, 1), (5, 6, 1)])
+    assert sc._edge_scramble_order(g, inv.independence_number(g)) == 3
+    assert dv._sandwiched_gonality(g, 2) == 4
     assert scanned == [3]
-    # C5: genus + 1 = 2 meets the vertex scramble's order 2
+    # gon(Q3) = 4: the edge scramble's order meets n - alpha = 4
     del scanned[:]
+    assert dv._sandwiched_gonality(mg.hypercube(3), 3) == 4
+    assert scanned == []
+    # C5: genus + 1 = 2 meets the vertex scramble's order 2
     assert ct._stats(mg.cycle(5), 12).gon == 2
     assert scanned == []
 

@@ -1,5 +1,6 @@
 import contextlib
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ import sys
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -198,6 +199,62 @@ def test_egg_cut_number_skips_the_pairs_its_bound_rules_out(monkeypatch):
     assert 1 <= len(flows) <= 10
 
 
+def _multigraph_with_an_edge(rng, n, p):
+    """A random multigraph with at least one edge, connected or not."""
+    while True:
+        edges = [(u, v, rng.randint(1, 3))
+                 for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+        if edges:
+            return mg.from_edge_list(n, edges)
+
+
+# isolated vertices and disconnected hosts included
+multigraphs_with_an_edge = st.builds(
+    lambda seed, n, p: _multigraph_with_an_edge(random.Random(seed), n, p),
+    st.integers(0, 1 << 30), st.integers(2, 8), st.sampled_from([0.2, 0.4, 0.7]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs_with_an_edge, st.integers(0, 1 << 30))
+@example(mg.star(5), 0)                                                 # no disjoint pair
+@example(mg.from_edge_list(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)]), 0)  # pendant
+@example(mg.from_edge_list(5, [(0, 1, 2), (2, 3, 1)]), 0)               # two parts, isolated 4
+@example(mg.from_edge_list(3, [(1, 2, 1)]), 0)                          # one egg
+# u = 0 has the fewest distinct neighbours, and the only least cut, 1,
+# separates it from its first neighbour 1: the egg {0, 2} must be tried too
+@example(mg.from_edge_list(8, [(0, 1, 1), (0, 2, 3), (2, 3, 1), (2, 4, 1), (3, 4, 1)]
+                          + [(u, v, 1) for u, v in itertools.combinations((1, 5, 6, 7), 2)]), 0)
+def test_edge_scramble_egg_cuts_match_the_all_pairs_scan_property(g, seed):
+    # values and witnesses: the full edge scramble, which takes its minimum
+    # from one vertex's flows, and a part of its eggs, which scans every pair
+    s = sc.edge_scramble(g)
+    value, witness = sc.egg_cut_number(s)
+    assert (value, witness) == oracles.all_pairs_egg_cut_number(s)
+    assert value == oracles.brute_egg_cut(g, s.eggs)
+    assert sc._edge_scramble_order(g, inv.independence_number(g)) == sc.scramble_order(s).order
+    rng = random.Random(seed)
+    part = sc.Scramble(g, [egg for egg in s.eggs if rng.random() < 0.6] or s.eggs[:1])
+    assert sc.egg_cut_number(part) == oracles.all_pairs_egg_cut_number(part)
+
+
+def test_the_edge_scramble_takes_its_flows_from_one_vertex(monkeypatch):
+    # every disjoint pair of C3 [] C5's edge scramble ran 345 flows; one
+    # vertex's four eggs against the eggs disjoint from them, and the
+    # witness flow, run at most 100
+    flows = []
+    cut = inv._min_cut
+
+    def counted(*args, **kwargs):
+        flows.append(args[2:4])
+        return cut(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "_min_cut", counted)
+    g = mg.cartesian_product(mg.cycle(3), mg.cycle(5))
+    value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
+    assert value == size == inv.edge_boundary(g, side) == 6
+    assert len(flows) <= 100
+
+
 def test_product_scramble_orders_split_into_copies():
     # one egg group per copy: K5 [] K5 with k = 3 has 5 groups of 10 eggs
     order = sc.scramble_order(sc.product_scramble(mg.complete(5), mg.complete(5), 3))
@@ -308,7 +365,7 @@ def test_sn_bounds_starts_the_gonality_search_at_the_scramble_bound(monkeypatch)
 
     monkeypatch.setattr(dv, "_first_positive_rank_row", spy)
     petersen = mg.from_edge_list(10, [(u, v, 1) for u, v in nx.petersen_graph().edges()])
-    assert dv._gonality_upper(petersen) == 6
+    assert dv._gonality_upper(petersen, inv.independence_number(petersen)) == 6
     report = sc.sn_bounds(petersen)
     assert scanned == [4]
     assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
