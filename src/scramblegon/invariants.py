@@ -9,13 +9,13 @@ Every graph traversal (components, connected vertex sets and eggs, the BFS
 layers of q-reduction, bridge sides, complete-bipartite parts and the
 hitting-set search's egg groups) runs on one BFS routine, `_bfs`; only the
 brute-force sn oracle, whose eggs are bitmasks, grows its components on
-adjacency bitmasks.  Every flow (min cuts between vertex sets, edge
+adjacency bitmasks.  Every flow (min cuts between vertex sets and eggs, edge
 connectivity, and the local vertex connectivities on the vertex-split
-digraph) runs on one capped augmenting-path kernel, `_augment`; kappa is
-found by Esfahanian-Hakimi.  A min cut runs through `_min_cut` on capacity
-rows and neighbour lists built by its caller, so the egg-cut scan and the
-brute-force oracle build them once per call, and each flow runs on a copy of
-the rows.  Bridges come from a low-link DFS.
+digraph) runs in one capped max-flow routine, `_min_cut`; kappa is found by
+Esfahanian-Hakimi.  `_min_cut` reads capacity rows and neighbour lists built
+by its caller, so the connectivities, the egg-cut scan and the brute-force
+oracle build them once per call; each flow pushes its paths on those rows
+and takes them back before it returns.  Bridges come from a low-link DFS.
 """
 
 import math
@@ -96,64 +96,6 @@ def edge_boundary(g, vertices):
     return int(g.mult[np.ix_(mask, ~mask)].sum())
 
 
-def _augment(residual, nbrs, sources, sinks, limit, restore=False):
-    """Push augmenting paths from `sources` to the vertices flagged in `sinks`
-    until none is left or the flow reaches `limit`; returns the flow value.
-
-    `residual` is a list-of-lists capacity matrix, possibly directed, updated
-    in place; `nbrs[u]` must list every v with a positive residual[u][v] or
-    residual[v][u].  Paths are shortest ones (Edmonds-Karp), searched
-    breadth-first from all sources at once.  With `restore` the entries the
-    paths changed are put back before returning, so one matrix serves a
-    sequence of flows without a copy each.
-    """
-    n = len(residual)
-    value = 0
-    pushed = []
-    while value < limit:
-        parent = [-1] * n
-        for s in sources:
-            parent[s] = s
-        queue = list(sources)
-        end = -1
-        for u in queue:
-            row = residual[u]
-            for v in nbrs[u]:
-                if parent[v] < 0 and row[v]:
-                    parent[v] = u
-                    if sinks[v]:
-                        end = v
-                        break
-                    queue.append(v)
-            if end >= 0:
-                break
-        if end < 0:
-            break
-        push = math.inf
-        v = end
-        while parent[v] != v:
-            u = parent[v]
-            push = min(push, residual[u][v])
-            v = u
-        v = end
-        while parent[v] != v:
-            u = parent[v]
-            residual[u][v] -= push
-            residual[v][u] += push
-            v = u
-        value += push
-        if restore:
-            pushed.append((end, parent, push))
-    for end, parent, push in pushed:
-        v = end
-        while parent[v] != v:
-            u = parent[v]
-            residual[u][v] += push
-            residual[v][u] -= push
-            v = u
-    return value
-
-
 def edge_connectivity(g):
     """Minimum edge cut counted with multiplicity: the least cut between
     vertex 0 and some other vertex, each flow capped at the running minimum,
@@ -163,9 +105,7 @@ def edge_connectivity(g):
     nbrs = _adjacency(g.mult)
     best = min_degree(g)
     for v in range(1, n):
-        sinks = [False] * n
-        sinks[v] = True
-        best = min(best, _augment(rows, nbrs, [0], sinks, best, restore=True))
+        best = min(best, _min_cut(rows, nbrs, [0], [v], best)[0])
     return best
 
 
@@ -203,9 +143,7 @@ def vertex_connectivity(g):
     pairs = [(v, w) for w in range(n) if w != v and not rows[v][w]]
     pairs += [(x, y) for i, x in enumerate(adj[v]) for y in adj[v][i + 1:] if not rows[x][y]]
     for s, t in pairs:
-        sinks = [False] * (2 * n)
-        sinks[2 * t] = True
-        best = min(best, _augment(split, nbrs, [2 * s + 1], sinks, best, restore=True))
+        best = min(best, _min_cut(split, nbrs, [2 * s + 1], [2 * t], best)[0])
     return best
 
 
@@ -272,27 +210,74 @@ def min_cut_between(g, side_a, side_b, limit=math.inf):
 
 
 def _min_cut(rows, nbrs, side_a, side_b, limit):
-    """`min_cut_between` on prebuilt capacity rows (a list-of-lists
-    multiplicity matrix, left as it was) and neighbour lists, for sides
-    already checked; a caller running many cuts on one graph builds them
-    once."""
-    residual = [row[:] for row in rows]
-    n = len(residual)
+    """`min_cut_between` on capacity rows and neighbour lists built by the
+    caller, for sides already checked: the package's one max-flow routine.
+
+    `rows` is a list-of-lists capacity matrix, possibly directed, and
+    `nbrs[u]` lists every v with a positive rows[u][v] or rows[v][u].  The
+    augmenting paths are pushed on `rows` itself and taken back before the
+    cut returns, so a caller running many cuts on one graph builds its rows
+    once and every cut reads them as they were.
+    """
+    n = len(rows)
     sinks = [False] * n
     for v in side_b:
         sinks[v] = True
-    value = _augment(residual, nbrs, list(side_a), sinks, limit)
-    if value >= limit:
-        return value, None
-    # vertices that still reach side_b, found backwards from it
-    reach = sinks
-    queue = list(side_b)
-    for v in queue:
-        for u in nbrs[v]:
-            if not reach[u] and residual[u][v]:
-                reach[u] = True
-                queue.append(u)
-    return value, frozenset(v for v in range(n) if not reach[v])
+    value = 0
+    pushed = []
+    while value < limit:
+        parent = [-1] * n
+        for s in side_a:
+            parent[s] = s
+        queue = list(side_a)
+        end = -1
+        for u in queue:
+            row = rows[u]
+            for v in nbrs[u]:
+                if parent[v] < 0 and row[v]:
+                    parent[v] = u
+                    if sinks[v]:
+                        end = v
+                        break
+                    queue.append(v)
+            if end >= 0:
+                break
+        if end < 0:
+            break
+        push = math.inf
+        v = end
+        while parent[v] != v:
+            u = parent[v]
+            if rows[u][v] < push:
+                push = rows[u][v]
+            v = u
+        v = end
+        while parent[v] != v:
+            u = parent[v]
+            rows[u][v] -= push
+            rows[v][u] += push
+            v = u
+        value += push
+        pushed.append((end, parent, push))
+    side = None
+    if value < limit:
+        # vertices that still reach side_b, found backwards from it
+        reach = sinks
+        queue = list(side_b)
+        for v in queue:
+            for u in nbrs[v]:
+                if not reach[u] and rows[u][v]:
+                    reach[u] = True
+                    queue.append(u)
+        side = frozenset(v for v in range(n) if not reach[v])
+    for end, parent, push in pushed:
+        v = end
+        while parent[v] != v:
+            u = parent[v]
+            rows[u][v] += push
+            rows[v][u] -= push
+            v = u
+    return value, side
 
 
 def independence_number(g):

@@ -259,8 +259,9 @@ def egg_cut_number(scramble):
     bound B (`_pair_bounds`) is at least the running minimum is skipped, and
     each remaining flow is capped at the running minimum: neither kind of
     pair can cut strictly below it, so neither can replace the witness.  The
-    bounds are built one egg row at a time, in O(eggs * n) memory, and every
-    flow runs on capacity rows and neighbour lists built once per call.
+    bounds are built one egg row at a time, in O(eggs * n) memory.  Every
+    flow runs in `invariants._min_cut` on capacity rows and neighbour lists
+    built once per call, which it leaves as they were, with no copy.
 
     When the eggs are exactly the adjacent vertex pairs of the host, as in
     `edge_scramble`, the minimum e comes first from the flows at one vertex
@@ -493,8 +494,9 @@ def brute_force_sn(g, max_eggs=None):
     from per-egg bitsets of the constraints offering it; each is narrowed,
     in constraint order, by one AND with i's bitset of compatible eggs:
     those meeting it, and the disjoint ones whose cut reaches k.  A disjoint
-    pair's cut is settled by one flow the first time a narrowing meets it,
-    on capacity rows and neighbour lists built once per call.  A branch
+    pair's cut is settled by one `invariants._min_cut` flow the first time a
+    narrowing meets it, on capacity rows and neighbour lists built once per
+    call and left as they were, with no copy.  A branch
     stops at the first constraint it empties, and its narrowings are undone
     from a trail when the search backtracks.
     """

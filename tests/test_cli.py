@@ -116,6 +116,29 @@ def test_sn_bounds_command(capsys, tmp_path):
                    "upper_source=brute force\nexact=True\n")
 
 
+def test_sn_bounds_names_each_lower_bound_source(capsys, tmp_path):
+    # the vertex scramble gives 3 and the edge scramble no more; the oracle
+    # finds sn = 4 with eight eggs, and that witness as a user scramble
+    # gives 4 too
+    g = mg.from_edge_list(6, [(u, v, 1) for u, v in ((0, 1), (0, 2), (0, 3), (0, 5), (1, 2),
+                                                     (1, 3), (1, 4), (2, 4), (3, 4), (3, 5))])
+    path = write_graph(tmp_path, "g.mel", g)
+    code, out, _ = run(capsys, "--machine", "sn-bounds", path)
+    assert code == 0
+    assert out == ("lower=3\nupper=4\nlower_source=vertex scramble\n"
+                   "upper_source=gonality\nexact=False\n")
+    code, out, _ = run(capsys, "--machine", "sn-bounds", path, "--brute")
+    assert code == 0
+    assert out == ("lower=4\nupper=4\nlower_source=brute force\n"
+                   "upper_source=gonality\nexact=True\n")
+    spath = tmp_path / "oracle.scr"
+    spath.write_text("0 5\n1 2\n1 4\n2 4\n3 5\n0 1 3\n0 2 3\n0 3 4\n")
+    code, out, _ = run(capsys, "--machine", "sn-bounds", path, "--scramble", str(spath))
+    assert code == 0
+    assert out == ("lower=4\nupper=4\nlower_source=user scramble\n"
+                   "upper_source=gonality\nexact=True\n")
+
+
 def test_edge_and_product_scramble_commands(capsys, tmp_path):
     path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
     code, out, _ = run(capsys, "edge-scramble", path)
@@ -220,6 +243,25 @@ def test_error_exit_codes(capsys, tmp_path):
     assert run(capsys, "--machine", "reduce", k2, str(chips), "--q", "1") == (
         2, "", "error: chips could total %d in absolute value during q-reduction, past the "
                "int64 limit 2**63 - 1\n" % (2 ** 63 + 5))
+
+
+def test_reduce_on_a_disconnected_host_exits_2(capsys, tmp_path):
+    path = write_graph(tmp_path, "two.mel", mg.from_edge_list(4, [(0, 1, 1), (2, 3, 1)]))
+    chips = tmp_path / "chips.txt"
+    chips.write_text("4\n1 0 0 0\n")
+    assert run(capsys, "--machine", "reduce", path, str(chips), "--q", "0") == (
+        2, "", "error: q-reduction needs a connected host graph\n")
+
+
+def test_a_failure_inside_a_verb_exits_1_as_an_internal_error(capsys, monkeypatch, tmp_path):
+    def broken(g):
+        raise RuntimeError("flow lost its way")
+
+    monkeypatch.setattr(cli.inv, "edge_connectivity", broken)
+    path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
+    code, _, err = run(capsys, "--machine", "info", path)
+    assert code == 1
+    assert err == "internal error: flow lost its way\n"
 
 
 def test_over_budget_gonality_exits_2(capsys, tmp_path):

@@ -83,6 +83,24 @@ def test_dhar_burn_rejects_debt_off_q():
             dv.is_q_reduced(p3, q)
 
 
+def test_a_q_out_of_range_is_refused_and_debt_off_q_is_not_reduced():
+    p3 = dv.Divisor(mg.path(3), [0, 0, 1])
+    for q in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            dv.dhar_burn(p3, q)
+        with pytest.raises(ValueError, match="out of range"):
+            dv.q_reduce(p3, q)
+    # the burn would reach every vertex, but vertex 1 is in debt
+    assert not dv.is_q_reduced(dv.Divisor(mg.path(3), [2, -1, 0]), 0)
+    assert dv.is_q_reduced(dv.Divisor(mg.path(3), [-1, 0, 0]), 0)
+
+
+def test_q_reduction_refuses_a_disconnected_host():
+    two_edges = mg.from_edge_list(4, [(0, 1, 1), (2, 3, 1)])
+    with pytest.raises(ValueError, match="connected host"):
+        dv.q_reduce(dv.Divisor(two_edges, [1, 0, 0, 0]), 0)
+
+
 def test_q_reduce_output_is_reduced_and_script_replays():
     rng = random.Random(9)
     for _ in range(15):

@@ -124,31 +124,60 @@ def test_vertex_connectivity_runs_the_esfahanian_hakimi_flows(monkeypatch):
     # K6 [] K6: 25 non-neighbours of a vertex plus 25 non-adjacent pairs of
     # its neighbours (row against column)
     flows = []
-    augment = inv._augment
+    cut = inv._min_cut
 
-    def counting(*args, **kwargs):
-        flows.append(args)
-        return augment(*args, **kwargs)
+    def counting(*args):
+        flows.append(args[2:4])
+        return cut(*args)
 
-    monkeypatch.setattr(inv, "_augment", counting)
+    monkeypatch.setattr(inv, "_min_cut", counting)
     g = mg.cartesian_product(mg.complete(6), mg.complete(6))
     assert inv.vertex_connectivity(g) == 10
     assert nx.node_connectivity(oracles.networkx_graph(g)) == 10
     assert len(flows) <= 50
 
 
-def test_a_restored_flow_leaves_its_residual_matrix_as_it_was():
+def _split_digraph(g):
+    """The vertex-split digraph of g's underlying simple graph, as capacity
+    rows and neighbour lists: v_in = 2v -> v_out = 2v + 1 with capacity 1,
+    and u_out -> v_in for each edge uv."""
+    adj = inv._adjacency(g.mult)
+    rows = [[0] * (2 * g.n) for _ in range(2 * g.n)]
+    nbrs = []
+    for v in range(g.n):
+        rows[2 * v][2 * v + 1] = 1
+        for u in adj[v]:
+            rows[2 * v + 1][2 * u] = 1
+        nbrs.append([2 * v + 1] + [2 * u + 1 for u in adj[v]])
+        nbrs.append([2 * v] + [2 * u for u in adj[v]])
+    return rows, nbrs
+
+
+def test_a_cut_takes_its_paths_back_from_the_callers_rows():
     rng = random.Random(61)
     for g in _connectivity_cases():
         if g.n < 2:
             continue
         rows = g.mult.tolist()
         nbrs = inv._adjacency(g.mult)
-        sinks = [False] * g.n
-        sinks[rng.randrange(1, g.n)] = True
-        value = inv._augment(rows, nbrs, [0], sinks, math.inf, restore=True)
+        a, b = [0], [rng.randrange(1, g.n)]
+        value, side = inv._min_cut(rows, nbrs, a, b, math.inf)
         assert rows == g.mult.tolist()
-        assert value == inv._augment(g.mult.tolist(), nbrs, [0], sinks, math.inf)
+        assert (value, side) == inv._min_cut(g.mult.tolist(), nbrs, a, b, math.inf)
+        assert (value, side) == oracles.networkx_min_cut(g, a, b)
+    # on Petersen's split digraph, from 0_out to t_in for each non-neighbour
+    # t of 0: three internally disjoint paths, one row set for every flow
+    g = petersen()
+    rows, nbrs = _split_digraph(g)
+    fresh = [row[:] for row in rows]
+    nxg = oracles.networkx_graph(g)
+    for t in range(1, g.n):
+        if g.mult[0, t]:
+            continue
+        value = inv._min_cut(rows, nbrs, [1], [2 * t], math.inf)[0]
+        assert rows == fresh
+        assert value == inv._min_cut([row[:] for row in fresh], nbrs, [1], [2 * t], math.inf)[0]
+        assert value == nx.algorithms.connectivity.local_node_connectivity(nxg, 0, t) == 3
 
 
 def _random_subsets(rng, n):

@@ -28,6 +28,16 @@ def test_from_edge_list_rejects_bad_input():
         mg.from_edge_list(0, [])
 
 
+def test_multigraph_refuses_a_matrix_that_is_no_multigraph():
+    for mult, reason in (([[0, 1, 0], [1, 0, 1]], "square and nonempty"),
+                         ([[]], "square and nonempty"),
+                         ([[0, -1], [-1, 0]], "nonnegative"),
+                         ([[0, 1], [2, 0]], "symmetric"),
+                         ([[1, 0], [0, 0]], "loop")):
+        with pytest.raises(ValueError, match=reason):
+            mg.Multigraph(mult)
+
+
 def test_multiplicity_matrix_is_immutable():
     g = mg.path(3)
     with pytest.raises(ValueError):

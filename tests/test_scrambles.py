@@ -272,6 +272,17 @@ def test_egg_cut_is_infinite_without_disjoint_eggs():
     assert sc.scramble_order(s).order == sc.hitting_number(s)[0]
 
 
+def test_the_edge_scramble_of_a_disconnected_host_has_egg_cut_zero():
+    # an egg in each triangle: the flow between them is 0, which ends the
+    # flows at one vertex at once
+    g = mg.from_edge_list(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
+    s = sc.edge_scramble(g)
+    assert sc.egg_cut_number(s) == (0, (frozenset({0, 1, 2}), 0))
+    assert sc.egg_cut_number(s) == oracles.all_pairs_egg_cut_number(s)
+    assert oracles.brute_egg_cut(g, s.eggs) == 0
+    assert sc._edge_scramble_order(g, inv.independence_number(g)) == 0
+
+
 def test_vertex_scramble_order_is_connectivity_capped():
     rng = random.Random(53)
     graphs = [oracles.random_connected_graph(rng, rng.randrange(2, 8), 0.5) for _ in range(10)]
@@ -576,6 +587,23 @@ def counted_flows():
         yield flows
     finally:
         inv._min_cut = cut
+
+
+def test_every_flow_runs_in_the_one_cut_routine():
+    g = mg.cartesian_product(mg.cycle(3), mg.path(3))
+    alpha = inv.independence_number(g)
+    sources = {
+        "edge_connectivity": lambda: inv.edge_connectivity(g),
+        "vertex_connectivity": lambda: inv.vertex_connectivity(g),
+        "min_cut_between": lambda: inv.min_cut_between(g, [0], [8]),
+        "egg_cut_number": lambda: sc.egg_cut_number(sc.vertex_scramble(g)),
+        "_edge_scramble_order": lambda: sc._edge_scramble_order(g, alpha),
+        "brute_force_sn": lambda: sc.brute_force_sn(g),
+    }
+    for name, call in sources.items():
+        with counted_flows() as flows:
+            call()
+        assert flows, name
 
 
 def egg_masks(scramble):
