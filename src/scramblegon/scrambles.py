@@ -166,14 +166,38 @@ def _group_hitting_number(eggs):
 _NO_SET = np.iinfo(np.int64).max
 
 
+def _spectral_cut_bounds(g):
+    """spec[s] <= |boundary(S)| for every vertex set S of size s, s = 0..n:
+    Fiedler's bound ceil(a s (n - s) / n), a the algebraic connectivity, the
+    second-smallest eigenvalue of the Laplacian diag(deg) - mult (it holds
+    with multiplicities as edge weights).
+
+    a is max(0, lambda_2 - 1e-9 (1 + lambda_max)) from one `eigvalsh` call:
+    the margin is far above the eigenvalues' rounding error, so a is at most
+    the true one and the ceiling never rises past an integral bound, as on
+    K_n or Q3.  Unless n**2 times the largest multiplicity is below 2**53,
+    the valences may not be exact in float64, and spec is 0 throughout; below
+    it every spec[s] is at most the edge count and converts exactly."""
+    n = g.n
+    if n < 2 or n * n * int(g.mult.max()) >= 2**53:
+        return np.zeros(n + 1, dtype=np.int64)
+    eig = np.linalg.eigvalsh(np.diag(g.mult.sum(axis=1)) - g.mult)
+    a = max(0.0, eig[1] - 1e-9 * (1 + eig[-1]))
+    s = np.arange(n + 1)
+    return np.ceil(a * (s * (n - s)) / n).astype(np.int64)
+
+
 def _cut_bound_table(g, member):
     """F[i, s] <= |boundary(S)| for every vertex set S of size s holding egg i
     (its row of the 0/1 egg-vertex matrix `member`); _NO_SET where s is
     below the egg's size.
 
-    A vertex v of S has at most s - 1 neighbours in S, so at least t_s(v) =
-    deg(v) - (v's s - 1 largest multiplicities) of its edges leave S.  F sums
-    t_s over the egg and adds the s - |egg| smallest t_s of all vertices."""
+    Two lower bounds, and F is their maximum.  A vertex v of S has at most
+    s - 1 neighbours in S, so at least t_s(v) = deg(v) - (v's s - 1 largest
+    multiplicities) of its edges leave S: one bound sums t_s over the egg
+    and adds the s - |egg| smallest t_s of all vertices.  The other is the
+    spectral bound `_spectral_cut_bounds`, spec[s] for every s-set, its
+    eigenvalue lowered by a margin before the ceiling."""
     n = g.n
     deg = g.mult.sum(axis=1)
     # kept[v, j]: the sum of v's j largest multiplicities, j = 0..n-1
@@ -185,7 +209,7 @@ def _cut_bound_table(g, member):
     least[:, 1:] = np.cumsum(np.sort(t, axis=1), axis=1)
     s = np.arange(n + 1)
     others = s - member.sum(axis=1)[:, None]
-    table = member @ t.T + least[s, np.maximum(others, 0)]
+    table = np.maximum(member @ t.T + least[s, np.maximum(others, 0)], _spectral_cut_bounds(g))
     table[others < 0] = _NO_SET
     return table
 
@@ -194,7 +218,9 @@ def _pair_bounds(table, i, first=None):
     """B(i, j) for every egg j from `first` on, by default every later egg:
     the least, over the sizes s of the side holding egg i, of max(F[i, s],
     F[j, n - s]).  Both sides of a cut have its boundary, so B(i, j) is at
-    most every cut separating the two eggs."""
+    most every cut separating the two eggs.  F's spectral term is the same
+    for s and n - s and holds for every s-set, so B(i, j) takes it in with
+    no change here."""
     return np.maximum(table[i], table[i + 1 if first is None else first:, ::-1]).min(axis=1)
 
 
@@ -220,8 +246,10 @@ def _least_edge_egg_cut(g, eggs, setup, limit):
     fewest distinct neighbours, the flows from each egg {u, w} to the eggs
     disjoint from it reach e.  The running minimum starts at the least
     boundary of an egg that has a disjoint egg, itself an egg-cut; a flow
-    whose pair bound (`_pair_bounds`) reaches it is skipped, and each other
-    flow is capped at it."""
+    whose pair bound (`_pair_bounds`, the larger of the degree-counting and
+    spectral bounds of `_cut_bound_table`) reaches it is skipped, and each
+    other flow is capped at it.  Where the spectral bound already meets that
+    start, as on K4 [] K3, Q4, C3 [] C4 and C4 [] K3,3, no flow runs."""
     rows, nbrs, member, table = setup
     ends = np.array([sorted(egg) for egg in eggs])
     a, b = ends[:, 0], ends[:, 1]
@@ -255,13 +283,15 @@ def egg_cut_number(scramble):
     disjoint.
 
     Returns (value, (A, value)) with A the maximal source side of the first
-    pair, in egg order, whose cut attains the minimum.  A pair whose degree
-    bound B (`_pair_bounds`) is at least the running minimum is skipped, and
-    each remaining flow is capped at the running minimum: neither kind of
-    pair can cut strictly below it, so neither can replace the witness.  The
-    bounds are built one egg row at a time, in O(eggs * n) memory.  Every
-    flow runs in `invariants._min_cut` on capacity rows and neighbour lists
-    built once per call, which it leaves as they were, with no copy.
+    pair, in egg order, whose cut attains the minimum.  A pair whose bound B
+    (`_pair_bounds`: degree counting and Fiedler's spectral bound, with its
+    eigenvalue lowered by a margin) is at least the running minimum is
+    skipped, and each remaining flow is capped at the running minimum:
+    neither kind of pair can cut strictly below it, so neither can replace
+    the witness.  The bounds are built one egg row at a time, in O(eggs * n)
+    memory.  Every flow runs in `invariants._min_cut` on capacity rows and
+    neighbour lists built once per call, which it leaves as they were, with
+    no copy.
 
     When the eggs are exactly the adjacent vertex pairs of the host, as in
     `edge_scramble`, the minimum e comes first from the flows at one vertex
@@ -496,9 +526,10 @@ def brute_force_sn(g, max_eggs=None):
     those meeting it, and the disjoint ones whose cut reaches k.  A disjoint
     pair's cut is settled by one `invariants._min_cut` flow the first time a
     narrowing meets it, on capacity rows and neighbour lists built once per
-    call and left as they were, with no copy.  A branch
-    stops at the first constraint it empties, and its narrowings are undone
-    from a trail when the search backtracks.
+    call and left as they were, with no copy, between the two eggs' vertex
+    lists, each built at most once per k.  A branch stops at the first
+    constraint it empties, and its narrowings are undone from a trail when
+    the search backtracks.
     """
     n = g.n
     if max_eggs is not None and max_eggs < 1:
@@ -582,12 +613,19 @@ def brute_force_sn(g, max_eggs=None):
         unsettled = [everything ^ meets for meets in compatible]
         trail = []  # (constraint, its options before a narrowing)
         chosen = []
+        vertex_lists = [None] * len(eggs)
+
+        def vertices(i):
+            """Egg i's vertex list, built on first use."""
+            if vertex_lists[i] is None:
+                vertex_lists[i] = list(bits(eggs[i]))
+            return vertex_lists[i]
 
         def settle(i, fresh):
             """One flow from egg i to each egg numbered in fresh."""
-            side = list(bits(eggs[i]))
+            side = vertices(i)
             for j in bits(fresh):
-                if inv._min_cut(rows, nbrs, side, list(bits(eggs[j])), k)[0] >= k:
+                if inv._min_cut(rows, nbrs, side, vertices(j), k)[0] >= k:
                     compatible[i] |= 1 << j
                     compatible[j] |= 1 << i
                 unsettled[j] &= ~(1 << i)

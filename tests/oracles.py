@@ -60,6 +60,20 @@ def brute_egg_cut(g, eggs):
     return best
 
 
+def least_boundaries(g):
+    """The least edge boundary |E(S, S^C)| over the vertex sets S of each
+    size s = 0..n, by exhausting all subsets in Python integers."""
+    n = g.n
+    rows = g.mult.tolist()
+    best = [math.inf] * (n + 1)
+    for mask in range(1 << n):
+        inside = [v for v in range(n) if mask >> v & 1]
+        outside = [v for v in range(n) if not mask >> v & 1]
+        cut = sum(rows[u][v] for u in inside for v in outside)
+        best[len(inside)] = min(best[len(inside)], cut)
+    return best
+
+
 def brute_vertex_connectivity(g):
     """kappa of the underlying simple graph by removing vertex subsets,
     smallest first, until the rest is disconnected; n - 1 when no subset of

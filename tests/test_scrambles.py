@@ -117,14 +117,31 @@ def _multigraph_with_eggs(rng, n, p, count):
     return g, random_eggs(rng, g, count)
 
 
-def reference_cut_bounds(g, egg):
-    """F(s) for s = 0..n by its definition, loop by loop; None below |egg|."""
+def reference_spectral_bounds(g):
+    """Fiedler's ceil(a s (n - s) / n) for s = 0..n, a the second-smallest
+    eigenvalue of a Laplacian built entry by entry, less the margin
+    1e-9 (1 + largest eigenvalue); 0 throughout unless n**2 times the
+    largest multiplicity is below 2**53."""
     n = g.n
     rows = g.mult.tolist()
+    if n < 2 or n * n * max(map(max, rows)) >= 2**53:
+        return [0] * (n + 1)
+    laplacian = [[sum(row) if u == v else -row[v] for v in range(n)] for u, row in enumerate(rows)]
+    eig = np.linalg.eigvalsh(np.array(laplacian, dtype=float))
+    a = max(0.0, float(eig[1]) - 1e-9 * (1 + float(eig[-1])))
+    return [math.ceil(a * (s * (n - s)) / n) for s in range(n + 1)]
+
+
+def reference_cut_bounds(g, egg):
+    """F(s) for s = 0..n by its definition, loop by loop: the larger of the
+    degree-counting bound and the spectral one; None below |egg|."""
+    n = g.n
+    rows = g.mult.tolist()
+    spectral = reference_spectral_bounds(g)
     out = [None] * (n + 1)
     for s in range(len(egg), n + 1):
         t = [sum(row) - sum(sorted(row, reverse=True)[:s - 1]) for row in rows]
-        out[s] = sum(t[v] for v in egg) + sum(sorted(t)[:s - len(egg)])
+        out[s] = max(sum(t[v] for v in egg) + sum(sorted(t)[:s - len(egg)]), spectral[s])
     return out
 
 
@@ -179,6 +196,61 @@ def test_cut_bound_is_exact_on_complete_graphs():
     for n in (2, 5, 8):
         table = sc._cut_bound_table(mg.complete(n), np.eye(n, dtype=np.int64))
         assert table[:, 1:].tolist() == [[s * (n - s) for s in range(1, n + 1)]] * n
+
+
+def test_spectral_bound_is_below_the_least_boundary_of_every_size():
+    rng = random.Random(61)
+    graphs = [mg.complete(n) for n in range(2, 11)] + [mg.hypercube(3)]
+    graphs += [disjoint_union(mg.complete(3), mg.cycle(4)), mg.from_edge_list(5, [(0, 1, 2)]),
+               mg.path(1)]
+    for _ in range(40):
+        n = rng.randrange(2, 11)
+        graphs.append(mg.random_graph(n, rng.choice([0.2, 0.5, 0.8]), seed=rng.randrange(1 << 30)))
+        graphs.append(_random_multigraph(rng, n, rng.choice([0.3, 0.6, 0.9]), True))
+    tight = 0
+    for g in graphs:
+        spectral = sc._spectral_cut_bounds(g).tolist()
+        least = oracles.least_boundaries(g)
+        assert spectral == reference_spectral_bounds(g)
+        assert all(x <= y for x, y in zip(spectral, least)), g.mult.tolist()
+        tight += sum(0 < x == y for x, y in zip(spectral, least))
+        if not inv.is_connected(g):
+            assert spectral == [0] * (g.n + 1)
+    assert tight > 0
+    # a s (n - s) / n is an integer on K_n (a = n) and at s = 2, 4, 6 on Q3
+    # (a = 2): the margin must not push the ceiling past it
+    for n in range(2, 11):
+        assert sc._spectral_cut_bounds(mg.complete(n)).tolist() == [s * (n - s) for s in range(n + 1)]
+    assert sc._spectral_cut_bounds(mg.hypercube(3)).tolist() == [0, 2, 3, 4, 4, 4, 3, 2, 0]
+    # a multiplicity past 2**53 is not exact in float64: the term is dropped
+    # and the table keeps its degree-counting bound alone
+    huge = mg.from_edge_list(3, [(0, 1, 2**53 + 1), (1, 2, 1), (0, 2, 1)])
+    assert sc._spectral_cut_bounds(huge).tolist() == [0, 0, 0, 0]
+    assert oracles.least_boundaries(huge) == [0, 2, 2, 0]
+    table = sc._cut_bound_table(huge, np.eye(3, dtype=np.int64))
+    assert [None if x == sc._NO_SET else x for x in table[0].tolist()] == reference_cut_bounds(huge, {0})
+    # on K4 with multiplicity 2**63 - 1 the valences wrap in int64, and the
+    # eigenvalue would give bounds past int64: none of them may enter
+    k4 = mg.from_edge_list(4, [(u, v, 2**63 - 1) for u, v in itertools.combinations(range(4), 2)])
+    assert sc._spectral_cut_bounds(k4).tolist() == [0] * 5
+
+
+def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run():
+    # every flow at one vertex only confirmed the least edge boundary of an
+    # edge egg with a disjoint egg; on these products the spectral bound
+    # reaches it first.  Cycles have a small a(G), so C3 [] C5 keeps its flows
+    P, K, C = mg.cartesian_product, mg.complete, mg.cycle
+    cases = [(P(K(4), K(3)), 8), (mg.hypercube(4), 6), (P(C(3), C(4)), 6), (P(K(3), K(3)), 6),
+             (P(C(4), mg.complete_bipartite(3, 3)), 8)]
+    for g, value in cases:
+        alpha = inv.independence_number(g)
+        with counted_flows() as flows:
+            assert sc._edge_scramble_order(g, alpha) == value
+        assert flows == []
+    g = P(C(3), C(5))
+    with counted_flows() as flows:
+        assert sc._edge_scramble_order(g, inv.independence_number(g)) == 6
+    assert flows
 
 
 def test_egg_cut_number_skips_the_pairs_its_bound_rules_out(monkeypatch):
