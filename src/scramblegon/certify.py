@@ -107,7 +107,8 @@ class _FactorStats:
         # positive-rank upper bound (n - alpha, or n) no divisor search runs
         if self.n > self.budget:
             return None
-        return dv._sandwiched_gonality(self.graph, vertex_scramble_order(self.n, self.lam))
+        order = vertex_scramble_order(self.n, self.lam)
+        return dv._sandwich(self.graph, order, inv.independence_number(self.graph))[1]
 
     @cached_property
     def complete_simple(self):
@@ -414,12 +415,12 @@ def reduce_alpha(g, solver="gonality"):
 
     Builds the cone with l = |V(G)| apex vertices; its scramble number and
     gonality both equal 2m - alpha(G), so alpha = 2m - gon.  solver
-    "gonality" runs the exact divisor search on the cone; solver
-    "scramble-sandwich" closes the sandwich with the dense-graph edge
-    scramble certificate instead.  The recovered alpha is cross-checked
-    against the direct branch-and-bound value; a mismatch is a soundness bug
-    and raises.
-    """
+    "gonality" runs the exact divisor search on the cone.  Solver
+    "scramble-sandwich" is circular: `check_all_equal` returns n - alpha of
+    the cone, alpha from `invariants.max_independent_set`, and its only
+    independent check is that the edge scramble's egg-cut is at least
+    n - alpha.  The recovered alpha is cross-checked against the direct
+    branch-and-bound value; a mismatch is a soundness bug and raises."""
     if not g.is_simple():
         raise HypothesisError("the reduction is defined for simple graphs")
     if not inv.is_connected(g):

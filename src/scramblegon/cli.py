@@ -246,7 +246,9 @@ VERBS = {
                 [_arg("graph_g"), _arg("graph_h"), _arg("--budget", type=int, default=12)]),
     "reduce-alpha": ("recover alpha(G) from the cone's gonality", _cmd_reduce_alpha,
                      [_arg("graph"),
-                      _arg("--via", choices=["gonality", "scramble-sandwich"], default="gonality")]),
+                      _arg("--via", choices=["gonality", "scramble-sandwich"], default="gonality",
+                           help="gonality: the cone's divisor search; scramble-sandwich: the cone's "
+                                "n - alpha by max_independent_set, checked only by egg-cut >= n - alpha")]),
     "fixtures": ("rebuild and check the benchmark figure graphs", _cmd_fixtures,
                  [_arg("--out", default=None, help="directory to write fixture files"),
                   _arg("--check", action="store_true")]),

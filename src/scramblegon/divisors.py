@@ -423,24 +423,29 @@ def _gonality_upper(g, alpha):
 
 
 def _scan_start(g, lower, upper, alpha):
-    """The degree a scan for gon(g) starts at, given a sound lower bound
-    lower <= upper = _gonality_upper(g, alpha): lower, raised to the edge
-    scramble's order (sn <= gon), which is worked out only when lower is
-    below upper, where a scan below upper would run."""
+    """A sound lower bound lower <= upper = _gonality_upper(g, alpha) on
+    gon(g), raised to the edge scramble's order (sn <= gon), which is worked
+    out only where lower is below upper: the start of a sandwich's scan."""
     if lower < upper:
         return max(lower, sc._edge_scramble_order(g, alpha))
     return lower
 
 
-def _scan_degrees(g, lower, start, stop):
-    """(degree, row) of the first 0-reduced positive-rank row of the degrees
-    start .. stop - 1, or None, for a connected g on two or more vertices
-    and a sound lower bound lower <= start.  Every positive-rank class has a
-    0-reduced representative with a chip on vertex 0, so the scan is
-    lossless.  A refusal names the degree a scan from lower would stop at:
-    the box grows with the degree, so that is the first over-budget degree
-    from lower up, and the degrees below start are checked first.
-    """
+def _sandwich(g, lower, alpha, witness=False):
+    """(start, gon(g), row) for a connected g of independence number alpha
+    and a sound lower bound on gon(g): start is `_scan_start`, and row the
+    first 0-reduced positive-rank row of degree gon(g), in the order of
+    chips[1:], or None.  Degrees from start up are scanned, through upper =
+    `_gonality_upper` with `witness`, else below it (none there proves gon =
+    upper); each positive-rank class has a 0-reduced representative with a
+    chip on vertex 0.  A refusal names the first over-budget degree from
+    lower up, so the degrees below start are checked first."""
+    lower = max(lower, 1)  # no divisor of degree < 1 has positive rank
+    upper = _gonality_upper(g, alpha)
+    if lower > upper:
+        raise ValueError("gonality lower bound %d exceeds upper bound %d" % (lower, upper))
+    start = _scan_start(g, lower, upper, alpha)
+    stop = upper + 1 if witness else upper
     if start < stop:
         bounds = _box_bounds(g)
         for degree in range(lower, start):
@@ -449,55 +454,27 @@ def _scan_degrees(g, lower, start, stop):
     for degree in range(start, stop):
         row = _first_positive_rank_row(g, burn, degree)
         if row is not None:
-            return degree, row
-    return None
-
-
-def _sandwich_scan(g, lower, start, upper):
-    """gon(g) of a connected g, given start <= gon(g) <= upper =
-    _gonality_upper(g) and the sound lower bound lower <= start that a
-    refusal counts from.  Only the degrees below upper are scanned: when
-    none has a positive-rank divisor, the upper bound's own divisor is one.
-    """
-    found = _scan_degrees(g, lower, start, upper)
-    return upper if found is None else found[0]
-
-
-def _sandwiched_gonality(g, lower):
-    """gon(g) of a connected g, given a sound lower bound on it (a scramble
-    order, say), with no witness: the degrees from `_scan_start` up to
-    below `_gonality_upper` are scanned, and alpha is worked out once for
-    both."""
-    lower = max(lower, 1)  # no divisor of degree < 1 has positive rank
-    alpha = inv.independence_number(g)
-    upper = _gonality_upper(g, alpha)
-    if lower > upper:
-        raise ValueError("gonality lower bound %d exceeds upper bound %d" % (lower, upper))
-    return _sandwich_scan(g, lower, _scan_start(g, lower, upper, alpha), upper)
+            return start, degree, row
+    return start, upper, None
 
 
 def gonality(g):
     """Exact gonality with a positive-rank witness divisor: the 0-reduced one
-    of least degree with the lexicographically least chips[1:].  The scan
-    runs up to `_gonality_upper` from the edge scramble's order, or from the
-    vertex scramble's order min(lam, n) where that is higher; no degree below
-    either has a positive-rank divisor, as sn <= gon.  Raises
-    CandidateBudgetError, before scanning it, when a degree's candidate box
-    would exceed CANDIDATE_BOX_BUDGET, naming the first such degree from
-    min(lam, n) up; when that is min(lam, n) itself, before alpha or any
-    edge-scramble flow is worked out.
-    """
+    of least degree with the lexicographically least chips[1:], from
+    `_sandwich` with the vertex scramble's order min(lam, n) as its lower
+    bound.  Raises CandidateBudgetError, before scanning it, when a degree's
+    candidate box would exceed CANDIDATE_BOX_BUDGET, naming the first such
+    degree from min(lam, n) up; when that is min(lam, n) itself, before alpha
+    or any edge-scramble flow is worked out."""
     if g.n == 1:
         # single vertex: one chip already has positive rank, zero chips do not
         return 1, Divisor(g, [1])
-    # checked before alpha is computed
-    if not inv.is_connected(g):
+    lam = inv.edge_connectivity(g)
+    if lam == 0:  # on two or more vertices, exactly a disconnected g
         raise ValueError("gonality needs a connected graph")
-    lower = min(inv.edge_connectivity(g), g.n)
-    _check_box(g, _box_bounds(g), lower)
-    alpha = inv.independence_number(g)
-    upper = _gonality_upper(g, alpha)
-    found = _scan_degrees(g, lower, _scan_start(g, lower, upper, alpha), upper + 1)
-    if found is None:
-        raise RuntimeError("soundness bug: no positive-rank divisor of degree <= %d found" % upper)
-    return found[0], Divisor(g, found[1])
+    lower = min(lam, g.n)
+    _check_box(g, _box_bounds(g), lower)  # before alpha is computed
+    _, value, row = _sandwich(g, lower, inv.independence_number(g), witness=True)
+    if row is None:
+        raise RuntimeError("soundness bug: no positive-rank divisor of degree <= %d found" % value)
+    return value, Divisor(g, row)

@@ -123,25 +123,23 @@ def vertex_connectivity(g):
     n = g.n
     if n == 1:
         return 0
-    rows = g.mult.tolist()
     adj = _adjacency(g.mult)
     if all(len(a) == n - 1 for a in adj):
         # every pair adjacent: Menger has no non-adjacent pair to cut
         return n - 1
-    # split digraph: v_in = 2v -> v_out = 2v+1 with capacity 1, u_out -> v_in
-    # for each edge uv; flows run from s_out to t_in, so s and t are uncapped
-    split = [[0] * (2 * n) for _ in range(2 * n)]
-    nbrs = []
+    # split digraph, a capacity dict per split vertex with reverse arcs at 0:
+    # v_in = 2v -> v_out = 2v+1 and u_out -> v_in per edge uv at capacity 1;
+    # flows run from s_out to t_in, so s and t are uncapped
+    split = []
     for v in range(n):
-        split[2 * v][2 * v + 1] = 1
-        for u in adj[v]:
-            split[2 * v + 1][2 * u] = 1
-        nbrs.append([2 * v + 1] + [2 * u + 1 for u in adj[v]])
-        nbrs.append([2 * v] + [2 * u for u in adj[v]])
+        split.append({2 * v + 1: 1, **{2 * u + 1: 0 for u in adj[v]}})
+        split.append({2 * v: 0, **{2 * u: 1 for u in adj[v]}})
+    near = [set(a) for a in adj]
     best = min(len(a) for a in adj)
     v = next(x for x in range(n) if len(adj[x]) == best)
-    pairs = [(v, w) for w in range(n) if w != v and not rows[v][w]]
-    pairs += [(x, y) for i, x in enumerate(adj[v]) for y in adj[v][i + 1:] if not rows[x][y]]
+    pairs = [(v, w) for w in range(n) if w != v and w not in near[v]]
+    pairs += [(x, y) for i, x in enumerate(adj[v]) for y in adj[v][i + 1:] if y not in near[x]]
+    nbrs = [list(row) for row in split]
     for s, t in pairs:
         best = min(best, _min_cut(split, nbrs, [2 * s + 1], [2 * t], best)[0])
     return best
@@ -213,11 +211,12 @@ def _min_cut(rows, nbrs, side_a, side_b, limit):
     """`min_cut_between` on capacity rows and neighbour lists built by the
     caller, for sides already checked: the package's one max-flow routine.
 
-    `rows` is a list-of-lists capacity matrix, possibly directed, and
-    `nbrs[u]` lists every v with a positive rows[u][v] or rows[v][u].  The
-    augmenting paths are pushed on `rows` itself and taken back before the
-    cut returns, so a caller running many cuts on one graph builds its rows
-    once and every cut reads them as they were.
+    `rows` holds a capacity row per vertex, possibly directed: a list, or a
+    dict with an entry for each v in `nbrs[u]`, which lists every v with a
+    positive rows[u][v] or rows[v][u].  The augmenting paths are pushed on
+    `rows` itself and taken back before the cut returns, so a caller running
+    many cuts on one graph builds its rows once and every cut reads them as
+    they were.
     """
     n = len(rows)
     sinks = [False] * n

@@ -21,12 +21,15 @@ class Multigraph:
         m = np.array(mult, dtype=np.int64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("multiplicity matrix must be square and nonempty")
-        if (m < 0).any():
+        top = int(m.view(np.uint64).max())  # a negative entry reads as 2**63 or more
+        if top >= 2**63:
             raise ValueError("edge multiplicities must be nonnegative")
         if (m != m.T).any():
             raise ValueError("multiplicity matrix must be symmetric")
         if np.diagonal(m).any():
             raise ValueError("loop edges are not allowed")
+        if top * m.size >= 2**63:  # only then can the entries total 2**63
+            _check_total(sum(m.ravel().tolist()))
         m.setflags(write=False)
         self.mult = m
 
@@ -69,15 +72,21 @@ class Multigraph:
         return "Multigraph(n=%d, edges=%d)" % (self.n, self.edge_count())
 
 
+def _check_total(total):
+    """Refuse entries totalling 2|E| >= 2**63: int64 valences and cuts could wrap."""
+    if total >= 2**63:
+        raise ValueError("edge multiplicities total %d, at or above the limit 2**62" % (total // 2))
+
+
 def from_edge_list(n, edges):
     """Build a multigraph from (u, v, multiplicity) triples.
 
-    Repeated (u, v) entries accumulate.  Loops, out-of-range vertices and
-    nonpositive multiplicities are rejected.
+    Repeated (u, v) entries accumulate in Python ints.  Loops, out-of-range
+    vertices, nonpositive multiplicities and 2**62 edges or more are rejected.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    mult = np.zeros((n, n), dtype=np.int64)
+    counts = {}
     for u, v, k in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError("vertex index out of range: (%r, %r)" % (u, v))
@@ -85,8 +94,12 @@ def from_edge_list(n, edges):
             raise ValueError("loop edge at vertex %r" % u)
         if k < 1:
             raise ValueError("edge multiplicity must be >= 1, got %r" % k)
-        mult[u, v] += k
-        mult[v, u] += k
+        pair = (u, v) if u < v else (v, u)
+        counts[pair] = counts.get(pair, 0) + int(k)
+    _check_total(2 * sum(counts.values()))
+    mult = np.zeros((n, n), dtype=np.int64)
+    for (u, v), k in counts.items():
+        mult[u, v] = mult[v, u] = k
     return Multigraph(mult)
 
 

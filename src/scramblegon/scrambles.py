@@ -214,14 +214,13 @@ def _cut_bound_table(g, member):
     return table
 
 
-def _pair_bounds(table, i, first=None):
-    """B(i, j) for every egg j from `first` on, by default every later egg:
-    the least, over the sizes s of the side holding egg i, of max(F[i, s],
-    F[j, n - s]).  Both sides of a cut have its boundary, so B(i, j) is at
-    most every cut separating the two eggs.  F's spectral term is the same
-    for s and n - s and holds for every s-set, so B(i, j) takes it in with
-    no change here."""
-    return np.maximum(table[i], table[i + 1 if first is None else first:, ::-1]).min(axis=1)
+def _pair_bounds(table, i, first):
+    """B(i, j) for every egg j from `first` on: the least, over the sizes s
+    of the side holding egg i, of max(F[i, s], F[j, n - s]), at most every
+    cut separating the two eggs, as both sides of a cut have its boundary.
+    F's spectral term is the same for s and n - s and holds for every s-set,
+    so B(i, j) takes it in with no change here."""
+    return np.maximum(table[i], table[first:, ::-1]).min(axis=1)
 
 
 def _cut_setup(g, eggs):
@@ -234,6 +233,27 @@ def _cut_setup(g, eggs):
     return g.mult.tolist(), inv._adjacency(g.mult), member, _cut_bound_table(g, member)
 
 
+def _least_row_cut(eggs, setup, i, first, best, floor):
+    """(min(best, c), side), c the least cut from egg i to a disjoint egg
+    from `first` on, and side the maximal source side of the last flow to
+    lower the running minimum, or None.  A pair whose `_pair_bounds` reaches
+    that minimum runs no flow, the others are capped at it, and the scan
+    stops once it is at most `floor`."""
+    rows, nbrs, member, table = setup
+    bounds = _pair_bounds(table, i, first)
+    disjoint = member[first:] @ member[i] == 0
+    side = None
+    for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
+        if bounds[j] >= best:  # the running minimum fell within this row
+            continue
+        value, cut = inv._min_cut(rows, nbrs, eggs[i], eggs[first + j], best)
+        if value < best:
+            best, side = value, cut
+            if best <= floor:
+                break
+    return best, side
+
+
 def _least_edge_egg_cut(g, eggs, setup, limit):
     """min(e, limit), e the minimum egg-cut, for eggs that are exactly the
     adjacent vertex pairs of g (in any order; `setup` is their `_cut_setup`),
@@ -244,15 +264,12 @@ def _least_edge_egg_cut(g, eggs, setup, limit):
     its own side: moving one that has none across would cut fewer edges and
     leave an egg on each side.  So for one such vertex u, the one with the
     fewest distinct neighbours, the flows from each egg {u, w} to the eggs
-    disjoint from it reach e.  The running minimum starts at the least
-    boundary of an egg that has a disjoint egg, itself an egg-cut; a flow
-    whose pair bound (`_pair_bounds`, the larger of the degree-counting and
-    spectral bounds of `_cut_bound_table`) reaches it is skipped, and each
-    other flow is capped at it.  Where the spectral bound already meets that
-    start, as on K4 [] K3, Q4, C3 [] C4 and C4 [] K3,3, no flow runs."""
-    rows, nbrs, member, table = setup
-    ends = np.array([sorted(egg) for egg in eggs])
-    a, b = ends[:, 0], ends[:, 1]
+    disjoint from it, run in `_least_row_cut`, reach e.  Their running
+    minimum starts at the least boundary of an egg with a disjoint egg, an
+    egg-cut; where the spectral bound meets it, as on K4 [] K3, Q4,
+    C3 [] C4 and C4 [] K3,3, no flow runs."""
+    nbrs = setup[1]
+    a, b = np.array([sorted(egg) for egg in eggs]).T
     distinct = np.array([len(x) for x in nbrs])
     # {a, b} meets itself and distinct[a] + distinct[b] - 2 other eggs
     has_disjoint = distinct[a] + distinct[b] - 1 < len(eggs)
@@ -263,17 +280,7 @@ def _least_edge_egg_cut(g, eggs, setup, limit):
     u = min((v for v in range(g.n) if nbrs[v]), key=lambda v: len(nbrs[v]))
     number = {egg: i for i, egg in enumerate(eggs)}
     for w in nbrs[u]:
-        i = number[frozenset((u, w))]
-        bounds = _pair_bounds(table, i, first=0)
-        disjoint = member @ member[i] == 0
-        for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
-            if bounds[j] >= best:  # the running minimum fell within this row
-                continue
-            value = inv._min_cut(rows, nbrs, eggs[i], eggs[j], best)[0]
-            if value < best:
-                best = value
-                if best == 0:
-                    return best
+        best = _least_row_cut(eggs, setup, number[frozenset((u, w))], 0, best, 0)[0]
     return best
 
 
@@ -283,15 +290,11 @@ def egg_cut_number(scramble):
     disjoint.
 
     Returns (value, (A, value)) with A the maximal source side of the first
-    pair, in egg order, whose cut attains the minimum.  A pair whose bound B
-    (`_pair_bounds`: degree counting and Fiedler's spectral bound, with its
-    eigenvalue lowered by a margin) is at least the running minimum is
-    skipped, and each remaining flow is capped at the running minimum:
-    neither kind of pair can cut strictly below it, so neither can replace
-    the witness.  The bounds are built one egg row at a time, in O(eggs * n)
-    memory.  Every flow runs in `invariants._min_cut` on capacity rows and
-    neighbour lists built once per call, which it leaves as they were, with
-    no copy.
+    pair, in egg order, whose cut attains the minimum.  Each egg's flows to
+    the later eggs run in `_least_row_cut`, on its pair bounds (degree
+    counting and Fiedler's spectral bound), built one egg row at a time, and
+    on the rows of `_cut_setup`: a skipped or capped pair cannot cut
+    strictly below the running minimum, so cannot replace the witness.
 
     When the eggs are exactly the adjacent vertex pairs of the host, as in
     `edge_scramble`, the minimum e comes first from the flows at one vertex
@@ -300,7 +303,7 @@ def egg_cut_number(scramble):
     pair that cuts e."""
     g = scramble.host
     eggs = scramble.eggs
-    setup = rows, nbrs, member, table = _cut_setup(g, eggs)
+    setup = _cut_setup(g, eggs)
     least, best = 0, math.inf
     if all(len(egg) == 2 for egg in eggs) and len(eggs) == np.count_nonzero(g.mult) // 2:
         least = _least_edge_egg_cut(g, eggs, setup, math.inf)
@@ -308,18 +311,12 @@ def egg_cut_number(scramble):
             return least, None
         best = least + 1
     witness = None
-    for i, a in enumerate(eggs[:-1]):
-        bounds = _pair_bounds(table, i)
-        disjoint = member[i + 1:] @ member[i] == 0
-        for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
-            if bounds[j] >= best:  # the running minimum fell within this row
-                continue
-            value, side = inv._min_cut(rows, nbrs, a, eggs[i + 1 + j], best)
-            if value < best:
-                best = value
-                witness = (frozenset(side), value)
-                if best == least:
-                    return best, witness
+    for i in range(len(eggs) - 1):
+        best, side = _least_row_cut(eggs, setup, i, i + 1, best, least)
+        if side is not None:
+            witness = (side, best)
+            if best == least:
+                break
     return best, witness
 
 
@@ -359,10 +356,8 @@ def _edge_scramble_order(g, alpha):
     """scramble_order(edge_scramble(g)).order, min(n - alpha, e), for a g
     with an edge and independence number alpha: no hitting-set search, no
     witness, and no flow capped above n - alpha."""
-    ends = np.transpose(np.nonzero(np.triu(g.mult))).tolist()
-    eggs = [frozenset(pair) for pair in ends]
-    hitting = g.n - alpha
-    return min(hitting, _least_edge_egg_cut(g, eggs, _cut_setup(g, eggs), hitting))
+    eggs = [frozenset(pair) for pair in np.transpose(np.nonzero(np.triu(g.mult))).tolist()]
+    return _least_edge_egg_cut(g, eggs, _cut_setup(g, eggs), g.n - alpha)
 
 
 def _product_k_failure(n, kappa, k):
@@ -415,26 +410,16 @@ class BoundReport:
 def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
     """Bounds for a piece of sn_bounds' one pass: connected, smooth, and
     bridgeless (smoothing keeps it so) or on at most two vertices.  Its
-    independence number is worked out once, for both the edge scramble's
-    order and the gonality's upper bound."""
-    lower, lsrc = 0, "trivial"
+    alpha is worked out once; the edge scramble's order is the sandwich's
+    scan start (`divisors._scan_start`)."""
     order = vertex_scramble_order(g.n, inv.edge_connectivity(g))
-    if order > lower:
-        lower, lsrc = order, "vertex scramble"
     alpha = inv.independence_number(g)
     if g.n <= gonality_budget:
-        upper, usrc = dv._gonality_upper(g, alpha), "gonality"
+        (start, upper, _), usrc = dv._sandwich(g, order, alpha), "gonality"
     else:
+        start = dv._scan_start(g, order, dv._gonality_upper(g, alpha), alpha)
         upper, usrc = g.n, "vertex count"
-    # sn <= gon <= upper either way, so where the vertex scramble meets
-    # upper neither the edge scramble nor a search can say more
-    if lower < upper:
-        order = _edge_scramble_order(g, alpha)
-        if order > lower:
-            lower, lsrc = order, "edge scramble"
-        if usrc == "gonality":
-            # the scramble lower bound is a sound starting degree
-            upper = dv._sandwich_scan(g, lower, lower, upper)
+    lower, lsrc = (start, "edge scramble") if start > order else (order, "vertex scramble")
     if use_brute:
         result = brute_force_sn(g, max_eggs=max_eggs)
         if result.value > lower:

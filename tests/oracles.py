@@ -184,7 +184,7 @@ def all_pairs_egg_cut_number(scramble):
     best = math.inf
     witness = None
     for i, a in enumerate(eggs[:-1]):
-        bounds = sc._pair_bounds(table, i)
+        bounds = sc._pair_bounds(table, i, i + 1)
         disjoint = member[i + 1:] @ member[i] == 0
         for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
             if bounds[j] >= best:
@@ -397,7 +397,8 @@ def eager_factor_stats(g, budget):
     if not inv.is_connected(g):
         raise ct.HypothesisError("both factors must be connected")
     lam = inv.edge_connectivity(g)
-    gon = dv._sandwiched_gonality(g, sc.vertex_scramble_order(g.n, lam)) if g.n <= budget else None
+    gon = (dv._sandwich(g, sc.vertex_scramble_order(g.n, lam), inv.independence_number(g))[1]
+           if g.n <= budget else None)
     return types.SimpleNamespace(
         graph=g, n=g.n, lam=lam, kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
         gon=gon, tree=g.is_simple() and g.edge_count() == g.n - 1,

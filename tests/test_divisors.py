@@ -1,3 +1,4 @@
+import collections
 import random
 
 import numpy as np
@@ -393,7 +394,7 @@ def test_a_refusal_names_the_first_over_budget_degree_from_the_vertex_scramble_o
     assert min(inv.edge_connectivity(cone), cone.n) == 10
     with pytest.raises(dv.CandidateBudgetError, match="degree-11 .* 399.0 MiB"):
         dv.gonality(cone)
-    assert dv._sandwiched_gonality(cone, 10) == 12
+    assert sandwiched_gonality(cone, 10) == 12
 
 
 def test_the_gonality_ladder_scans_from_the_edge_scramble_order(monkeypatch):
@@ -440,6 +441,11 @@ def vertex_scramble_order(g):
     return max(1, min(inv.edge_connectivity(g), g.n))
 
 
+def sandwiched_gonality(g, lower):
+    """The value-only sandwich's gonality of g from the sound lower bound."""
+    return dv._sandwich(g, lower, inv.independence_number(g))[1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs)
 @example(mg.path(1))
@@ -450,7 +456,33 @@ def test_sandwiched_gonality_is_the_gonality_property(g):
     # every sound lower bound from the vertex scramble's order up to gon
     gon = dv.gonality(g)[0]
     for lower in range(vertex_scramble_order(g), gon + 1):
-        assert dv._sandwiched_gonality(g, lower) == gon
+        assert sandwiched_gonality(g, lower) == gon
+
+
+def test_each_sandwich_caller_works_out_alpha_and_the_edge_scramble_once(monkeypatch):
+    calls = collections.Counter()
+    alpha, edge_order = inv.independence_number, sc._edge_scramble_order
+
+    def count_alpha(g):
+        calls["alpha", g] += 1
+        return alpha(g)
+
+    def count_edge_order(g, a):
+        calls["edge", g] += 1
+        return edge_order(g, a)
+
+    monkeypatch.setattr(inv, "independence_number", count_alpha)
+    monkeypatch.setattr(sc, "_edge_scramble_order", count_edge_order)
+    # the sandwiches of Q3 and K4 [] K3 are open, so each needs both
+    q3, k4k3 = mg.hypercube(3), mg.cartesian_product(mg.complete(4), mg.complete(3))
+    for g, run in ((q3, lambda: dv.gonality(q3)), (k4k3, lambda: dv.gonality(k4k3)),
+                   (q3, lambda: sc.sn_bounds(q3)), (k4k3, lambda: sc.sn_bounds(k4k3)),
+                   (q3, lambda: ct.certify_product(mg.cycle(5), q3)),
+                   (q3, lambda: ct.certify_product(q3, q3))):
+        calls.clear()
+        run()
+        assert calls["alpha", g] == calls["edge", g] == 1
+        assert max(calls.values()) == 1
 
 
 def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
@@ -485,7 +517,7 @@ def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
         else:
             chips = [1] * g.n
         witness = dv.Divisor(g, chips)
-        assert witness.degree() == dv._sandwiched_gonality(g, lower)
+        assert witness.degree() == sandwiched_gonality(g, lower)
         assert dv.has_positive_rank(witness)
         closed += 1
     assert closed >= 15
@@ -518,15 +550,24 @@ def test_the_sandwich_scans_only_below_its_upper_bound(monkeypatch):
     g = mg.from_edge_list(7, [(0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 2, 1), (1, 5, 1), (1, 6, 1),
                               (2, 3, 1), (2, 6, 1), (3, 6, 1), (4, 6, 1), (5, 6, 1)])
     assert sc._edge_scramble_order(g, inv.independence_number(g)) == 3
-    assert dv._sandwiched_gonality(g, 2) == 4
+    assert sandwiched_gonality(g, 2) == 4
     assert scanned == [3]
     # gon(Q3) = 4: the edge scramble's order meets n - alpha = 4
     del scanned[:]
-    assert dv._sandwiched_gonality(mg.hypercube(3), 3) == 4
+    assert sandwiched_gonality(mg.hypercube(3), 3) == 4
     assert scanned == []
     # C5: genus + 1 = 2 meets the vertex scramble's order 2
     assert ct._stats(mg.cycle(5), 12).gon == 2
     assert scanned == []
+
+
+def test_the_sandwich_returns_its_start_and_a_row_only_from_the_witness_scan():
+    # Q3: the vertex scramble's order 3 is raised to the edge scramble's
+    # order 4 = n - alpha = gon, which only the witness scan reaches
+    q3 = mg.hypercube(3)
+    assert dv._sandwich(q3, 3, 4) == (4, 4, None)
+    start, value, row = dv._sandwich(q3, 3, 4, witness=True)
+    assert (start, value, row.tolist()) == (4, 4, dv.gonality(q3)[1].chips.tolist())
 
 
 def test_the_sandwich_answers_where_only_the_upper_degree_is_over_budget(monkeypatch):
@@ -539,7 +580,7 @@ def test_the_sandwich_answers_where_only_the_upper_degree_is_over_budget(monkeyp
     monkeypatch.setattr(dv, "CANDIDATE_BOX_BUDGET", box[0])
     with pytest.raises(dv.CandidateBudgetError, match="degree-4"):
         dv.gonality(q3)
-    assert dv._sandwiched_gonality(q3, 3) == 4
+    assert sandwiched_gonality(q3, 3) == 4
 
 
 def test_the_basepoint_burn_sees_only_rows_that_passed_the_q_filters(monkeypatch):
@@ -568,4 +609,4 @@ def test_the_basepoint_burn_sees_only_rows_that_passed_the_q_filters(monkeypatch
 
 def test_sandwiched_gonality_raises_on_a_lower_bound_above_the_upper_bound():
     with pytest.raises(ValueError, match="exceeds"):
-        dv._sandwiched_gonality(mg.cycle(5), 4)
+        sandwiched_gonality(mg.cycle(5), 4)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -151,6 +152,21 @@ def _split_digraph(g):
         nbrs.append([2 * v + 1] + [2 * u + 1 for u in adj[v]])
         nbrs.append([2 * v] + [2 * u for u in adj[v]])
     return rows, nbrs
+
+
+def test_vertex_connectivity_memory_grows_linearly():
+    # the split digraph is sparse: from n = 400 to 800 its traced peak about
+    # doubles, where a dense 2n x 2n capacity matrix would quadruple it
+    peaks = []
+    for n in (400, 800):
+        g = mg.star(n)
+        tracemalloc.start()
+        try:
+            assert inv.vertex_connectivity(g) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2.5 * peaks[0]
 
 
 def test_a_cut_takes_its_paths_back_from_the_callers_rows():

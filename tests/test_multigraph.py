@@ -38,6 +38,23 @@ def test_multigraph_refuses_a_matrix_that_is_no_multigraph():
             mg.Multigraph(mult)
 
 
+def test_a_graph_of_2_62_edges_or_more_is_refused():
+    # past that the int64 valences and cuts can wrap: C4 with multiplicity
+    # 2**62 had edge connectivity -2**63
+    c4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
+    k4 = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
+    for build in (lambda: mg.Multigraph(c4 * 2**62),
+                  lambda: mg.Multigraph(k4 * (2**63 - 1)),
+                  lambda: mg.from_edge_list(2, [(0, 1, 2**63)]),
+                  lambda: mg.from_edge_list(2, [(0, 1, 2**62), (1, 0, 2**62)]),
+                  lambda: mg.from_edge_list(2, [(0, 1, 2**62)])):
+        with pytest.raises(ValueError, match=r"at or above the limit 2\*\*62"):
+            build()
+    g = mg.from_edge_list(3, [(0, 1, 2**62 - 2), (1, 2, 1)])
+    assert g.edge_count() == 2**62 - 1
+    assert mg.Multigraph(g.mult) == g
+
+
 def test_multiplicity_matrix_is_immutable():
     g = mg.path(3)
     with pytest.raises(ValueError):

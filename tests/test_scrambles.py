@@ -183,7 +183,7 @@ def test_pair_bound_is_below_every_separating_cut_property(case):
     reference = [reference_cut_bounds(g, egg) for egg in s.eggs]
     for i, a in enumerate(s.eggs):
         assert [None if x == sc._NO_SET else x for x in table[i].tolist()] == reference[i]
-        bounds = sc._pair_bounds(table, i)
+        bounds = sc._pair_bounds(table, i, i + 1)
         for j, b in enumerate(s.eggs[i + 1:]):
             if not a & b:
                 ra, rb = reference[i], reference[i + 1 + j]
@@ -229,10 +229,19 @@ def test_spectral_bound_is_below_the_least_boundary_of_every_size():
     assert oracles.least_boundaries(huge) == [0, 2, 2, 0]
     table = sc._cut_bound_table(huge, np.eye(3, dtype=np.int64))
     assert [None if x == sc._NO_SET else x for x in table[0].tolist()] == reference_cut_bounds(huge, {0})
-    # on K4 with multiplicity 2**63 - 1 the valences wrap in int64, and the
-    # eigenvalue would give bounds past int64: none of them may enter
-    k4 = mg.from_edge_list(4, [(u, v, 2**63 - 1) for u, v in itertools.combinations(range(4), 2)])
-    assert sc._spectral_cut_bounds(k4).tolist() == [0] * 5
+    # K4 with multiplicity 2**63 - 1 would wrap its valences in int64: such
+    # a graph is refused when it is built
+    with pytest.raises(ValueError, match="at or above the limit 2\\*\\*62"):
+        mg.from_edge_list(4, [(u, v, 2**63 - 1) for u, v in itertools.combinations(range(4), 2)])
+
+
+def test_sn_bounds_and_gonality_refuse_at_one_degree():
+    # G(30, .5, 3): both searches count from the vertex scramble's order 9,
+    # not from the edge scramble's order 18 where the scan would start
+    g = mg.random_graph(30, 0.5, 3)
+    for search in (lambda: sc.sn_bounds(g, gonality_budget=30), lambda: dv.gonality(g)):
+        with pytest.raises(dv.CandidateBudgetError, match="degree-9 .* 8836.7 MiB"):
+            search()
 
 
 def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run():
