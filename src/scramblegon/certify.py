@@ -104,11 +104,11 @@ class _FactorStats:
     @cached_property
     def gon(self):
         # gon >= sn >= the vertex scramble's order; where that meets the
-        # positive-rank upper bound (n - alpha, or n) no divisor search runs
+        # positive-rank upper bound (genus + 1, n - alpha, or n) no divisor
+        # search runs; alpha is read only below min(genus + 1, n)
         if self.n > self.budget:
             return None
-        order = vertex_scramble_order(self.n, self.lam)
-        return dv._sandwich(self.graph, order, inv.independence_number(self.graph))[1]
+        return dv._sandwich(self.graph, vertex_scramble_order(self.n, self.lam))[1]
 
     @cached_property
     def complete_simple(self):

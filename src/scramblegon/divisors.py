@@ -422,29 +422,36 @@ def _gonality_upper(g, alpha):
     return min(genus_bound, g.n)
 
 
-def _scan_start(g, lower, upper, alpha):
-    """A sound lower bound lower <= upper = _gonality_upper(g, alpha) on
-    gon(g), raised to the edge scramble's order (sn <= gon), which is worked
-    out only where lower is below upper: the start of a sandwich's scan."""
-    if lower < upper:
-        return max(lower, sc._edge_scramble_order(g, alpha))
-    return lower
-
-
-def _sandwich(g, lower, alpha, witness=False):
-    """(start, gon(g), row) for a connected g of independence number alpha
-    and a sound lower bound on gon(g): start is `_scan_start`, and row the
-    first 0-reduced positive-rank row of degree gon(g), in the order of
-    chips[1:], or None.  Degrees from start up are scanned, through upper =
-    `_gonality_upper` with `witness`, else below it (none there proves gon =
-    upper); each positive-rank class has a 0-reduced representative with a
-    chip on vertex 0.  A refusal names the first over-budget degree from
-    lower up, so the degrees below start are checked first."""
-    lower = max(lower, 1)  # no divisor of degree < 1 has positive rank
+def _scan_bounds(g, lower):
+    """(lower, start, upper) for a connected g and a sound lower bound on
+    gon(g): lower raised to 1, upper = `_gonality_upper`, and start, lower
+    raised to the edge scramble's order (sn <= gon) where it is below upper.
+    alpha, which both read, is worked out only where lower is below
+    min(genus + 1, n) or is refused: genus + 1 chips on one vertex, and one
+    chip on each vertex of a multigraph, have positive rank."""
+    lower = max(lower, 1)
+    genus_bound = g.edge_count() - g.n + 2
+    if lower == genus_bound <= g.n or (lower == g.n < genus_bound and not g.is_simple()):
+        return lower, lower, lower
+    alpha = inv.independence_number(g)
     upper = _gonality_upper(g, alpha)
     if lower > upper:
         raise ValueError("gonality lower bound %d exceeds upper bound %d" % (lower, upper))
-    start = _scan_start(g, lower, upper, alpha)
+    start = max(lower, sc._edge_scramble_order(g, alpha)) if lower < upper else lower
+    return lower, start, upper
+
+
+def _sandwich(g, lower, witness=False):
+    """(start, gon(g), row) for a connected g and a sound lower bound on
+    gon(g): start and upper are `_scan_bounds`' (alpha is read only where
+    lower is below min(genus + 1, n)), and row the first 0-reduced
+    positive-rank row of degree gon(g), in the order of chips[1:], or None.
+    Degrees from start up are scanned, through upper with `witness`, else
+    below it (none there proves gon = upper); each positive-rank class has a
+    0-reduced representative with a chip on vertex 0.  A refusal names the
+    first over-budget degree from lower up, so the degrees below start are
+    checked first."""
+    lower, start, upper = _scan_bounds(g, lower)
     stop = upper + 1 if witness else upper
     if start < stop:
         bounds = _box_bounds(g)
@@ -465,7 +472,8 @@ def gonality(g):
     bound.  Raises CandidateBudgetError, before scanning it, when a degree's
     candidate box would exceed CANDIDATE_BOX_BUDGET, naming the first such
     degree from min(lam, n) up; when that is min(lam, n) itself, before alpha
-    or any edge-scramble flow is worked out."""
+    or any edge-scramble flow is worked out.  alpha is read only where
+    min(lam, n) is below min(genus + 1, n) (`_scan_bounds`)."""
     if g.n == 1:
         # single vertex: one chip already has positive rank, zero chips do not
         return 1, Divisor(g, [1])
@@ -474,7 +482,7 @@ def gonality(g):
         raise ValueError("gonality needs a connected graph")
     lower = min(lam, g.n)
     _check_box(g, _box_bounds(g), lower)  # before alpha is computed
-    _, value, row = _sandwich(g, lower, inv.independence_number(g), witness=True)
+    _, value, row = _sandwich(g, lower, witness=True)
     if row is None:
         raise RuntimeError("soundness bug: no positive-rank divisor of degree <= %d found" % value)
     return value, Divisor(g, row)

@@ -14,8 +14,9 @@ connectivity, and the local vertex connectivities on the vertex-split
 digraph) runs in one capped max-flow routine, `_min_cut`; kappa is found by
 Esfahanian-Hakimi.  `_min_cut` reads capacity rows and neighbour lists built
 by its caller, so the connectivities, the egg-cut scan and the brute-force
-oracle build them once per call; each flow pushes its paths on those rows
-and takes them back before it returns.  Bridges come from a low-link DFS.
+oracle build them once per call; each flow starts from the paths of at most
+two arcs between its sides, pushes its paths on those rows and takes them
+back before it returns.  Bridges come from a low-link DFS.
 """
 
 import math
@@ -99,11 +100,16 @@ def edge_boundary(g, vertices):
 def edge_connectivity(g):
     """Minimum edge cut counted with multiplicity: the least cut between
     vertex 0 and some other vertex, each flow capped at the running minimum,
-    which starts at the minimum degree."""
+    which starts at the minimum degree.  A simple graph with 2 delta >= n - 1
+    is connected with lambda = delta (G. Chartrand, "A graph-theoretic
+    approach to a communications problem", SIAM J. Appl. Math. 14, 1966), so
+    it runs no flow."""
     n = g.n
+    best = min_degree(g)
+    if 2 * best >= n - 1 and g.is_simple():
+        return best
     rows = g.mult.tolist()
     nbrs = _adjacency(g.mult)
-    best = min_degree(g)
     for v in range(1, n):
         best = min(best, _min_cut(rows, nbrs, [0], [v], best)[0])
     return best
@@ -118,7 +124,10 @@ def vertex_connectivity(g):
     (else S - v would separate), so two non-adjacent neighbours of v are cut
     by S.  So local connectivities from v to each non-neighbour and between
     each non-adjacent pair of neighbours reach kappa; each flow is capped at
-    the running minimum, which starts at the minimum degree.
+    the running minimum, which starts at the minimum degree.  Each common
+    neighbour of a pair is one more internally disjoint path between them,
+    so a pair with at least the running minimum of them runs no flow, and
+    the split digraph is built only for the first pair that does.
     """
     n = g.n
     if n == 1:
@@ -127,20 +136,24 @@ def vertex_connectivity(g):
     if all(len(a) == n - 1 for a in adj):
         # every pair adjacent: Menger has no non-adjacent pair to cut
         return n - 1
-    # split digraph, a capacity dict per split vertex with reverse arcs at 0:
-    # v_in = 2v -> v_out = 2v+1 and u_out -> v_in per edge uv at capacity 1;
-    # flows run from s_out to t_in, so s and t are uncapped
-    split = []
-    for v in range(n):
-        split.append({2 * v + 1: 1, **{2 * u + 1: 0 for u in adj[v]}})
-        split.append({2 * v: 0, **{2 * u: 1 for u in adj[v]}})
     near = [set(a) for a in adj]
     best = min(len(a) for a in adj)
     v = next(x for x in range(n) if len(adj[x]) == best)
     pairs = [(v, w) for w in range(n) if w != v and w not in near[v]]
     pairs += [(x, y) for i, x in enumerate(adj[v]) for y in adj[v][i + 1:] if y not in near[x]]
-    nbrs = [list(row) for row in split]
+    split = None
     for s, t in pairs:
+        if len(near[s] & near[t]) >= best:
+            continue
+        if split is None:
+            # split digraph, a capacity dict per split vertex with reverse arcs
+            # at 0: v_in = 2v -> v_out = 2v+1 and u_out -> v_in per edge uv at
+            # capacity 1; flows run from s_out to t_in, so s, t are uncapped
+            split = []
+            for x in range(n):
+                split.append({2 * x + 1: 1, **{2 * u + 1: 0 for u in adj[x]}})
+                split.append({2 * x: 0, **{2 * u: 1 for u in adj[x]}})
+            nbrs = [list(row) for row in split]
         best = min(best, _min_cut(split, nbrs, [2 * s + 1], [2 * t], best)[0])
     return best
 
@@ -186,16 +199,16 @@ def min_cut_between(g, side_a, side_b, limit=math.inf):
     """Minimum edge cut separating vertex set side_a from side_b, stopping
     early once the cut is known to be at least `limit`.
 
-    Augmenting paths (Edmonds-Karp) on the multiplicity matrix, searched
-    breadth-first from all of side_a at once, so side_a and side_b act as
-    contracted source and sink.  Returns (value, source_side):
+    A max-flow on the multiplicity matrix with side_a and side_b contracted
+    to source and sink, seeded with the paths of at most two edges between
+    them (`_min_cut`).  Returns (value, source_side):
 
     - when the cut is below `limit`, value is exact and source_side is the
       maximal A of a minimum cut: side_a <= A, A disjoint from side_b, A
       holding every vertex that cannot reach side_b in the final residual
       graph;
-    - otherwise the search stops as soon as the flow reaches `limit` and
-      returns (value, None) with value >= limit.
+    - otherwise the flow stops once it reaches `limit` and returns
+      (value, None) for some value with limit <= value <= the cut.
 
     Sides must be disjoint and nonempty.
     """
@@ -213,16 +226,49 @@ def _min_cut(rows, nbrs, side_a, side_b, limit):
 
     `rows` holds a capacity row per vertex, possibly directed: a list, or a
     dict with an entry for each v in `nbrs[u]`, which lists every v with a
-    positive rows[u][v] or rows[v][u].  The augmenting paths are pushed on
-    `rows` itself and taken back before the cut returns, so a caller running
-    many cuts on one graph builds its rows once and every cut reads them as
-    they were.
+    positive rows[u][v] or rows[v][u].  The flow is seeded with every path of
+    at most two arcs from side_a to side_b, found in one pass over the arcs
+    next to the two sides; breadth-first augmenting paths then complete it,
+    unless the seed already reaches `limit`.  Every maximum flow leaves the
+    same vertices reaching side_b, so the seed changes no value or side below
+    `limit`.  All paths are pushed on `rows` itself and taken back before
+    the cut returns, so a caller running many cuts on one graph builds its
+    rows once and every cut reads them as they were.
     """
     n = len(rows)
     sinks = [False] * n
     for v in side_b:
         sinks[v] = True
     value = 0
+    seeded = []  # (u, v, push) for each push of the seed on the arc uv
+    feeds = {}  # each vertex off side_b: the ends of its arcs from side_a
+    for a in side_a:
+        row = rows[a]
+        for v in nbrs[a]:
+            if row[v] and sinks[v]:
+                seeded.append((a, v, row[v]))
+                value += row[v]
+                rows[v][a] += row[v]
+                row[v] = 0
+            elif row[v] and v in feeds:
+                feeds[v].append(a)
+            elif row[v]:
+                feeds[v] = [a]
+        if value >= limit:
+            break
+    for b in side_b:
+        if value >= limit or not feeds:
+            break
+        for w in nbrs[b]:
+            if w in feeds and rows[w][b]:
+                for a in feeds[w]:
+                    push = min(rows[a][w], rows[w][b])
+                    if push and value < limit:
+                        for u, v in ((a, w), (w, b)):
+                            rows[u][v] -= push
+                            rows[v][u] += push
+                            seeded.append((u, v, push))
+                        value += push
     pushed = []
     while value < limit:
         parent = [-1] * n
@@ -276,6 +322,9 @@ def _min_cut(rows, nbrs, side_a, side_b, limit):
             rows[u][v] += push
             rows[v][u] -= push
             v = u
+    for u, v, push in seeded:
+        rows[u][v] += push
+        rows[v][u] -= push
     return value, side
 
 

@@ -192,12 +192,11 @@ def _cut_bound_table(g, member):
     (its row of the 0/1 egg-vertex matrix `member`); _NO_SET where s is
     below the egg's size.
 
-    Two lower bounds, and F is their maximum.  A vertex v of S has at most
-    s - 1 neighbours in S, so at least t_s(v) = deg(v) - (v's s - 1 largest
-    multiplicities) of its edges leave S: one bound sums t_s over the egg
-    and adds the s - |egg| smallest t_s of all vertices.  The other is the
-    spectral bound `_spectral_cut_bounds`, spec[s] for every s-set, its
-    eigenvalue lowered by a margin before the ceiling."""
+    A vertex v of S has at most s - 1 neighbours in S, so at least t_s(v) =
+    deg(v) - (v's s - 1 largest multiplicities) of its edges leave S: F sums
+    t_s over the egg and adds the s - |egg| smallest t_s of all vertices.
+    `_least_row_cut` raises F to the spectral bound `_spectral_cut_bounds`,
+    spec[s] for every s-set, before the first flow of its call."""
     n = g.n
     deg = g.mult.sum(axis=1)
     # kept[v, j]: the sum of v's j largest multiplicities, j = 0..n-1
@@ -209,7 +208,7 @@ def _cut_bound_table(g, member):
     least[:, 1:] = np.cumsum(np.sort(t, axis=1), axis=1)
     s = np.arange(n + 1)
     others = s - member.sum(axis=1)[:, None]
-    table = np.maximum(member @ t.T + least[s, np.maximum(others, 0)], _spectral_cut_bounds(g))
+    table = member @ t.T + least[s, np.maximum(others, 0)]
     table[others < 0] = _NO_SET
     return table
 
@@ -225,12 +224,12 @@ def _pair_bounds(table, i, first):
 
 def _cut_setup(g, eggs):
     """What the egg-cut flows and bounds of one call read, built once: the
-    host's capacity rows and neighbour lists, the 0/1 egg-vertex matrix and
-    its `_cut_bound_table`."""
+    host's capacity rows and neighbour lists, the 0/1 egg-vertex matrix, its
+    `_cut_bound_table`, and [g] until `_least_row_cut` adds g's spectral bound."""
     member = np.zeros((len(eggs), g.n), dtype=np.int64)
     for i, egg in enumerate(eggs):
         member[i, list(egg)] = 1
-    return g.mult.tolist(), inv._adjacency(g.mult), member, _cut_bound_table(g, member)
+    return g.mult.tolist(), inv._adjacency(g.mult), member, _cut_bound_table(g, member), [g]
 
 
 def _least_row_cut(eggs, setup, i, first, best, floor):
@@ -238,10 +237,14 @@ def _least_row_cut(eggs, setup, i, first, best, floor):
     from `first` on, and side the maximal source side of the last flow to
     lower the running minimum, or None.  A pair whose `_pair_bounds` reaches
     that minimum runs no flow, the others are capped at it, and the scan
-    stops once it is at most `floor`."""
-    rows, nbrs, member, table = setup
+    stops once it is at most `floor`.  The spectral bound joins the table
+    before the first flow it could skip, so a call with no flow pays none."""
+    rows, nbrs, member, table, spectral_due = setup
     bounds = _pair_bounds(table, i, first)
     disjoint = member[first:] @ member[i] == 0
+    if spectral_due and (disjoint & (bounds < best)).any():
+        np.maximum(table, _spectral_cut_bounds(spectral_due.pop()), out=table)
+        bounds = _pair_bounds(table, i, first)
     side = None
     for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
         if bounds[j] >= best:  # the running minimum fell within this row
@@ -409,16 +412,14 @@ class BoundReport:
 
 def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
     """Bounds for a piece of sn_bounds' one pass: connected, smooth, and
-    bridgeless (smoothing keeps it so) or on at most two vertices.  Its
-    alpha is worked out once; the edge scramble's order is the sandwich's
-    scan start (`divisors._scan_start`)."""
+    bridgeless (smoothing keeps it so) or on at most two vertices.  The
+    edge scramble's order is the sandwich's scan start
+    (`divisors._scan_bounds`), which works out alpha only where it reads it."""
     order = vertex_scramble_order(g.n, inv.edge_connectivity(g))
-    alpha = inv.independence_number(g)
     if g.n <= gonality_budget:
-        (start, upper, _), usrc = dv._sandwich(g, order, alpha), "gonality"
+        (start, upper, _), usrc = dv._sandwich(g, order), "gonality"
     else:
-        start = dv._scan_start(g, order, dv._gonality_upper(g, alpha), alpha)
-        upper, usrc = g.n, "vertex count"
+        start, upper, usrc = dv._scan_bounds(g, order)[1], g.n, "vertex count"
     lower, lsrc = (start, "edge scramble") if start > order else (order, "vertex scramble")
     if use_brute:
         result = brute_force_sn(g, max_eggs=max_eggs)

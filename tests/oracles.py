@@ -7,6 +7,7 @@ outputs: `all_pairs_egg_cut_number`, `restart_smooth_two_valent`,
 `recounting_box_chunks`, `sweep_brute_force_sn` and `eager_factor_stats`.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -142,18 +143,46 @@ def networkx_complete_bipartite_parts(g):
 
 def networkx_min_cut(g, side_a, side_b):
     """(value, source side) of networkx's minimum cut with side_a and side_b
-    contracted to a super source and a super sink of infinite capacity."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    for u, v, k in g.edges():
-        nxg.add_edge(u, v, capacity=k)
-    big = int(g.mult.sum()) + 1
+    contracted to a super source and a super sink of infinite capacity.  g is
+    a multigraph, or capacity rows read as a digraph: lists, or dicts such as
+    the split digraph of `vertex_connectivity`."""
+    if isinstance(g, mg.Multigraph):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        for u, v, k in g.edges():
+            nxg.add_edge(u, v, capacity=k)
+    else:
+        nxg = nx.DiGraph()
+        nxg.add_nodes_from(range(len(g)))
+        for u, row in enumerate(g):
+            for v, k in (row.items() if isinstance(row, dict) else enumerate(row)):
+                if k:
+                    nxg.add_edge(u, v, capacity=k)
+    big = sum(k for _, _, k in nxg.edges(data="capacity")) + 1
     for v in side_a:
         nxg.add_edge("src", v, capacity=big)
     for v in side_b:
-        nxg.add_edge("dst", v, capacity=big)
+        nxg.add_edge(v, "dst", capacity=big)
     value, (src_side, _) = nx.minimum_cut(nxg, "src", "dst")
     return int(value), frozenset(v for v in src_side if v != "src")
+
+
+@contextlib.contextmanager
+def counted_flows():
+    """The (side_a, side_b) of every `invariants._min_cut` call made inside
+    the block."""
+    flows = []
+    cut = inv._min_cut
+
+    def counted(*args):
+        flows.append(args[2:4])
+        return cut(*args)
+
+    inv._min_cut = counted
+    try:
+        yield flows
+    finally:
+        inv._min_cut = cut
 
 
 def networkx_egg_cut_number(scramble):
@@ -180,7 +209,7 @@ def all_pairs_egg_cut_number(scramble):
     member = np.zeros((len(eggs), g.n), dtype=np.int64)
     for i, egg in enumerate(eggs):
         member[i, list(egg)] = 1
-    table = sc._cut_bound_table(g, member)
+    table = np.maximum(sc._cut_bound_table(g, member), sc._spectral_cut_bounds(g))
     best = math.inf
     witness = None
     for i, a in enumerate(eggs[:-1]):
@@ -397,8 +426,7 @@ def eager_factor_stats(g, budget):
     if not inv.is_connected(g):
         raise ct.HypothesisError("both factors must be connected")
     lam = inv.edge_connectivity(g)
-    gon = (dv._sandwich(g, sc.vertex_scramble_order(g.n, lam), inv.independence_number(g))[1]
-           if g.n <= budget else None)
+    gon = dv._sandwich(g, sc.vertex_scramble_order(g.n, lam))[1] if g.n <= budget else None
     return types.SimpleNamespace(
         graph=g, n=g.n, lam=lam, kappa=inv.vertex_connectivity(g), delta=inv.min_degree(g),
         gon=gon, tree=g.is_simple() and g.edge_count() == g.n - 1,

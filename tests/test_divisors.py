@@ -443,7 +443,7 @@ def vertex_scramble_order(g):
 
 def sandwiched_gonality(g, lower):
     """The value-only sandwich's gonality of g from the sound lower bound."""
-    return dv._sandwich(g, lower, inv.independence_number(g))[1]
+    return dv._sandwich(g, lower)[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -565,8 +565,8 @@ def test_the_sandwich_returns_its_start_and_a_row_only_from_the_witness_scan():
     # Q3: the vertex scramble's order 3 is raised to the edge scramble's
     # order 4 = n - alpha = gon, which only the witness scan reaches
     q3 = mg.hypercube(3)
-    assert dv._sandwich(q3, 3, 4) == (4, 4, None)
-    start, value, row = dv._sandwich(q3, 3, 4, witness=True)
+    assert dv._sandwich(q3, 3) == (4, 4, None)
+    start, value, row = dv._sandwich(q3, 3, witness=True)
     assert (start, value, row.tolist()) == (4, 4, dv.gonality(q3)[1].chips.tolist())
 
 
@@ -608,5 +608,32 @@ def test_the_basepoint_burn_sees_only_rows_that_passed_the_q_filters(monkeypatch
 
 
 def test_sandwiched_gonality_raises_on_a_lower_bound_above_the_upper_bound():
-    with pytest.raises(ValueError, match="exceeds"):
-        sandwiched_gonality(mg.cycle(5), 4)
+    # above genus + 1 (C5, a tree, K4, the doubled edge, Q3), and at n on a
+    # simple graph, where n - alpha < n
+    doubled = mg.from_edge_list(2, [(0, 1, 2)])
+    for g, lower in ((mg.cycle(5), 4), (mg.cycle(5), 3), (mg.path(4), 2), (mg.complete(4), 5),
+                     (doubled, 3), (mg.hypercube(3), 7), (mg.complete(5), 5)):
+        with pytest.raises(ValueError, match="exceeds"):
+            sandwiched_gonality(g, lower)
+
+
+def test_the_sandwich_reads_no_alpha_where_genus_or_n_meets_its_lower_bound(monkeypatch):
+    # cycles, trees, K3 and the doubled edge: min(lam, n) is genus + 1, so
+    # gonality, sn_bounds and certify_product answer without an
+    # independent-set search
+    rng = random.Random(103)
+    graphs = [mg.cycle(n) for n in (3, 4, 5, 7)] + [mg.path(n) for n in (1, 2, 4)]
+    graphs += [mg.random_tree(n, seed=rng.randrange(1 << 30)) for n in (5, 8)]
+    graphs += [mg.complete(3), mg.from_edge_list(2, [(0, 1, 2)])]
+
+    def answers():
+        return ([(dv.gonality(g)[0], sc.sn_bounds(g)) for g in graphs],
+                [ct.certify_product(g, h) for g in graphs[:5] + graphs[-2:] for h in graphs[5:]])
+
+    expected = answers()
+
+    def refuse(g):
+        raise AssertionError("alpha was searched")
+
+    monkeypatch.setattr(inv, "max_independent_set", refuse)
+    assert answers() == expected

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import oracles
@@ -108,6 +109,30 @@ def test_connectivity_and_bridges_match_networkx_and_brute_force():
             assert got[0] == oracles.brute_egg_cut(g, [{v} for v in range(g.n)])
 
 
+def test_connectivity_shortcuts_run_no_flow(monkeypatch):
+    # Chartrand: a simple graph with 2 delta >= n - 1 has lambda = delta;
+    # on complete multipartite graphs with parts of at least two vertices,
+    # every Esfahanian-Hakimi pair has delta common neighbours
+    rng = random.Random(101)
+    dense = [mg.complete(n) for n in range(2, 7)] + [mg.cycle(n) for n in (3, 4, 5)]
+    dense += [mg.path(3), mg.complete_bipartite(2, 3)]
+    while len(dense) < 111:
+        g = mg.random_graph(rng.randrange(2, 12), rng.choice([0.5, 0.7, 0.9]),
+                            seed=rng.randrange(1 << 30))
+        if 2 * inv.min_degree(g) >= g.n - 1:
+            dense.append(g)
+    parted = [mg.complete_bipartite(3, 3), mg.complete_multipartite([2, 2, 2]),
+              mg.complete_multipartite([2, 3, 4])]
+    expected = [oracles.networkx_connectivity(g) for g in dense + parted]
+
+    def refuse(*args):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(inv, "_min_cut", refuse)
+    assert [inv.edge_connectivity(g) for g in dense] == [e[0] for e in expected[:len(dense)]]
+    assert [inv.vertex_connectivity(g) for g in parted] == [e[1] for e in expected[len(dense):]]
+
+
 def test_vertex_connectivity_finds_a_separator_through_vertex_0():
     g = two_k4s_at_0()
     assert inv.min_degree(g) == 3
@@ -121,19 +146,12 @@ def test_vertex_connectivity_cuts_between_neighbours_of_the_minimum_degree_verte
     assert inv.vertex_connectivity(g) == 1
 
 
-def test_vertex_connectivity_runs_the_esfahanian_hakimi_flows(monkeypatch):
+def test_vertex_connectivity_runs_the_esfahanian_hakimi_flows():
     # K6 [] K6: 25 non-neighbours of a vertex plus 25 non-adjacent pairs of
     # its neighbours (row against column)
-    flows = []
-    cut = inv._min_cut
-
-    def counting(*args):
-        flows.append(args[2:4])
-        return cut(*args)
-
-    monkeypatch.setattr(inv, "_min_cut", counting)
     g = mg.cartesian_product(mg.complete(6), mg.complete(6))
-    assert inv.vertex_connectivity(g) == 10
+    with oracles.counted_flows() as flows:
+        assert inv.vertex_connectivity(g) == 10
     assert nx.node_connectivity(oracles.networkx_graph(g)) == 10
     assert len(flows) <= 50
 
@@ -296,23 +314,84 @@ def test_min_cut_between_matches_networkx_value_and_side():
         assert inv.min_cut_between(g, a, b) == oracles.networkx_min_cut(g, a, b)
 
 
-def test_min_cut_between_limit_is_exact_below_or_stops_at_it():
-    rng = random.Random(73)
+def _near_sides(rng, g):
+    """Sides whose paths of one or two edges the seed of `_min_cut` pushes:
+    the ends of an edge, two non-adjacent vertices with a common neighbour,
+    and each pair with a random third vertex added to its first side."""
+    pairs = []
+    edges = [(u, v) for u, v, _ in g.edges()]
+    if edges:
+        u, v = rng.choice(edges)
+        pairs.append(({u}, {v}))
+    apart = [(u, w) for u in range(g.n) for w in range(u + 1, g.n)
+             if not g.mult[u, w] and (g.mult[u] * g.mult[w]).any()]
+    if apart:
+        u, w = rng.choice(apart)
+        pairs.append(({u}, {w}))
+    for a, b in list(pairs):
+        rest = [x for x in range(g.n) if x not in a | b]
+        if rest:
+            pairs.append((a | {rng.choice(rest)}, b))
+    return pairs
+
+
+def _cut_cases():
+    """(capacity rows, their multigraph or None, side pairs): the random hosts
+    of `_random_host` with random and near sides, hosts whose every
+    multiplicity is 2 or 3, and the split digraph of `vertex_connectivity`
+    as dict rows, from each vertex's out copy to another's in copy and from
+    an in copy through its out copy."""
+    rng, near = random.Random(73), random.Random(79)
+    cases = []
     for i in range(40):
         g = _random_host(rng, i)
-        a, b = _random_sides(rng, g.n)
-        exact, side = inv.min_cut_between(g, a, b)
-        for limit in range(exact + 3):
-            value, capped_side = inv.min_cut_between(g, a, b, limit=limit)
-            if exact < limit:
-                assert (value, capped_side) == (exact, side)
-            else:
-                assert capped_side is None and limit <= value <= exact
+        cases.append((g, [_random_sides(rng, g.n)] + _near_sides(near, g)))
+    for _ in range(15):
+        n = near.randrange(3, 9)
+        g = mg.from_edge_list(n, [(u, v, near.randint(2, 3)) for u in range(n)
+                                  for v in range(u + 1, n) if near.random() < 0.5])
+        cases.append((g, [_random_sides(near, g.n)] + _near_sides(near, g)))
+    for _ in range(15):
+        g = oracles.random_connected_graph(near, near.randrange(3, 9), near.choice([0.3, 0.6]))
+        s, t = near.sample(range(g.n), 2)
+        cases.append((_split_dict_rows(g), [({2 * s + 1}, {2 * t}), ({2 * s}, {2 * t}),
+                                            _random_sides(near, 2 * g.n)]))
+    return cases
+
+
+def _split_dict_rows(g):
+    """The split digraph of g as `vertex_connectivity` builds it: a capacity
+    dict per split vertex, its reverse arcs at 0."""
+    adj = inv._adjacency(g.mult)
+    rows = []
+    for v in range(g.n):
+        rows.append({2 * v + 1: 1, **{2 * u + 1: 0 for u in adj[v]}})
+        rows.append({2 * v: 0, **{2 * u: 1 for u in adj[v]}})
+    return rows
+
+
+def test_min_cut_between_limit_is_exact_below_or_stops_at_it():
+    # below the limit the value and side are networkx's, whatever the seed of
+    # short paths pushed first; at or above it the value is between the two
+    for host, sides in _cut_cases():
+        rows = host.mult.tolist() if isinstance(host, mg.Multigraph) else host
+        nbrs = [list(row) for row in rows] if isinstance(rows[0], dict) else inv._adjacency(np.array(rows))
+        for a, b in sides:
+            exact, side = oracles.networkx_min_cut(host, a, b)
+            for limit in range(exact + 3):
+                value, capped_side = inv._min_cut(rows, nbrs, a, b, limit)
+                if exact < limit:
+                    assert (value, capped_side) == (exact, side)
+                else:
+                    assert capped_side is None and limit <= value <= exact
+                if isinstance(host, mg.Multigraph):
+                    assert inv.min_cut_between(host, a, b, limit) == (value, capped_side)
 
 
 def test_a_cut_on_shared_rows_leaves_them_as_they_were():
-    # the egg-cut scan and the sn oracle run every flow of a call on one set
-    # of rows; each cut must read them as g.mult and leave them so
+    # the egg-cut scan, the sn oracle and the kappa scan run every flow of a
+    # call on one set of rows; each cut must read them as built and leave
+    # them so, seed and augmenting paths taken back
     rng = random.Random(89)
     for i in range(40):
         g = _random_host(rng, i)
@@ -323,6 +402,16 @@ def test_a_cut_on_shared_rows_leaves_them_as_they_were():
             limit = rng.choice([math.inf, 1, 2, 4])
             assert inv._min_cut(rows, nbrs, a, b, limit) == inv.min_cut_between(g, a, b, limit)
             assert rows == g.mult.tolist()
+    for host, sides in _cut_cases():
+        rows = host.mult.tolist() if isinstance(host, mg.Multigraph) else host
+        fresh = [dict(row) if isinstance(row, dict) else row[:] for row in rows]
+        nbrs = [list(row) for row in rows] if isinstance(rows[0], dict) else inv._adjacency(np.array(rows))
+        for a, b in sides:
+            for limit in (math.inf, 1, 2, 4):
+                value, side = inv._min_cut(rows, nbrs, a, b, limit)
+                assert rows == fresh
+                if value < limit:
+                    assert (value, side) == oracles.networkx_min_cut(fresh, a, b)
 
 
 def test_min_cut_between_validation():

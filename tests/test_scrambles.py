@@ -1,4 +1,3 @@
-import contextlib
 import inspect
 import itertools
 import math
@@ -179,7 +178,8 @@ def test_pair_bound_is_below_every_separating_cut_property(case):
     member = np.zeros((len(s.eggs), g.n), dtype=np.int64)
     for i, egg in enumerate(s.eggs):
         member[i, list(egg)] = 1
-    table = sc._cut_bound_table(g, member)
+    # the table as the scan reads it once the spectral bound is taken in
+    table = np.maximum(sc._cut_bound_table(g, member), sc._spectral_cut_bounds(g))
     reference = [reference_cut_bounds(g, egg) for egg in s.eggs]
     for i, a in enumerate(s.eggs):
         assert [None if x == sc._NO_SET else x for x in table[i].tolist()] == reference[i]
@@ -253,29 +253,22 @@ def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run():
              (P(C(4), mg.complete_bipartite(3, 3)), 8)]
     for g, value in cases:
         alpha = inv.independence_number(g)
-        with counted_flows() as flows:
+        with oracles.counted_flows() as flows:
             assert sc._edge_scramble_order(g, alpha) == value
         assert flows == []
     g = P(C(3), C(5))
-    with counted_flows() as flows:
+    with oracles.counted_flows() as flows:
         assert sc._edge_scramble_order(g, inv.independence_number(g)) == 6
     assert flows
 
 
-def test_egg_cut_number_skips_the_pairs_its_bound_rules_out(monkeypatch):
+def test_egg_cut_number_skips_the_pairs_its_bound_rules_out():
     # the first flow on a dense edge scramble already reaches the degree
     # bound of almost every later pair, so only a handful of the ~800
     # disjoint pairs run a flow
-    flows = []
-    cut = inv._min_cut
-
-    def counted(*args, **kwargs):
-        flows.append(args[2:4])
-        return cut(*args, **kwargs)
-
-    monkeypatch.setattr(inv, "_min_cut", counted)
     g = mg.random_graph(12, 0.8, 1012)
-    value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
+    with oracles.counted_flows() as flows:
+        value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
     assert value == size == inv.edge_boundary(g, side)
     assert 1 <= len(flows) <= 10
 
@@ -318,20 +311,13 @@ def test_edge_scramble_egg_cuts_match_the_all_pairs_scan_property(g, seed):
     assert sc.egg_cut_number(part) == oracles.all_pairs_egg_cut_number(part)
 
 
-def test_the_edge_scramble_takes_its_flows_from_one_vertex(monkeypatch):
+def test_the_edge_scramble_takes_its_flows_from_one_vertex():
     # every disjoint pair of C3 [] C5's edge scramble ran 345 flows; one
     # vertex's four eggs against the eggs disjoint from them, and the
     # witness flow, run at most 100
-    flows = []
-    cut = inv._min_cut
-
-    def counted(*args, **kwargs):
-        flows.append(args[2:4])
-        return cut(*args, **kwargs)
-
-    monkeypatch.setattr(inv, "_min_cut", counted)
     g = mg.cartesian_product(mg.cycle(3), mg.cycle(5))
-    value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
+    with oracles.counted_flows() as flows:
+        value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
     assert value == size == inv.edge_boundary(g, side) == 6
     assert len(flows) <= 100
 
@@ -652,24 +638,6 @@ def _oracle_records():
     ]
 
 
-@contextlib.contextmanager
-def counted_flows():
-    """The (side_a, side_b) of every `invariants._min_cut` call made inside
-    the block."""
-    flows = []
-    cut = inv._min_cut
-
-    def counted(*args):
-        flows.append(args[2:4])
-        return cut(*args)
-
-    inv._min_cut = counted
-    try:
-        yield flows
-    finally:
-        inv._min_cut = cut
-
-
 def test_every_flow_runs_in_the_one_cut_routine():
     g = mg.cartesian_product(mg.cycle(3), mg.path(3))
     alpha = inv.independence_number(g)
@@ -682,7 +650,7 @@ def test_every_flow_runs_in_the_one_cut_routine():
         "brute_force_sn": lambda: sc.brute_force_sn(g),
     }
     for name, call in sources.items():
-        with counted_flows() as flows:
+        with oracles.counted_flows() as flows:
             call()
         assert flows, name
 
@@ -693,7 +661,7 @@ def egg_masks(scramble):
 
 def test_brute_force_sn_answers_as_the_list_search_did_with_no_more_flows():
     for g, value, exact, pair_cuts, eggs in _oracle_records():
-        with counted_flows() as flows:
+        with oracles.counted_flows() as flows:
             result = sc.brute_force_sn(g)
         assert (result.value, result.exact) == (value, exact)
         assert egg_masks(result.witness) == eggs
@@ -716,9 +684,9 @@ def _random_multigraph(rng, n, p, multiple):
 @given(graph_and_cap)
 def test_brute_force_sn_matches_the_sweep_search_with_no_more_flows_property(case):
     g, cap = case
-    with counted_flows() as flows:
+    with oracles.counted_flows() as flows:
         result = sc.brute_force_sn(g, max_eggs=cap)
-    with counted_flows() as reference_flows:
+    with oracles.counted_flows() as reference_flows:
         reference = oracles.sweep_brute_force_sn(g, max_eggs=cap)
     assert (result.value, result.exact) == (reference.value, reference.exact)
     assert egg_masks(result.witness) == egg_masks(reference.witness)
