@@ -68,15 +68,15 @@ GENERATORS = {
 
 def _cmd_gen(args, out):
     if args.family not in GENERATORS:
-        raise mel.MelError(1, "unknown family %r (choose from %s)"
-                           % (args.family, ", ".join(sorted(GENERATORS))))
+        raise ValueError("unknown family %r (choose from %s)"
+                         % (args.family, ", ".join(sorted(GENERATORS))))
     params, build = GENERATORS[args.family]
     if args.family.startswith("random") and args.seed is None:
-        raise mel.MelError(1, "randomized generators require --seed")
+        raise ValueError("randomized generators require --seed")
     values = [int(x) for x in args.sizes]
     if "..." not in params[-1] and len(values) != len(params):
-        raise mel.MelError(1, "%s expects %d size argument(s): %s"
-                           % (args.family, len(params), " ".join(params)))
+        raise ValueError("%s expects %d size argument(s): %s"
+                         % (args.family, len(params), " ".join(params)))
     sys.stdout.write(mel.write_mel(build(values, args.seed)))
 
 

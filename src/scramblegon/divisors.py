@@ -144,9 +144,10 @@ def _reduce_chips(mult, burn, chips, q, script=None):
     """q-reduction of a raw chip vector; `burn` is _burn_matrix(mult).
 
     Phase 1 clears debt outside q, one BFS layer at a time starting from the
-    farthest layer: firing the ball of radius k-1 hands every layer-k vertex
-    at least one chip per firing while touching no farther layer.  Phase 2 is
-    the Dhar loop of _batch_reduce_effective on the one row.
+    farthest layer: a firing of the ball of radius k-1 hands each layer-k
+    vertex v its e(v, ball) >= 1 chips and touches no farther layer, so the
+    ball fires max ceil(-chips[v] / e(v, ball)) times.  Phase 2 is the Dhar
+    loop of _batch_reduce_effective on the one row.
 
     No chip count exceeds the total of |chips|, which a phase-1 step raises
     by at most its firings times sum |delta| and phase 2 never raises.  So
@@ -164,17 +165,17 @@ def _reduce_chips(mult, burn, chips, q, script=None):
 
     for layer in range(int(dist.max()), 0, -1):
         on_layer = dist == layer
-        worst = int(chips[on_layer].min())
-        if worst >= 0:
+        if chips[on_layer].min() >= 0:
             continue
         ball = dist < layer
-        delta = _fire_set_delta(mult, ball)
-        size += (-worst) * int(np.abs(delta).sum())
+        delta = _fire_set_delta(mult, ball)  # e(v, ball) on the layer
+        firings = int((-(chips[on_layer] // delta[on_layer])).max())
+        size += firings * int(np.abs(delta).sum())
         _check_chip_size(size)
-        chips += (-worst) * delta
+        chips += firings * delta
         if script is not None:
             members = frozenset(np.nonzero(ball)[0].tolist())
-            script.extend([members] * (-worst))
+            script.extend([members] * firings)
 
     return _batch_reduce_effective(mult, burn, chips[None], q, script)[0]
 
@@ -335,27 +336,6 @@ def _check_box(g, bounds, degree):
             "%d MiB candidate-box budget" % (degree, box_bytes / 2**20, CANDIDATE_BOX_BUDGET >> 20))
 
 
-def _reduced_effective_divisors(g, degree):
-    """The candidates for the 0-reduced effective divisors of the given degree
-    that keep a chip on vertex 0: the raw rows of a bounded box, as chip
-    matrices of at most CHUNK_ROWS rows, ordered by chips[1:].
-
-    Away from the basepoint 0 a 0-reduced divisor carries at most val(v) - 1
-    chips (a heavier vertex could never burn), so every such divisor is a row
-    of the box; only rows of total <= degree - 1 are scanned, as a
-    positive-rank divisor keeps a chip on 0 in its 0-reduced form.  The rows
-    are not burned at 0 here: the caller keeps the reduced ones.
-    """
-    n = g.n
-    bounds = _box_bounds(g)
-    _check_box(g, bounds, degree)
-    for rows in _box_chunks(bounds, degree - 1):
-        chips = np.empty((rows.shape[0], n), dtype=np.int64)
-        chips[:, 0] = degree - rows.sum(axis=1)
-        chips[:, 1:] = rows
-        yield chips
-
-
 def _batch_reduce_effective(mult, burn, chips, q, script=None):
     """q-reduce many chip rows, effective away from q, at once; `burn` is
     _burn_matrix(mult), and the firing delta is taken through it too.
@@ -382,6 +362,12 @@ def _first_positive_rank_row(g, burn, degree):
     order of chips[1:], or None when the degree has none; `burn` is
     _burn_matrix(g.mult), and g is connected with two or more vertices.
 
+    The candidates are the raw rows of a box, in chunks of at most
+    CHUNK_ROWS rows (the caller checks it against CANDIDATE_BOX_BUDGET):
+    off the basepoint 0 a 0-reduced divisor has at most val(v) - 1 chips (a
+    heavier vertex could never burn), and a positive-rank one keeps a chip
+    on 0, so chips[1:] totals at most degree - 1 and the rest is on 0.
+
     Positive rank <=> every vertex q holds a chip in some effective divisor
     equivalent to the row.  The row covers its own support (vertex 0 among
     it) and each q-reduction met covers the support of the reduced row, so a
@@ -391,15 +377,17 @@ def _first_positive_rank_row(g, burn, degree):
     on the raw box rows, and the burn at 0 only on their survivors: the
     0-reduced rows kept are the same rows in the same order.
     """
-    mult = g.mult
-    for candidates in _reduced_effective_divisors(g, degree):
+    for rows in _box_chunks(_box_bounds(g), degree - 1):
+        candidates = np.empty((rows.shape[0], g.n), dtype=np.int64)
+        candidates[:, 0] = degree - rows.sum(axis=1)
+        candidates[:, 1:] = rows
         covered = candidates > 0
         for q in range(1, g.n):
             if not candidates.shape[0]:
                 break
             todo = ~covered[:, q]
             if todo.any():
-                covered[todo] |= _batch_reduce_effective(mult, burn, candidates[todo], q) > 0
+                covered[todo] |= _batch_reduce_effective(g.mult, burn, candidates[todo], q) > 0
                 keep = covered[:, q]
                 candidates, covered = candidates[keep], covered[keep]
         if candidates.shape[0]:
@@ -448,20 +436,18 @@ def _sandwich(g, lower, witness=False):
     positive-rank row of degree gon(g), in the order of chips[1:], or None.
     Degrees from start up are scanned, through upper with `witness`, else
     below it (none there proves gon = upper); each positive-rank class has a
-    0-reduced representative with a chip on vertex 0.  A refusal names the
-    first over-budget degree from lower up, so the degrees below start are
-    checked first."""
+    0-reduced representative with a chip on vertex 0.  Where any degree is
+    scanned, each degree's candidate box from lower up is checked before it
+    is, so a refusal names the first over-budget degree from lower up."""
     lower, start, upper = _scan_bounds(g, lower)
     stop = upper + 1 if witness else upper
-    if start < stop:
-        bounds = _box_bounds(g)
-        for degree in range(lower, start):
+    if start < stop:  # else nothing is scanned or checked: gon = upper
+        bounds, burn = _box_bounds(g), _burn_matrix(g.mult)
+        for degree in range(lower, stop):
             _check_box(g, bounds, degree)
-    burn = _burn_matrix(g.mult)
-    for degree in range(start, stop):
-        row = _first_positive_rank_row(g, burn, degree)
-        if row is not None:
-            return start, degree, row
+            row = _first_positive_rank_row(g, burn, degree) if degree >= start else None
+            if row is not None:
+                return start, degree, row
     return start, upper, None
 
 

@@ -127,15 +127,12 @@ def vertex_connectivity(g):
     the running minimum, which starts at the minimum degree.  Each common
     neighbour of a pair is one more internally disjoint path between them,
     so a pair with at least the running minimum of them runs no flow, and
-    the split digraph is built only for the first pair that does.
+    the split digraph is built only for the first pair that does.  With
+    every pair adjacent no pair is flowed, and the minimum degree n - 1 (0
+    on one vertex) is kappa(K_n).
     """
     n = g.n
-    if n == 1:
-        return 0
     adj = _adjacency(g.mult)
-    if all(len(a) == n - 1 for a in adj):
-        # every pair adjacent: Menger has no non-adjacent pair to cut
-        return n - 1
     near = [set(a) for a in adj]
     best = min(len(a) for a in adj)
     v = next(x for x in range(n) if len(adj[x]) == best)
@@ -240,13 +237,13 @@ def _min_cut(rows, nbrs, side_a, side_b, limit):
     for v in side_b:
         sinks[v] = True
     value = 0
-    seeded = []  # (u, v, push) for each push of the seed on the arc uv
+    pushed = []  # (u, v, push) for each push on the arc uv, seed or path
     feeds = {}  # each vertex off side_b: the ends of its arcs from side_a
     for a in side_a:
         row = rows[a]
         for v in nbrs[a]:
             if row[v] and sinks[v]:
-                seeded.append((a, v, row[v]))
+                pushed.append((a, v, row[v]))
                 value += row[v]
                 rows[v][a] += row[v]
                 row[v] = 0
@@ -267,9 +264,8 @@ def _min_cut(rows, nbrs, side_a, side_b, limit):
                         for u, v in ((a, w), (w, b)):
                             rows[u][v] -= push
                             rows[v][u] += push
-                            seeded.append((u, v, push))
+                            pushed.append((u, v, push))
                         value += push
-    pushed = []
     while value < limit:
         parent = [-1] * n
         for s in side_a:
@@ -301,9 +297,9 @@ def _min_cut(rows, nbrs, side_a, side_b, limit):
             u = parent[v]
             rows[u][v] -= push
             rows[v][u] += push
+            pushed.append((u, v, push))
             v = u
         value += push
-        pushed.append((end, parent, push))
     side = None
     if value < limit:
         # vertices that still reach side_b, found backwards from it
@@ -315,14 +311,7 @@ def _min_cut(rows, nbrs, side_a, side_b, limit):
                     reach[u] = True
                     queue.append(u)
         side = frozenset(v for v in range(n) if not reach[v])
-    for end, parent, push in pushed:
-        v = end
-        while parent[v] != v:
-            u = parent[v]
-            rows[u][v] += push
-            rows[v][u] -= push
-            v = u
-    for u, v, push in seeded:
+    for u, v, push in pushed:
         rows[u][v] += push
         rows[v][u] -= push
     return value, side

@@ -414,12 +414,14 @@ def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
     """Bounds for a piece of sn_bounds' one pass: connected, smooth, and
     bridgeless (smoothing keeps it so) or on at most two vertices.  The
     edge scramble's order is the sandwich's scan start
-    (`divisors._scan_bounds`), which works out alpha only where it reads it."""
+    (`divisors._scan_bounds`), which works out alpha only where it reads it.
+    Over the budget no degree is scanned, and the upper bound is the
+    sandwich's own: the least of genus + 1, n - alpha (simple) and n."""
     order = vertex_scramble_order(g.n, inv.edge_connectivity(g))
     if g.n <= gonality_budget:
         (start, upper, _), usrc = dv._sandwich(g, order), "gonality"
     else:
-        start, upper, usrc = dv._scan_bounds(g, order)[1], g.n, "vertex count"
+        (_, start, upper), usrc = dv._scan_bounds(g, order), "positive-rank bound"
     lower, lsrc = (start, "edge scramble") if start > order else (order, "vertex scramble")
     if use_brute:
         result = brute_force_sn(g, max_eggs=max_eggs)

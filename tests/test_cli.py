@@ -43,6 +43,17 @@ def test_gen_validation_errors(capsys):
     assert mel.parse_mel(out) == mg.random_graph(6, 0.5, seed=9)
 
 
+def test_gen_argument_errors_name_no_line(capsys):
+    # no text is read, so the message names the arguments, not a line
+    for argv, message in ((["dodecahedron", "1"], "unknown family 'dodecahedron'"),
+                          (["random-graph", "6", "50"], "randomized generators require --seed"),
+                          (["complete", "2", "3"], "complete expects 1 size argument(s): n")):
+        code, _, err = run(capsys, "gen", *argv)
+        assert code == 2
+        assert err.startswith("error: %s" % message)
+        assert "line" not in err
+
+
 def test_info_machine_keys(capsys, tmp_path):
     path = write_graph(tmp_path, "q3.mel", mg.hypercube(3))
     code, out, _ = run(capsys, "--machine", "info", path)

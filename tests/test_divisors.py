@@ -131,15 +131,30 @@ def test_q_reduce_script_follows_the_bfs_layers():
 
 def test_q_reduce_refuses_chips_that_could_leave_int64():
     # |chips| totalling 2**63 + 5 on entry, and a phase-1 step that would
-    # hand vertex 1 four times 2**61 chips; the first is refused before any
-    # firing, the second before that step's
+    # fire {0, 1} twice, each firing moving 2**61 chips from vertex 1 to
+    # vertex 2; the first is refused before any firing, the second before
+    # that step's
     k2 = mg.from_edge_list(2, [(0, 1, 2**61)])
-    heavy = mg.from_edge_list(3, [(0, 1, 2**61), (1, 2, 1)])
-    for d, q in ((dv.Divisor(k2, [-2**62, 2**62 + 5]), 1), (dv.Divisor(heavy, [0, 0, -4]), 0)):
+    steep = mg.from_edge_list(3, [(0, 1, 1), (1, 2, 2**61)])
+    for d, q in ((dv.Divisor(k2, [-2**62, 2**62 + 5]), 1), (dv.Divisor(steep, [0, 0, -2**62]), 0)):
         with pytest.raises(ValueError, match="int64 limit"):
             dv.q_reduce(d, q, with_script=True)
     # one firing of 2**61 chips fits
     assert dv.q_reduce(dv.Divisor(k2, [-1, 6]), 1).chips.tolist() == [2**61 - 1, 6 - 2**61]
+    # phase 1 fires {0} once, not four times, to clear vertex 1's debt of 4
+    heavy = mg.from_edge_list(3, [(0, 1, 2**61), (1, 2, 1)])
+    reduced, script = dv.q_reduce(dv.Divisor(heavy, [0, 0, -4]), 0, with_script=True)
+    assert reduced.chips.tolist() == [-2**61, 2**61 - 4, 0]
+    assert script == [frozenset({0, 1})] * 4 + [frozenset({0})]
+
+
+def test_phase_1_fires_each_layer_only_as_often_as_its_debt_needs():
+    # each firing of {1} hands vertex 0 2**20 chips, so a debt of 2**21
+    # takes two firings, not 2**21 firings and as many back
+    k2 = mg.from_edge_list(2, [(0, 1, 2**20)])
+    reduced, script = dv.q_reduce(dv.Divisor(k2, [-2**21, 2**21 + 5]), 1, with_script=True)
+    assert reduced.chips.tolist() == [0, 5]
+    assert script == [frozenset({1})] * 2
 
 
 def test_q_reduced_form_is_an_equivalence_invariant():

@@ -460,6 +460,16 @@ def test_sn_bounds_closes_the_sandwich_without_a_search(monkeypatch):
     assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
 
 
+def test_sn_bounds_over_the_budget_reports_the_positive_rank_bound():
+    # Q4 (16 vertices) is over the default budget of 12: no degree is
+    # scanned, and the upper bound is n - alpha = 8, not n = 16
+    report = sc.sn_bounds(mg.hypercube(4))
+    assert report == sc.BoundReport("sn", 6, 8, "edge scramble", "positive-rank bound")
+    # at budget 0 the edge scramble's order 4 meets Q3's n - alpha = 4
+    report = sc.sn_bounds(mg.hypercube(3), gonality_budget=0)
+    assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "positive-rank bound")
+
+
 def test_sn_bounds_raise_when_a_user_scramble_beats_the_gonality(monkeypatch):
     # a gonality search that stops at its lower bound reports 6 on C4 [] C5;
     # the k = 2 product scramble has order 8, so the bounds cross and must
