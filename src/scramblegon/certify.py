@@ -11,14 +11,21 @@ same number, so the order only affects provenance.
 The paper's product lower bounds (Thm 4.1 at each k with kappa(G) >= k >= 1
 and |V(G)| >= 2k-1, a rule kept in `scrambles._product_k_failure`; Prop 4.3 at
 k = 2; Cor 4.2 from the k = 1 values) are one table, `_product_bounds`, read by
-the public formulas, the open bounds and the high-connectivity-tight statement.
+the public formulas and the open bounds.  Where a table entry meets the
+factor-gonality upper bound min(|V(G)| gon(H), |V(H)| gon(G)), the certificate
+is "met-bounds" and its lower hypothesis names the entry's k and orientation.
 
-Two of the paper's product statements are left out, as an earlier statement
-always fires first with the same value and orientation:
+Six of the paper's product statements are left out, as a kept statement or
+met-bounds always certifies the same value:
 - G a tree and gon(H) = lam(H): tree-factor or tight-factor.
 - kappa(G) >= gon(G) = k: this forces k = kappa(G) = lam(G), so G is a tree
-  (tree-factor), or k = 2 with lam(H) <= 2 (tight-factor or
+  (tree-factor), or k = 2 with lam(H) <= 2 (tight-factor or, as below,
   biconnected-gon2), or k >= 3 with lam(H) = 1 (tight-factor).
+- biconnected-gon2: Prop 4.3 at k = 2, (G,H), equals 2|V(H)| = |V(H)| gon(G).
+- biconnected-tight: the same entry equals |V(G)| lam(H) = |V(G)| gon(H).
+- high-connectivity-tight: its witness k gives a Thm 4.1 value of
+  |V(G)| lam(H) = |V(G)| gon(H).
+- one-vertex-factor: the K1 entry, H's vertex scramble order, equals gon(H).
 A certify_product call works out each factor's invariants once, and kappa,
 the gonality and the shape tests only when a statement or bound first reads
 them.  The gonality of a factor with at most `budget` vertices is computed,
@@ -192,12 +199,6 @@ def _check(checks, description, value, passed):
     return bool(passed)
 
 
-def _check_tight(checks, b):
-    """gon(H) = lam(H), which needs gon(H) known."""
-    return (_check(checks, "gon(H) known", str(b.gon), b.gon is not None)
-            and _check(checks, "gon(H) = lam(H)", "%s = %d" % (b.gon, b.lam), b.gon == b.lam))
-
-
 # each statement: (id, function(a: _FactorStats, b: _FactorStats) -> (value, checks) or None)
 
 def _stmt_tree_factor(a, b):
@@ -213,7 +214,8 @@ def _stmt_tree_factor(a, b):
 def _stmt_tight_factor(a, b):
     # gon(H) = lam(H), |V(G)| <= |V(H)|/lam(H)  =>  value |V(G)| lam(H)
     checks = []
-    ok = _check_tight(checks, b)
+    ok = (_check(checks, "gon(H) known", str(b.gon), b.gon is not None)
+          and _check(checks, "gon(H) = lam(H)", "%s = %d" % (b.gon, b.lam), b.gon == b.lam))
     ok &= _check(checks, "|V(G)| <= |V(H)|/lam(H)",
                  "%d <= %d/%d" % (a.n, b.n, b.lam),
                  b.lam > 0 and a.n * b.lam <= b.n)
@@ -245,51 +247,6 @@ def _stmt_rook(a, b):
     return ((a.n - 1) * b.n if ok else None), checks
 
 
-def _stmt_biconnected_gon2(a, b):
-    # kappa(G) >= 2, gon(G) = 2, |V(H)|/lam(H) <= |V(G)|/2,
-    # |V(H)| <= |V(G)| lam(H)/2 + delta(G) - lam(H)  =>  value 2 |V(H)|
-    checks = []
-    ok = _check(checks, "kappa(G) >= 2", str(a.kappa), a.kappa >= 2)
-    ok &= _check(checks, "gon(G) known", str(a.gon), a.gon is not None)
-    if ok:
-        ok &= _check(checks, "gon(G) = 2", str(a.gon), a.gon == 2)
-    ok &= _check(checks, "|V(H)|/lam(H) <= |V(G)|/2",
-                 "%d/%d <= %d/2" % (b.n, b.lam, a.n),
-                 b.lam > 0 and 2 * b.n <= a.n * b.lam)
-    ok &= _check(checks, "|V(H)| <= |V(G)|lam(H)/2 + delta(G) - lam(H)",
-                 "%d <= %d*%d/2 + %d - %d" % (b.n, a.n, b.lam, a.delta, b.lam),
-                 2 * b.n <= a.n * b.lam + 2 * (a.delta - b.lam))
-    return (2 * b.n if ok else None), checks
-
-
-def _stmt_biconnected_tight(a, b):
-    # kappa(G) >= 2, gon(H) = lam(H), |V(G)| <= 2|V(H)|/lam(H),
-    # lam(H) <= delta(G)  =>  value |V(G)| lam(H)
-    checks = []
-    ok = _check(checks, "kappa(G) >= 2", str(a.kappa), a.kappa >= 2)
-    ok &= _check_tight(checks, b)
-    ok &= _check(checks, "|V(G)| <= 2|V(H)|/lam(H)",
-                 "%d <= 2*%d/%d" % (a.n, b.n, b.lam),
-                 b.lam > 0 and a.n * b.lam <= 2 * b.n)
-    ok &= _check(checks, "lam(H) <= delta(G)", "%d <= %d" % (b.lam, a.delta), b.lam <= a.delta)
-    return (a.n * b.lam if ok else None), checks
-
-
-def _stmt_highconn_tight(a, b):
-    # some k with kappa(G) >= k, |V(G)| >= 2k-1, lam(G) >= (k-1) lam(H),
-    # |V(G)| lam(H) <= k |V(H)|, and gon(H) = lam(H)  =>  value |V(G)| lam(H)
-    checks = []
-    if not _check_tight(checks, b):
-        return None, checks
-    # the last two conditions hold exactly where Thm 4.1's value at k is |V(G)| lam(H)
-    k = next((k for tag, k, _, thm41 in _product_bounds(a, b)
-              if tag == "G,H" and thm41 == a.n * b.lam), None)
-    ok = _check(checks, "witness k with kappa(G) >= k, |V(G)| >= 2k-1, "
-                        "lam(G) >= (k-1)lam(H), |V(G)|lam(H) <= k|V(H)|",
-                "none in 1..%d" % a.kappa if k is None else "k = %d" % k, k is not None)
-    return (a.n * b.lam if ok else None), checks
-
-
 def _stmt_uniform(a, b):
     # k = kappa(G) = lam(G) = gon(G) <= lam(H), |V(G)| >= 2k-1,
     # |V(H)| <= |V(G)| - 2k + 4  =>  value k |V(H)|
@@ -315,30 +272,13 @@ def _stmt_doubled_edge_times_complete(a, b):
     return (2 * b.n - 2 if ok else None), checks
 
 
-def _stmt_one_vertex_factor(a, b):
-    # G = K1, so G [] H = H, and gon(H) = max(1, min(lam(H), |V(H)|)), the
-    # order of H's vertex scramble  =>  value gon(H)
-    checks = []
-    ok = _check(checks, "|V(G)| = 1", str(a.n), a.n == 1)
-    ok &= _check(checks, "gon(H) known", str(b.gon), b.gon is not None)
-    if ok:
-        order = vertex_scramble_order(b.n, b.lam)
-        ok &= _check(checks, "gon(H) = max(1, min(lam(H), |V(H)|))",
-                     "%d = %d" % (b.gon, order), b.gon == order)
-    return (b.gon if ok else None), checks
-
-
 _STATEMENTS = [
     ("tree-factor", _stmt_tree_factor),
     ("tight-factor", _stmt_tight_factor),
     ("complete-bipartite-factor", _stmt_complete_bipartite_factor),
     ("rook", _stmt_rook),
-    ("biconnected-gon2", _stmt_biconnected_gon2),
-    ("biconnected-tight", _stmt_biconnected_tight),
-    ("high-connectivity-tight", _stmt_highconn_tight),
     ("uniform-connectivity", _stmt_uniform),
     ("doubled-edge-times-complete", _stmt_doubled_edge_times_complete),
-    ("one-vertex-factor", _stmt_one_vertex_factor),
 ]
 
 

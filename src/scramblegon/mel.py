@@ -71,8 +71,8 @@ def parse_mel(text):
 
 
 def write_mel(g):
-    lines = ["%d %d" % (g.n, sum(1 for _ in g.edges()))]
-    lines.extend("%d %d %d" % (u, v, k) for u, v, k in g.edges())
+    edges = g.edges()
+    lines = ["%d %d" % (g.n, len(edges))] + ["%d %d %d" % edge for edge in edges]
     return "\n".join(lines) + "\n"
 
 

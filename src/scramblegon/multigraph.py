@@ -51,13 +51,9 @@ class Multigraph:
         return [int(u) for u in np.nonzero(self.mult[v])[0]]
 
     def edges(self):
-        """Yield (u, v, multiplicity) with u < v."""
-        n = self.n
-        for u in range(n):
-            for v in range(u + 1, n):
-                k = int(self.mult[u, v])
-                if k:
-                    yield (u, v, k)
+        """(u, v, multiplicity) with u < v, as a list in row-major order."""
+        us, vs = np.nonzero(np.triu(self.mult, 1))
+        return list(zip(us.tolist(), vs.tolist(), self.mult[us, vs].tolist()))
 
     def is_simple(self):
         return bool((self.mult <= 1).all())

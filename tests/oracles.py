@@ -394,26 +394,53 @@ def lex_least_gonality_witness(g):
 
 def omitted_product_statements(g, h):
     """For each pair (gon(G), gon(H)) that factors of these shapes could have
-    (1 on a tree, else max(2, min(lam, n)) to n), the values of the two
-    product statements it leaves out, in each orientation (G, H) whose
-    hypotheses hold, from networkx invariants:
-    - G a tree and gon(H) = lam(H) give min(|V(H)|, lam(H)|V(G)|);
-    - kappa(G) >= gon(G) = k, |V(G)| >= 2k - 1, lam(G) >= (k-1)lam(H) and
-      k|V(H)| <= |V(G)|lam(H) give k|V(H)|."""
+    (1 on a tree, else max(2, min(lam, n)) to n), the (id, value) of each
+    product statement the certifier leaves out, in each orientation (G, H)
+    whose hypotheses hold, from networkx invariants (delta the least weighted
+    degree):
+    - tree-times-tight: G a tree and gon(H) = lam(H) give
+      min(|V(H)|, lam(H)|V(G)|);
+    - high-connectivity-gonk: kappa(G) >= gon(G) = k, |V(G)| >= 2k - 1,
+      lam(G) >= (k-1)lam(H) and k|V(H)| <= |V(G)|lam(H) give k|V(H)|;
+    - biconnected-gon2: kappa(G) >= 2, gon(G) = 2, 2|V(H)| <= |V(G)|lam(H)
+      and 2|V(H)| <= |V(G)|lam(H) + 2delta(G) - 2lam(H) give 2|V(H)|;
+    - biconnected-tight: kappa(G) >= 2, gon(H) = lam(H),
+      |V(G)|lam(H) <= 2|V(H)| and lam(H) <= delta(G) give |V(G)|lam(H);
+    - high-connectivity-tight: gon(H) = lam(H) and some k with
+      kappa(G) >= k >= 1, |V(G)| >= 2k - 1, lam(G) >= (k-1)lam(H) and
+      |V(G)|lam(H) <= k|V(H)| give |V(G)|lam(H);
+    - one-vertex-factor: |V(G)| = 1 and gon(H) = max(1, min(lam(H), |V(H)|))
+      give gon(H)."""
     sides = []
     for f in (g, h):
         lam, kappa, _ = networkx_connectivity(f)
-        tree = f.is_simple() and nx.is_tree(networkx_graph(f))
-        sides.append((f, lam, kappa, tree, [1] if tree else range(max(2, min(lam, f.n)), f.n + 1)))
+        weighted = nx.Graph()
+        weighted.add_nodes_from(range(f.n))
+        weighted.add_weighted_edges_from(f.edges())
+        tree = f.is_simple() and nx.is_tree(weighted)
+        delta = min(d for _, d in weighted.degree(weight="weight"))
+        sides.append((f, lam, kappa, delta, tree,
+                      [1] if tree else range(max(2, min(lam, f.n)), f.n + 1)))
     result = {}
-    for gons in itertools.product(sides[0][4], sides[1][4]):
+    for gons in itertools.product(sides[0][5], sides[1][5]):
         values = []
         for i in (0, 1):
-            (a, lam_a, kappa_a, tree_a, _), (b, lam_b, _, _, _), k = sides[i], sides[1 - i], gons[i]
-            if tree_a and gons[1 - i] == lam_b:
-                values.append(min(b.n, lam_b * a.n))
+            (a, lam_a, kappa_a, delta_a, tree_a, _), (b, lam_b, _, _, _, _) = sides[i], sides[1 - i]
+            k, gon_b = gons[i], gons[1 - i]
+            if tree_a and gon_b == lam_b:
+                values.append(("tree-times-tight", min(b.n, lam_b * a.n)))
             if kappa_a >= k and a.n >= 2 * k - 1 and lam_a >= (k - 1) * lam_b and k * b.n <= a.n * lam_b:
-                values.append(k * b.n)
+                values.append(("high-connectivity-gonk", k * b.n))
+            if (kappa_a >= 2 and k == 2 and 2 * b.n <= a.n * lam_b
+                    and 2 * b.n <= a.n * lam_b + 2 * delta_a - 2 * lam_b):
+                values.append(("biconnected-gon2", 2 * b.n))
+            if kappa_a >= 2 and gon_b == lam_b and a.n * lam_b <= 2 * b.n and lam_b <= delta_a:
+                values.append(("biconnected-tight", a.n * lam_b))
+            if gon_b == lam_b and any(a.n >= 2 * j - 1 and lam_a >= (j - 1) * lam_b
+                                      and a.n * lam_b <= j * b.n for j in range(1, kappa_a + 1)):
+                values.append(("high-connectivity-tight", a.n * lam_b))
+            if a.n == 1 and gon_b == max(1, min(lam_b, b.n)):
+                values.append(("one-vertex-factor", gon_b))
         result[gons] = values
     return result
 

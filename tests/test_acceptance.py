@@ -225,8 +225,11 @@ def test_criterion_11_large_instance_certificates():
     torus = mg.cartesian_product(mg.cycle(3), mg.cycle(3))
     cert = ct.certify_product(torus, mg.cycle(6))
     assert cert.certified and cert.value == 18
-    value, checks = ct._stmt_highconn_tight(ct._stats(torus, 12), ct._stats(mg.cycle(6), 12))
-    assert value == 18 and all(c.passed for c in checks)
+    # the k = 3 product scramble's order meets |V(C3xC3)| gon(C6)
+    assert cert.statement == "met-bounds"
+    assert [c.value for c in cert.hypotheses] == [
+        "18 by k=3 product scramble (G,H)", "18 by factor gonality"]
+    assert all(c.passed for c in cert.hypotheses)
     _passed(11, "certified 12 for K4xK3xK2 and 18 for C3xC3xC6, hypotheses checked")
 
 

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import random
@@ -69,11 +70,11 @@ def test_certify_statement_ids_and_values():
     bowtie = mg.from_edge_list(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 3, 1), (2, 4, 1)])
     cases = [
         (mg.path(3), mg.complete(4), "tree-factor", 4),
-        (mg.cycle(4), mg.cycle(5), "biconnected-gon2", 8),
+        (mg.cycle(4), mg.cycle(5), "uniform-connectivity", 8),
         (mg.cycle(3), mg.complete(4), "rook", 8),
         (mg.cycle(2), mg.complete(4), "doubled-edge-times-complete", 6),
-        (mg.cycle(2), mg.complete(3), "biconnected-gon2", 4),
-        (bowtie, mg.complete(6), "high-connectivity-tight", 12),
+        (mg.cycle(2), mg.complete(3), "uniform-connectivity", 4),
+        (bowtie, mg.complete(6), "met-bounds", 12),
     ]
     for g, h, statement, value in cases:
         cert = ct.certify_product(g, h)
@@ -81,9 +82,9 @@ def test_certify_statement_ids_and_values():
         assert (cert.statement, cert.value) == (statement, value)
         assert all(check.passed for check in cert.hypotheses)
     # K6 plays G: kappa(K6) = 5 admits k = 1..3, and Thm 4.1's value at k
-    # first reaches |V(G)| lam(H) = 12 at k = 3
+    # first reaches |V(G)| gon(H) = 12 at k = 3
     cert = ct.certify_product(bowtie, mg.complete(6))
-    assert (cert.orientation, cert.hypotheses[-1].value) == ("H,G", "k = 3")
+    assert cert.hypotheses[0].value == "12 by k=3 product scramble (H,G)"
 
 
 def test_certify_is_orientation_symmetric_in_value():
@@ -223,20 +224,35 @@ def test_certify_closes_large_cycle_factors_within_a_raised_budget(monkeypatch):
 def test_omitted_statements_certify_what_an_earlier_statement_certifies():
     # wherever tree-times-tight or high-connectivity-gonk would hold, some
     # statement the certifier keeps certifies the same value, for every
-    # factor gonality a graph of the factor's shape could have
+    # factor gonality a graph of the factor's shape could have; and with the
+    # factors' true gonalities, wherever any omitted statement holds the
+    # certifier proves its value (a made-up gonality may put the
+    # factor-gonality upper bound under the table's lower bound)
     factors = [mg.path(1), mg.path(2), mg.path(3), mg.star(4), mg.cycle(2), mg.cycle(3),
                mg.cycle(4), mg.cycle(5), mg.complete(4), mg.complete(5),
                mg.complete_bipartite(2, 3), mg.hypercube(3), mg.from_edge_list(2, [(0, 1, 3)]),
                mg.from_edge_list(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1)])]
-    fired = 0
+    gon = {f: dv.gonality(f)[0] for f in factors}
+    fired, held = 0, collections.Counter()
     for g, h in itertools.product(factors, repeat=2):
         stats_g, stats_h = ct._stats(g, 0), ct._stats(h, 0)
-        for (gon_g, gon_h), values in oracles.omitted_product_statements(g, h).items():
+        omitted = oracles.omitted_product_statements(g, h)
+        for (gon_g, gon_h), statements in omitted.items():
+            values = {value for statement, value in statements
+                      if statement in ("tree-times-tight", "high-connectivity-gonk")}
             if values:
                 cert = ct._certify(_with_gon(stats_g, gon_g), _with_gon(stats_h, gon_h))
-                assert cert.certified and set(values) == {cert.value}
+                assert cert.certified and values == {cert.value}
                 fired += 1
+        statements = omitted[gon[g], gon[h]]
+        if statements:
+            cert = ct.certify_product(g, h)
+            assert cert.certified and {value for _, value in statements} == {cert.value}
+            held.update(statement for statement, _ in statements)
     assert fired >= 200
+    assert min(held[statement] for statement in (
+        "biconnected-gon2", "biconnected-tight", "high-connectivity-tight",
+        "one-vertex-factor")) >= 1, held
 
 
 def test_reduce_alpha_of_c7_through_the_gonality_search():
@@ -327,12 +343,41 @@ def test_an_over_budget_factor_fails_only_the_pairs_that_read_its_gonality(monke
         ct.certify_product(mg.cycle(4), petersen)  # tight-factor reads its gonality
 
 
+def test_every_kept_statement_certifies_a_pair_the_table_leaves_open(monkeypatch):
+    # without the named statement each pair stays open, so no statement
+    # the certifier keeps is a second path to met-bounds
+    paw = mg.from_edge_list(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)])
+    cases = [
+        ("tree-factor", mg.path(3), mg.complete(4), 0, 4, (4, 12)),
+        ("complete-bipartite-factor", mg.path(2), mg.complete_bipartite(2, 3), 0, 4, (4, 10)),
+        ("rook", mg.complete(4), mg.complete(4), 12, 12, (8, 12)),
+        ("uniform-connectivity", mg.path(2), paw, 12, 4, (2, 4)),
+        ("doubled-edge-times-complete", mg.cycle(2), mg.complete(5), 12, 8, (6, 8)),
+    ]
+    statements = list(ct._STATEMENTS)
+    for statement, g, h, budget, value, bounds in cases:
+        cert = ct.certify_product(g, h, budget=budget)
+        assert (cert.statement, cert.value) == (statement, value)
+        monkeypatch.setattr(ct, "_STATEMENTS", [s for s in statements if s[0] != statement])
+        cert = ct.certify_product(g, h, budget=budget)
+        assert cert.statement == "open"
+        assert (cert.bounds.lower, cert.bounds.upper) == bounds
+        monkeypatch.setattr(ct, "_STATEMENTS", statements)
+    # tight-factor reads gon(H) and lam(H) only, where met-bounds would read
+    # gon(Petersen), which no candidate box is admitted to search
+    monkeypatch.setattr(dv, "CANDIDATE_BOX_BUDGET", 0)
+    cert = ct.certify_product(_petersen(), mg.cycle(20), budget=20)
+    assert (cert.statement, cert.value) == ("tight-factor", 20)
+
+
 def test_one_vertex_factors_bound_the_product_by_the_other_factor():
     # K1 [] H = H, so H's vertex scramble bounds the product from below
     k1, q3 = mg.path(1), mg.hypercube(3)
     cert = ct.certify_product(k1, k1)
-    assert (cert.statement, cert.value) == ("one-vertex-factor", 1)
+    assert (cert.statement, cert.value) == ("met-bounds", 1)
     assert all(check.passed for check in cert.hypotheses)
+    assert [check.value for check in cert.hypotheses] == [
+        "1 by vertex scramble of H (G,H)", "1 by factor gonality"]
     for g, h, tag in ((k1, q3, "G,H"), (q3, k1, "H,G")):
         bounds = ct.certify_product(g, h).bounds
         assert (bounds.lower, bounds.upper) == (3, 4)

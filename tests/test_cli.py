@@ -178,7 +178,7 @@ def test_certify_command(capsys, tmp_path):
     code, out, _ = run(capsys, "--machine", "certify", a, b)
     assert code == 0
     got = machine_map(out)
-    assert got["statement"] == "biconnected-gon2"
+    assert got["statement"] == "uniform-connectivity"
     assert got["certified"] == "8"
     k6 = write_graph(tmp_path, "k6.mel", mg.complete(6))
     code, out, _ = run(capsys, "--machine", "certify", k6, k6)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scramblegon import divisors as dv
 from scramblegon import invariants as inv
+from scramblegon import mel
 from scramblegon import multigraph as mg
 
 
@@ -160,6 +162,16 @@ def test_smooth_two_valent_sweep_matches_the_restart_loop_property(g):
     assert smooth.mult.tobytes() == reference.mult.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(subdivided_multigraph)
+def test_edges_are_the_upper_triangle_in_row_major_order_property(g):
+    rows = g.mult.tolist()
+    reference = [(u, v, rows[u][v]) for u in range(g.n) for v in range(u + 1, g.n) if rows[u][v]]
+    edges = g.edges()
+    assert edges == reference
+    assert all(type(x) is int for edge in edges for x in edge)
+
+
 def test_subdivide_counts():
     g = mg.complete(4)
     s = mg.subdivide(g, 2)
@@ -192,3 +204,48 @@ def test_relabel_roundtrip():
     invp = [perm.index(i) for i in range(6)]
     assert mg.relabel(h, invp) == g
     assert sorted(int(v) for v in h.valences()) == sorted(int(v) for v in g.valences())
+
+
+_P3, _K2 = mg.path(3), mg.path(2)
+
+
+@pytest.mark.parametrize("refused, match, line", [
+    pytest.param(lambda: mel.parse_mel("# no vertices\n0 0\n"), "vertex count must be >= 1", 2,
+                 id="mel-header-n"),
+    pytest.param(lambda: mel.parse_mel("3 -1\n"), "edge-line count must be >= 0", 1,
+                 id="mel-header-m"),
+    pytest.param(lambda: mel.parse_divisor("# nothing\n"), "empty divisor text", 1,
+                 id="mel-empty-divisor"),
+    pytest.param(lambda: dv.Divisor(_P3, [1, 0]), "chip vector length", None, id="divisor-length"),
+    pytest.param(lambda: mg.path(0), "path needs", None, id="path"),
+    pytest.param(lambda: mg.cycle(1), "cycle needs", None, id="cycle"),
+    pytest.param(lambda: mg.complete(0), "complete graph needs", None, id="complete"),
+    pytest.param(lambda: mg.complete_multipartite([2, 0]), "parts must have size", None,
+                 id="complete-multipartite"),
+    pytest.param(lambda: mg.star(0), "star needs", None, id="star"),
+    pytest.param(lambda: mg.hypercube(-1), "dimension must be >= 0", None, id="hypercube"),
+    pytest.param(lambda: mg.grid([2, 0]), "grid dimensions must be >= 1", None, id="grid"),
+    pytest.param(lambda: mg.random_tree(0, 1), "tree needs", None, id="random-tree"),
+    pytest.param(lambda: mg.random_graph(0, .5, 1), "at least one vertex", None,
+                 id="random-graph-n"),
+    pytest.param(lambda: mg.random_graph(3, 1.5, 1), "probability", None, id="random-graph-p"),
+    pytest.param(lambda: mg.canonical_copy(_P3, _K2, "left", 2), "h-vertex index", None,
+                 id="canonical-copy-left"),
+    pytest.param(lambda: mg.canonical_copy(_P3, _K2, "right", 3), "g-vertex index", None,
+                 id="canonical-copy-right"),
+    pytest.param(lambda: mg.canonical_copy(_P3, _K2, "middle", 0), "'left' or 'right'", None,
+                 id="canonical-copy-factor"),
+    pytest.param(lambda: mg.cone(_P3, -1), "cone height", None, id="cone"),
+    pytest.param(lambda: mg.subdivide(_P3, -1), "subdivision count", None, id="subdivide"),
+    pytest.param(lambda: mg.induced_subgraph(_P3, []), "at least one vertex", None,
+                 id="induced-subgraph"),
+    pytest.param(lambda: mg.relabel(_P3, [0, 0, 1]), "not a permutation", None, id="relabel"),
+    pytest.param(lambda: inv.edge_boundary(_P3, [0, 5]), "vertex out of range", None,
+                 id="edge-boundary"),
+])
+def test_invalid_input_is_refused(refused, match, line):
+    with pytest.raises(ValueError, match=match) as info:
+        refused()
+    if line is not None:
+        assert isinstance(info.value, mel.MelError) and info.value.line == line
+        assert str(info.value).startswith("line %d: " % line)

@@ -65,6 +65,18 @@ def test_hitting_number_witness_hits_everything():
         assert all(witness & egg for egg in s.eggs)
 
 
+def test_hitting_number_improves_on_its_greedy_start():
+    # the greedy start takes vertex 0 (in two eggs, like 2, 3 and 4), then 1
+    # and 2, so only the branch and bound finds the 2-set {3, 4}, the one
+    # 2-set that hits every egg
+    eggs = [{1, 4}, {2, 3}, {0, 2, 4}, {0, 3, 5}]
+    size, witness = sc.hitting_number(sc.Scramble(mg.complete(6), eggs))
+    assert size == oracles.brute_hitting_number(6, eggs) == 2
+    hitting = [set(pair) for pair in itertools.combinations(range(6), 2)
+               if all(set(pair) & egg for egg in eggs)]
+    assert hitting == [set(witness)] == [{3, 4}]
+
+
 def test_egg_cut_number_against_brute_force():
     rng = random.Random(47)
     for _ in range(10):
