@@ -32,6 +32,9 @@ them.  The gonality of a factor with at most `budget` vertices is computed,
 with no search where its scramble sandwich closes; a larger factor's is
 unknown.  So a factor whose search would raise CandidateBudgetError fails
 only the pairs that read its gonality.
+
+`check_all_equal` and reduce_alpha's "scramble-sandwich" solver read their
+values from the one gonality sandwich, `divisors._scan_bounds`.
 """
 
 from dataclasses import dataclass
@@ -42,8 +45,7 @@ import numpy as np
 from . import divisors as dv
 from . import invariants as inv
 from . import multigraph as mg
-from .scrambles import (BoundReport, _edge_scramble_order, _product_k_failure,
-                        vertex_scramble_order)
+from .scrambles import BoundReport, _product_k_failure, vertex_scramble_order
 
 
 class HypothesisError(ValueError):
@@ -324,9 +326,10 @@ def _open_bounds(stats_g, stats_h):
 def check_all_equal(g):
     """Certified sn = gon = n - alpha for dense simple graphs.
 
-    Applies when delta(G) >= floor(n/2) + 1, with the edge scramble as the
-    lower-bound witness; returns None when the hypothesis fails (it cannot be
-    weakened: K_m [] K_2 has delta = n/2 but gon < n - alpha).
+    Applies when delta(G) >= floor(n/2) + 1, where `divisors._scan_bounds`
+    finds the edge scramble's order equal to n - alpha; returns None when
+    the hypothesis fails (it cannot be weakened: K_m [] K_2 has delta = n/2
+    but gon < n - alpha).
     """
     if not g.is_simple():
         raise HypothesisError("needs a simple graph")
@@ -336,31 +339,29 @@ def check_all_equal(g):
     delta = inv.min_degree(g)
     if delta < n // 2 + 1:
         return None
-    alpha = inv.independence_number(g)
-    value = n - alpha
-    order = _edge_scramble_order(g, alpha)
-    if order != value:
-        raise RuntimeError("soundness bug: edge scramble order %d != n - alpha = %d"
-                           % (order, value))
+    _, start, upper = dv._scan_bounds(g, 1)
+    if start != upper:
+        raise RuntimeError("soundness bug: edge scramble order %d != upper bound %d"
+                           % (start, upper))
     checks = [
         HypothesisCheck("G simple connected", "True", True),
         HypothesisCheck("delta(G) >= floor(n/2) + 1", "%d >= %d" % (delta, n // 2 + 1), True),
-        HypothesisCheck("edge scramble order = n - alpha", "%d" % order, True),
+        HypothesisCheck("edge scramble order = n - alpha", "%d" % upper, True),
     ]
-    return Certificate(statement="dense-edge-scramble", hypotheses=checks, value=value)
+    return Certificate(statement="dense-edge-scramble", hypotheses=checks, value=upper)
 
 
 def reduce_alpha(g, solver="gonality"):
     """Recover alpha(G) from the gonality of the cone over G.
 
-    Builds the cone with l = |V(G)| apex vertices; its scramble number and
-    gonality both equal 2m - alpha(G), so alpha = 2m - gon.  solver
+    Builds the cone with m = |V(G)| apex vertices; its scramble number and
+    gonality both equal 2m - alpha(G), so alpha = 2m - gon.  Solver
     "gonality" runs the exact divisor search on the cone.  Solver
-    "scramble-sandwich" is circular: `check_all_equal` returns n - alpha of
-    the cone, alpha from `invariants.max_independent_set`, and its only
-    independent check is that the edge scramble's egg-cut is at least
-    n - alpha.  The recovered alpha is cross-checked against the direct
-    branch-and-bound value; a mismatch is a soundness bug and raises."""
+    "scramble-sandwich" is circular: the cone's `divisors._sandwich` closes
+    at n - alpha with no search, alpha read from `max_independent_set`, and
+    its only independent check is that the edge scramble's order meets it.
+    The recovered alpha is cross-checked against the direct branch-and-bound
+    value; a mismatch is a soundness bug and raises."""
     if not g.is_simple():
         raise HypothesisError("the reduction is defined for simple graphs")
     if not inv.is_connected(g):
@@ -372,10 +373,7 @@ def reduce_alpha(g, solver="gonality"):
     if solver == "gonality":
         value = dv.gonality(cone_graph)[0]
     elif solver == "scramble-sandwich":
-        cert = check_all_equal(cone_graph)
-        if cert is None:  # pragma: no cover - the cone is always dense enough
-            raise RuntimeError("cone unexpectedly fails the density hypothesis")
-        value = cert.value
+        value = dv._sandwich(cone_graph, 1)[1]
     else:
         raise ValueError("solver must be 'gonality' or 'scramble-sandwich'")
     alpha = 2 * m - value

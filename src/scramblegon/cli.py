@@ -193,7 +193,7 @@ def _cmd_certify(args, out):
 
 def _cmd_reduce_alpha(args, out):
     g = _read_graph(args.graph)
-    alpha, m, cone_graph = ct.reduce_alpha(g, solver=args.via)
+    alpha, m, cone_graph = ct.reduce_alpha(g)
     out.kv("alpha", alpha)
     out.kv("m", m)
     out.raw("cone graph:")
@@ -245,10 +245,7 @@ VERBS = {
     "certify": ("certify exact product gonality or emit bounds", _cmd_certify,
                 [_arg("graph_g"), _arg("graph_h"), _arg("--budget", type=int, default=12)]),
     "reduce-alpha": ("recover alpha(G) from the cone's gonality", _cmd_reduce_alpha,
-                     [_arg("graph"),
-                      _arg("--via", choices=["gonality", "scramble-sandwich"], default="gonality",
-                           help="gonality: the cone's divisor search; scramble-sandwich: the cone's "
-                                "n - alpha by max_independent_set, checked only by egg-cut >= n - alpha")]),
+                     [_arg("graph")]),
     "fixtures": ("rebuild and check the benchmark figure graphs", _cmd_fixtures,
                  [_arg("--out", default=None, help="directory to write fixture files"),
                   _arg("--check", action="store_true")]),

@@ -140,6 +140,19 @@ def _check_chip_size(size):
                          "past the int64 limit 2**63 - 1" % size)
 
 
+# Entries a firing script may hold, one per firing: a script that would pass
+# it is refused before it is built.
+SCRIPT_BUDGET = 2**22
+
+
+def _check_script(script, firings):
+    """Raise ValueError when `firings` more entries would take the script past
+    SCRIPT_BUDGET."""
+    if len(script) + firings > SCRIPT_BUDGET:
+        raise ValueError("the firing script would hold %d firings, over the %d-firing "
+                         "script budget" % (len(script) + firings, SCRIPT_BUDGET))
+
+
 def _reduce_chips(mult, burn, chips, q, script=None):
     """q-reduction of a raw chip vector; `burn` is _burn_matrix(mult).
 
@@ -174,6 +187,7 @@ def _reduce_chips(mult, burn, chips, q, script=None):
         _check_chip_size(size)
         chips += firings * delta
         if script is not None:
+            _check_script(script, firings)
             members = frozenset(np.nonzero(ball)[0].tolist())
             script.extend([members] * firings)
 
@@ -184,7 +198,9 @@ def q_reduce(divisor, q, with_script=False):
     """The unique q-reduced divisor equivalent to the input.
 
     With with_script=True also returns the list of vertex sets whose
-    successive simultaneous firings transform the input into the output.
+    successive simultaneous firings transform the input into the output;
+    ValueError is raised, before the script grows past it, once it would
+    hold over SCRIPT_BUDGET firings.
     """
     g = divisor.graph
     if not 0 <= q < g.n:
@@ -207,14 +223,8 @@ def is_q_reduced(divisor, q):
 
 
 def has_positive_rank(divisor):
-    """True iff rank >= 1: every vertex can be handed a chip.
-
-    D - (q) is equivalent to an effective divisor exactly when the q-reduced
-    form of D keeps at least one chip on q.
-    """
-    g = divisor.graph
-    burn = _burn_matrix(g.mult)
-    return all(int(_reduce_chips(g.mult, burn, divisor.chips, q)[q]) >= 1 for q in range(g.n))
+    """True iff rank >= 1: every vertex can be handed a chip."""
+    return rank(divisor, 1) == 1
 
 
 def rank(divisor, cap):
@@ -352,6 +362,7 @@ def _batch_reduce_effective(mult, burn, chips, q, script=None):
         unburned = ~burned[alive]
         chips[active[alive]] += (unburned @ burn).astype(np.int64) - unburned * vals
         if script is not None:
+            _check_script(script, 1)
             script.append(frozenset(np.flatnonzero(unburned[0]).tolist()))
         active = active[alive]
     return chips
@@ -360,7 +371,7 @@ def _batch_reduce_effective(mult, burn, chips, q, script=None):
 def _first_positive_rank_row(g, burn, degree):
     """The first 0-reduced positive-rank chip row of the given degree, in the
     order of chips[1:], or None when the degree has none; `burn` is
-    _burn_matrix(g.mult), and g is connected with two or more vertices.
+    _burn_matrix(g.mult), and g is connected.
 
     The candidates are the raw rows of a box, in chunks of at most
     CHUNK_ROWS rows (the caller checks it against CANDIDATE_BOX_BUDGET):
@@ -454,19 +465,16 @@ def _sandwich(g, lower, witness=False):
 def gonality(g):
     """Exact gonality with a positive-rank witness divisor: the 0-reduced one
     of least degree with the lexicographically least chips[1:], from
-    `_sandwich` with the vertex scramble's order min(lam, n) as its lower
-    bound.  Raises CandidateBudgetError, before scanning it, when a degree's
-    candidate box would exceed CANDIDATE_BOX_BUDGET, naming the first such
-    degree from min(lam, n) up; when that is min(lam, n) itself, before alpha
-    or any edge-scramble flow is worked out.  alpha is read only where
-    min(lam, n) is below min(genus + 1, n) (`_scan_bounds`)."""
-    if g.n == 1:
-        # single vertex: one chip already has positive rank, zero chips do not
-        return 1, Divisor(g, [1])
+    `_sandwich` with the vertex scramble's order as its lower bound.  Raises
+    CandidateBudgetError, before scanning it, when a degree's candidate box
+    would exceed CANDIDATE_BOX_BUDGET, naming the first such degree from
+    that order up; when that is the order itself, before alpha or any
+    edge-scramble flow is worked out.  alpha is read only where the order is
+    below min(genus + 1, n) (`_scan_bounds`)."""
     lam = inv.edge_connectivity(g)
-    if lam == 0:  # on two or more vertices, exactly a disconnected g
+    if lam == 0 and g.n > 1:  # exactly a disconnected g
         raise ValueError("gonality needs a connected graph")
-    lower = min(lam, g.n)
+    lower = sc.vertex_scramble_order(g.n, lam)
     _check_box(g, _box_bounds(g), lower)  # before alpha is computed
     _, value, row = _sandwich(g, lower, witness=True)
     if row is None:

@@ -68,6 +68,19 @@ class Multigraph:
         return "Multigraph(n=%d, edges=%d)" % (self.n, self.edge_count())
 
 
+# Bytes the dense n x n int64 multiplicity matrix may take, so at most 5,792
+# vertices: a larger graph is refused before its matrix is allocated.
+MATRIX_BUDGET = 256 * 2**20
+
+
+def _check_order(n):
+    """Raise ValueError when an n-vertex multiplicity matrix would take over
+    MATRIX_BUDGET."""
+    if n * n * 8 > MATRIX_BUDGET:
+        raise ValueError("a %d-vertex multiplicity matrix would take %.1f MiB, over the "
+                         "%d MiB matrix budget" % (n, n * n * 8 / 2**20, MATRIX_BUDGET >> 20))
+
+
 def _check_total(total):
     """Refuse entries totalling 2|E| >= 2**63: int64 valences and cuts could wrap."""
     if total >= 2**63:
@@ -75,13 +88,14 @@ def _check_total(total):
 
 
 def from_edge_list(n, edges):
-    """Build a multigraph from (u, v, multiplicity) triples.
+    """Build a multigraph from an iterable of (u, v, multiplicity) triples.
 
     Repeated (u, v) entries accumulate in Python ints.  Loops, out-of-range
     vertices, nonpositive multiplicities and 2**62 edges or more are rejected.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    _check_order(n)
     counts = {}
     for u, v, k in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -106,7 +120,7 @@ def from_edge_list(n, edges):
 def path(m):
     if m < 1:
         raise ValueError("path needs at least one vertex")
-    return from_edge_list(m, [(i, i + 1, 1) for i in range(m - 1)])
+    return from_edge_list(m, ((i, i + 1, 1) for i in range(m - 1)))
 
 
 def cycle(m):
@@ -115,12 +129,13 @@ def cycle(m):
         raise ValueError("cycle needs at least two vertices")
     if m == 2:
         return from_edge_list(2, [(0, 1, 2)])
-    return from_edge_list(m, [(i, (i + 1) % m, 1) for i in range(m)])
+    return from_edge_list(m, ((i, (i + 1) % m, 1) for i in range(m)))
 
 
 def complete(n):
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+    _check_order(n)
     mult = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return Multigraph(mult)
 
@@ -133,7 +148,7 @@ def complete_multipartite(parts):
     parts = list(parts)
     if not parts or any(p < 1 for p in parts):
         raise ValueError("all parts must have size >= 1")
-    n = sum(parts)
+    _check_order(sum(parts))
     label = np.repeat(np.arange(len(parts)), parts)
     mult = (label[:, None] != label[None, :]).astype(np.int64)
     return Multigraph(mult)
@@ -143,7 +158,7 @@ def star(m):
     """Star on m vertices: vertex 0 is the center."""
     if m < 1:
         raise ValueError("star needs at least one vertex")
-    return from_edge_list(m, [(0, i, 1) for i in range(1, m)]) if m > 1 else complete(1)
+    return from_edge_list(m, ((0, i, 1) for i in range(1, m))) if m > 1 else complete(1)
 
 
 def hypercube(d):
@@ -170,6 +185,7 @@ def random_tree(m, seed):
     """Uniform random labeled tree on m vertices, via a Pruefer sequence."""
     if m < 1:
         raise ValueError("tree needs at least one vertex")
+    _check_order(m)
     if m == 1:
         return complete(1)
     if m == 2:
@@ -202,6 +218,7 @@ def random_graph(n, p, seed):
         raise ValueError("need at least one vertex")
     if not (0.0 <= p <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
+    _check_order(n)
     rng = random.Random(seed)
     edges = [(u, v, 1) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
     return from_edge_list(n, edges)
@@ -218,6 +235,7 @@ def cartesian_product(g, h):
     the other coordinates are adjacent in their factor; multiplicities carry
     over from the factor edge.
     """
+    _check_order(g.n * h.n)
     eye_g = np.eye(g.n, dtype=np.int64)
     eye_h = np.eye(h.n, dtype=np.int64)
     mult = np.kron(eye_g, h.mult) + np.kron(g.mult, eye_h)
@@ -247,6 +265,7 @@ def cone(g, l):
     if l < 0:
         raise ValueError("cone height must be >= 0")
     n = g.n
+    _check_order(n + l)
     mult = np.ones((n + l, n + l), dtype=np.int64)
     np.fill_diagonal(mult, 0)
     mult[:n, :n] = g.mult

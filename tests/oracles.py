@@ -4,7 +4,8 @@ multiset enumeration, exact rational linear algebra, Dhar's burn in Python
 integers) and shares no search logic with the package under test, except
 the earlier forms of package routines kept as references for their exact
 outputs: `all_pairs_egg_cut_number`, `restart_smooth_two_valent`,
-`recounting_box_chunks`, `sweep_brute_force_sn` and `eager_factor_stats`.
+`recounting_box_chunks`, `sweep_brute_force_sn`, `eager_factor_stats` and
+`basepoint_positive_rank`.
 """
 
 import contextlib
@@ -286,6 +287,15 @@ def laplacian_equivalent(g, chips_a, chips_b):
     adj, det = _reduced_laplacian_adjugate(g)
     r = d[:-1]
     return all(sum(a * x for a, x in zip(row, r)) % det == 0 for row in adj)
+
+
+def basepoint_positive_rank(divisor):
+    """has_positive_rank's earlier form: D - (q) is equivalent to an effective
+    divisor exactly when the q-reduced form of D keeps a chip on q, so D has
+    positive rank when that holds at every vertex q."""
+    g = divisor.graph
+    burn = dv._burn_matrix(g.mult)
+    return all(int(dv._reduce_chips(g.mult, burn, divisor.chips, q)[q]) >= 1 for q in range(g.n))
 
 
 def unpruned_gonality(g):

@@ -442,6 +442,22 @@ def test_check_all_equal_dense_graphs():
         ct.check_all_equal(mg.from_edge_list(4, [(0, 1, 1), (2, 3, 1)]))
 
 
+def test_dense_graphs_have_n_minus_alpha_as_their_edge_scramble_order():
+    # delta >= floor(n/2) + 1: n - alpha is the edge scramble's order, by
+    # exhausting hitting sets and bipartitions, and check_all_equal's value
+    rng = random.Random(12)
+    checked = 0
+    while checked < 25:
+        n = rng.randrange(3, 10)
+        g = mg.random_graph(n, 0.8, rng.randrange(1 << 30))
+        if not inv.is_connected(g) or inv.min_degree(g) < n // 2 + 1:
+            continue
+        eggs = [{u, v} for u, v, _ in g.edges()]
+        order = min(oracles.brute_hitting_number(n, eggs), oracles.brute_egg_cut(g, eggs))
+        assert n - oracles.brute_alpha(g) == order == ct.check_all_equal(g).value
+        checked += 1
+
+
 def test_reduce_alpha_both_solvers():
     for g, alpha in [(mg.cycle(4), 2), (mg.path(3), 2), (mg.complete(4), 1),
                      (mg.complete_bipartite(2, 3), 3)]:

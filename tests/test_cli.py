@@ -219,6 +219,13 @@ def test_reduce_alpha_command(capsys, tmp_path):
     assert got["alpha"] == "2" and got["m"] == "4"
     bad = write_graph(tmp_path, "c2.mel", mg.cycle(2))
     assert run(capsys, "reduce-alpha", bad)[0] == 2
+    code, out, _ = run(capsys, "reduce-alpha", path)
+    assert (code, out.splitlines()[:3]) == (0, ["alpha: 2", "m: 4", "cone graph:"])
+    assert mel.parse_mel(out.split("cone graph:\n", 1)[1]) == mg.cone(mg.cycle(4), 4)
+    # the solver is not a CLI option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce-alpha", path, "--via", "gonality"])
+    assert exc.value.code == 2
 
 
 def test_fixtures_command(capsys, tmp_path):
@@ -254,6 +261,23 @@ def test_error_exit_codes(capsys, tmp_path):
     assert run(capsys, "--machine", "reduce", k2, str(chips), "--q", "1") == (
         2, "", "error: chips could total %d in absolute value during q-reduction, past the "
                "int64 limit 2**63 - 1\n" % (2 ** 63 + 5))
+
+
+def test_inputs_over_a_budget_exit_2_and_name_it(capsys, tmp_path):
+    code, out, err = run(capsys, "gen", "complete", "30000")
+    assert (code, out) == (2, "")
+    assert err == ("error: a 30000-vertex multiplicity matrix would take 6866.5 MiB, "
+                   "over the 256 MiB matrix budget\n")
+    assert run(capsys, "gen", "grid", "300", "300")[2].startswith("error: a 90000-vertex")
+    big = tmp_path / "big.mel"
+    big.write_text("30000 0\n")
+    assert run(capsys, "--machine", "info", str(big)) == (2, "", err)
+    p2 = write_graph(tmp_path, "p2.mel", mg.path(2))
+    chips = tmp_path / "chips.txt"
+    chips.write_text("2\n%d %d\n" % (2 ** 40, -2 ** 40))
+    assert run(capsys, "--machine", "reduce", p2, str(chips), "--q", "0") == (
+        2, "", "error: the firing script would hold %d firings, over the 4194304-firing "
+               "script budget\n" % 2 ** 40)
 
 
 def test_reduce_on_a_disconnected_host_exits_2(capsys, tmp_path):
@@ -296,7 +320,7 @@ ONE_ARGV_PER_VERB = [
     ["product", "g.mel", "h.mel"],
     ["--machine", "--machine", "cone", "g.mel", "3"],
     ["certify", "g.mel", "h.mel", "--budget", "9"],
-    ["reduce-alpha", "g.mel", "--via", "scramble-sandwich"],
+    ["reduce-alpha", "g.mel"],
     ["fixtures", "--out", "fx", "--check"],
 ]
 

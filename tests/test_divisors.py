@@ -157,6 +157,31 @@ def test_phase_1_fires_each_layer_only_as_often_as_its_debt_needs():
     assert script == [frozenset({1})] * 2
 
 
+def test_a_firing_script_over_its_budget_is_refused_in_either_phase(monkeypatch):
+    p2 = mg.path(2)
+    # phase 1 fires {0} once per chip of vertex 1's debt: 2**22 firings fit
+    # the budget, and 2**40 are refused before the script is built
+    reduced, script = dv.q_reduce(dv.Divisor(p2, [2**22, -2**22]), 0, with_script=True)
+    assert reduced.chips.tolist() == [0, 0] and len(script) == 2**22 == dv.SCRIPT_BUDGET
+    with pytest.raises(ValueError, match="2199023255552 firings, over the 4194304-firing script"):
+        dv.q_reduce(dv.Divisor(p2, [2**40, -2**41]), 0, with_script=True)
+    monkeypatch.setattr(dv, "SCRIPT_BUDGET", 8)
+    reduced, script = dv.q_reduce(dv.Divisor(p2, [8, -8]), 0, with_script=True)
+    assert reduced.chips.tolist() == [0, 0] and script == [frozenset({0})] * 8
+    with pytest.raises(ValueError, match="9 firings, over the 8-firing script budget"):
+        dv.q_reduce(dv.Divisor(p2, [9, -9]), 0, with_script=True)
+    # phase 2 fires the unburned {1} once per loop: [k, k] at 0 ends at [2k, 0]
+    reduced, script = dv.q_reduce(dv.Divisor(p2, [8, 8]), 0, with_script=True)
+    assert reduced.chips.tolist() == [16, 0] and script == [frozenset({1})] * 8
+    with pytest.raises(ValueError, match="9 firings, over the 8-firing script budget"):
+        dv.q_reduce(dv.Divisor(p2, [9, 9]), 0, with_script=True)
+    # the phases share the budget: 5 phase-1 firings, then 4 in phase 2
+    with pytest.raises(ValueError, match="9 firings, over the 8-firing script budget"):
+        dv.q_reduce(dv.Divisor(mg.path(3), [0, 9, -5]), 0, with_script=True)
+    # with no script nothing is counted
+    assert dv.q_reduce(dv.Divisor(p2, [9, 9]), 0).chips.tolist() == [18, 0]
+
+
 def test_q_reduced_form_is_an_equivalence_invariant():
     rng = random.Random(13)
     for _ in range(15):
@@ -213,6 +238,18 @@ def test_has_positive_rank_matches_truncated_rank():
         g = oracles.random_connected_graph(rng, 5, 0.6)
         d = random_divisor(rng, g, low=0, high=2)
         assert dv.has_positive_rank(d) == (dv.rank(d, 1) >= 1)
+
+
+def test_has_positive_rank_agrees_with_the_basepoint_loop_on_multigraph_divisors():
+    rng = random.Random(26)
+    answers = collections.Counter()
+    for _ in range(1500):
+        g = oracles.random_connected_multigraph(rng, rng.randrange(1, 8), 0.5)
+        d = random_divisor(rng, g, low=-3, high=4)
+        expected = oracles.basepoint_positive_rank(d)
+        assert dv.has_positive_rank(d) == expected
+        answers[expected] += 1
+    assert min(answers[True], answers[False]) >= 100
 
 
 def assert_q_reduced_forms(g, rows, reduced, q):

@@ -57,6 +57,25 @@ def test_a_graph_of_2_62_edges_or_more_is_refused():
     assert mg.Multigraph(g.mult) == g
 
 
+def test_a_matrix_over_its_budget_is_refused_before_it_is_allocated():
+    # 5,792 vertices fit the 256 MiB budget, 5,793 do not
+    mg._check_order(5792)
+    with pytest.raises(ValueError, match="a 5793-vertex multiplicity matrix would take 256.0 MiB"):
+        mg._check_order(5793)
+    # each builder refuses before it allocates: a million vertices would
+    # take 7.3 TiB, and random_graph's pair loop 5e11 draws
+    p1000 = mg.path(1000)
+    for build in (lambda: mg.from_edge_list(10**6, []), lambda: mel.parse_mel("1000000 0\n"),
+                  lambda: mg.path(10**6), lambda: mg.cycle(10**6), lambda: mg.star(10**6),
+                  lambda: mg.random_tree(10**6, 1), lambda: mg.complete(10**6),
+                  lambda: mg.complete_multipartite([1, 10**6 - 1]),
+                  lambda: mg.random_graph(10**6, 0.5, 1), lambda: mg.cartesian_product(p1000, p1000),
+                  lambda: mg.grid([1000, 1000]), lambda: mg.cone(p1000, 10**6 - 1000)):
+        with pytest.raises(ValueError, match="a 1000000-vertex multiplicity matrix would take "
+                                             "7629394.5 MiB, over the 256 MiB matrix budget"):
+            build()
+
+
 def test_multiplicity_matrix_is_immutable():
     g = mg.path(3)
     with pytest.raises(ValueError):
