@@ -82,15 +82,12 @@ def _gon_upper(stats_g, stats_h):
 def _complete_bipartite_parts(g):
     """(m, n) with m <= n when g is a complete bipartite simple graph, else None.
 
-    The parts can only be the parity classes of the distances from vertex 0;
-    g must reach every vertex and equal the 0/1 pattern those classes span."""
-    dist = inv._bfs(inv._adjacency(g.mult), 0)
-    if g.n < 2 or len(dist) < g.n:
+    The far part can only be vertex 0's neighbours; g must have one and
+    equal the 0/1 pattern that part and the rest span."""
+    far = g.mult[0] > 0
+    if not far.any() or not (g.mult == (far[:, None] != far[None, :])).all():
         return None
-    odd = np.array([dist[v] % 2 for v in range(g.n)], dtype=bool)
-    if not (g.mult == (odd[:, None] != odd[None, :])).all():
-        return None
-    m = int(odd.sum())
+    m = int(far.sum())
     return tuple(sorted((m, g.n - m)))
 
 

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from . import invariants as inv
+from . import multigraph as mg
 from . import scrambles as sc
 
 
@@ -21,7 +22,7 @@ class Divisor:
     __slots__ = ("graph", "chips")
 
     def __init__(self, graph, chips):
-        c = np.array(chips, dtype=np.int64)
+        c = mg._int64_array(chips)
         if c.shape != (graph.n,):
             raise ValueError("chip vector length %r does not match %d vertices" % (c.shape, graph.n))
         c.setflags(write=False)
@@ -408,32 +409,24 @@ def _first_positive_rank_row(g, burn, degree):
     return None
 
 
-def _gonality_upper(g, alpha):
-    """The positive-rank upper bound on gon(g): the least of genus + 1 =
-    |E| - n + 2 (|E| with multiplicity; by Riemann-Roch for graphs every
-    divisor of that degree has rank >= 1, genus + 1 chips on one vertex
-    say), n - alpha for a simple g on two or more vertices (one chip on each
-    vertex outside a maximum independent set), and n (one chip on every
-    vertex), for a connected g of independence number alpha."""
-    genus_bound = g.edge_count() - g.n + 2
-    if g.n >= 2 and g.is_simple():
-        return min(genus_bound, g.n - alpha)
-    return min(genus_bound, g.n)
-
-
 def _scan_bounds(g, lower):
     """(lower, start, upper) for a connected g and a sound lower bound on
-    gon(g): lower raised to 1, upper = `_gonality_upper`, and start, lower
-    raised to the edge scramble's order (sn <= gon) where it is below upper.
-    alpha, which both read, is worked out only where lower is below
-    min(genus + 1, n) or is refused: genus + 1 chips on one vertex, and one
-    chip on each vertex of a multigraph, have positive rank."""
+    gon(g): lower raised to 1; upper the positive-rank bound min(genus + 1,
+    n - alpha) on a simple g of two or more vertices, else min(genus + 1, n)
+    (genus + 1 = |E| - n + 2 chips on one vertex, by Riemann-Roch for
+    graphs; one chip on each vertex outside a maximum independent set, or on
+    every vertex); start, lower raised to the edge scramble's order (sn <=
+    gon) where it is below upper.  alpha, which both read, is worked out
+    only where lower is not min(genus + 1, n), or is n < genus + 1 on a
+    simple g."""
     lower = max(lower, 1)
     genus_bound = g.edge_count() - g.n + 2
-    if lower == genus_bound <= g.n or (lower == g.n < genus_bound and not g.is_simple()):
-        return lower, lower, lower
-    alpha = inv.independence_number(g)
-    upper = _gonality_upper(g, alpha)
+    upper = min(genus_bound, g.n)
+    simple = g.n >= 2 and g.is_simple()
+    if lower != upper or (simple and upper < genus_bound):
+        alpha = inv.independence_number(g)
+        if simple:
+            upper = min(upper, g.n - alpha)
     if lower > upper:
         raise ValueError("gonality lower bound %d exceeds upper bound %d" % (lower, upper))
     start = max(lower, sc._edge_scramble_order(g, alpha)) if lower < upper else lower

@@ -2,9 +2,9 @@
 
 MEL v1 graphs: header line ``n m`` followed by m edge lines ``u v k`` where
 the multiplicity k is optional and defaults to 1.  Lines starting with ``#``
-are comments.  Writers emit sorted u < v lines with accumulated
-multiplicities.  A graph's multiplicities total less than 2**62, so that
-2|E| fits in int64.
+are comments.  Edge lines stream into `from_edge_list`, whose checks (such
+as a total under 2**62, so that 2|E| fits in int64) name the line.  Writers
+emit sorted u < v lines with accumulated multiplicities.
 
 Divisors: the vertex count n, then n int64 chip integers, whitespace-separated.
 Scrambles: one egg per line, space-separated vertex ids.
@@ -50,24 +50,21 @@ def parse_mel(text):
         raise MelError(lineno, "edge-line count must be >= 0")
     if len(lines) - 1 != m:
         raise MelError(lineno, "header promises %d edge lines, found %d" % (m, len(lines) - 1))
-    edges = []
-    total = 0
-    for lineno, line in lines[1:]:
-        fields = _int_fields(lineno, line, 2, 3)
-        u, v = fields[0], fields[1]
-        k = fields[2] if len(fields) == 3 else 1
-        if not (0 <= u < n and 0 <= v < n):
-            raise MelError(lineno, "vertex index out of range in %r" % line)
-        if u == v:
-            raise MelError(lineno, "loop edge at vertex %d" % u)
-        if k < 1:
-            raise MelError(lineno, "multiplicity must be >= 1 in %r" % line)
-        total += k
-        if total >= 2 ** 62:
-            raise MelError(lineno, "edge multiplicities total %d, at or above the limit 2**62"
-                           % total)
-        edges.append((u, v, k))
-    return from_edge_list(n, edges)
+    edge_line = None  # the line of the edge from_edge_list is reading, if any
+
+    def edges():
+        nonlocal edge_line
+        for edge_line, line in lines[1:]:
+            u, v, *k = _int_fields(edge_line, line, 2, 3)
+            yield u, v, k[0] if k else 1
+        edge_line = None
+
+    try:
+        return from_edge_list(n, edges())
+    except ValueError as err:
+        if edge_line is None or isinstance(err, MelError):
+            raise
+        raise MelError(edge_line, str(err)) from None
 
 
 def write_mel(g):

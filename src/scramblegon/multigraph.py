@@ -6,7 +6,9 @@ matrix of multiplicities with zero diagonal; instances are immutable after
 construction, so every operation returns a new graph.
 """
 
+import heapq
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -18,7 +20,7 @@ class Multigraph:
     __slots__ = ("mult",)
 
     def __init__(self, mult):
-        m = np.array(mult, dtype=np.int64)
+        m = _int64_array(mult)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("multiplicity matrix must be square and nonempty")
         top = int(m.view(np.uint64).max())  # a negative entry reads as 2**63 or more
@@ -68,6 +70,26 @@ class Multigraph:
         return "Multigraph(n=%d, edges=%d)" % (self.n, self.edge_count())
 
 
+def _integer(x):
+    """x as an int; a ValueError names x unless it is an integer (an int, a
+    bool or a numpy integer: a float or a string is refused, not truncated)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError("%r is not an integer" % (x,)) from None
+
+
+def _int64_array(values):
+    """values as a new int64 array; a ValueError names the first entry that
+    is not an integer (`_integer`) or lies outside int64."""
+    a = np.array(values)
+    if a.dtype.kind not in "bi":  # re-read the input: `a` may hold its ints as floats or strings
+        for x in np.array(values, dtype=object).ravel().tolist():
+            if not -2**63 <= _integer(x) < 2**63:
+                raise ValueError("%d is outside the int64 range" % x)
+    return a.astype(np.int64, copy=False)
+
+
 # Bytes the dense n x n int64 multiplicity matrix may take, so at most 5,792
 # vertices: a larger graph is refused before its matrix is allocated.
 MATRIX_BUDGET = 256 * 2**20
@@ -90,26 +112,27 @@ def _check_total(total):
 def from_edge_list(n, edges):
     """Build a multigraph from an iterable of (u, v, multiplicity) triples.
 
-    Repeated (u, v) entries accumulate in Python ints.  Loops, out-of-range
-    vertices, nonpositive multiplicities and 2**62 edges or more are rejected.
+    Each triple is checked as it is read: non-integers, loops, out-of-range
+    vertices, nonpositive multiplicities and a running total of 2**62 edges
+    or more are rejected, so repeated (u, v) entries accumulate in int64.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     _check_order(n)
-    counts = {}
+    mult = np.zeros((n, n), dtype=np.int64)
+    total = 0
     for u, v, k in edges:
+        u, v, k = _integer(u), _integer(v), _integer(k)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError("vertex index out of range: (%r, %r)" % (u, v))
         if u == v:
             raise ValueError("loop edge at vertex %r" % u)
         if k < 1:
             raise ValueError("edge multiplicity must be >= 1, got %r" % k)
-        pair = (u, v) if u < v else (v, u)
-        counts[pair] = counts.get(pair, 0) + int(k)
-    _check_total(2 * sum(counts.values()))
-    mult = np.zeros((n, n), dtype=np.int64)
-    for (u, v), k in counts.items():
-        mult[u, v] = mult[v, u] = k
+        total += k
+        _check_total(2 * total)
+        mult[u, v] += k
+        mult[v, u] += k
     return Multigraph(mult)
 
 
@@ -127,17 +150,14 @@ def cycle(m):
     """Cycle on m >= 2 vertices; cycle(2) is two vertices with a doubled edge."""
     if m < 2:
         raise ValueError("cycle needs at least two vertices")
-    if m == 2:
-        return from_edge_list(2, [(0, 1, 2)])
     return from_edge_list(m, ((i, (i + 1) % m, 1) for i in range(m)))
 
 
 def complete(n):
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
-    _check_order(n)
-    mult = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    return Multigraph(mult)
+    _check_order(n)  # before the n parts are listed
+    return complete_multipartite([1] * n)
 
 
 def complete_bipartite(m, n):
@@ -158,25 +178,28 @@ def star(m):
     """Star on m vertices: vertex 0 is the center."""
     if m < 1:
         raise ValueError("star needs at least one vertex")
-    return from_edge_list(m, ((0, i, 1) for i in range(1, m))) if m > 1 else complete(1)
+    return complete_bipartite(1, m - 1) if m > 1 else complete(1)
 
 
 def hypercube(d):
     if d < 0:
         raise ValueError("hypercube dimension must be >= 0")
-    g = complete(1)
-    for _ in range(d):
-        g = cartesian_product(g, complete(2))
-    return g
+    return grid(2 for _ in range(d))
 
 
 def grid(dims):
-    """Iterated Cartesian product of paths."""
-    dims = list(dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError("all grid dimensions must be >= 1")
-    g = path(dims[0])
-    for d in dims[1:]:
+    """Iterated Cartesian product of paths; K1 when dims is empty.  The
+    running product of the dimensions is checked against MATRIX_BUDGET as
+    they are read, so a grid over it is refused before any product is built."""
+    sizes, order = [], 1
+    for d in dims:
+        if d < 1:
+            raise ValueError("all grid dimensions must be >= 1")
+        order *= d
+        _check_order(order)
+        sizes.append(d)
+    g = complete(1)
+    for d in sizes:
         g = cartesian_product(g, path(d))
     return g
 
@@ -188,8 +211,6 @@ def random_tree(m, seed):
     _check_order(m)
     if m == 1:
         return complete(1)
-    if m == 2:
-        return path(2)
     rng = random.Random(seed)
     seq = [rng.randrange(m) for _ in range(m - 2)]
     degree = [1] * m
@@ -197,8 +218,6 @@ def random_tree(m, seed):
         degree[x] += 1
     edges = []
     leaves = sorted(v for v in range(m) if degree[v] == 1)
-    import heapq
-
     heapq.heapify(leaves)
     for x in seq:
         leaf = heapq.heappop(leaves)
@@ -236,10 +255,11 @@ def cartesian_product(g, h):
     over from the factor edge.
     """
     _check_order(g.n * h.n)
-    eye_g = np.eye(g.n, dtype=np.int64)
-    eye_h = np.eye(h.n, dtype=np.int64)
-    mult = np.kron(eye_g, h.mult) + np.kron(g.mult, eye_h)
-    return Multigraph(mult)
+    mult = np.zeros((g.n, h.n, g.n, h.n), dtype=np.int64)
+    u, w = np.arange(g.n), np.arange(h.n)
+    mult[u, :, u, :] = h.mult  # (u, w) ~ (u, w') as w ~ w' in h
+    mult[:, w, :, w] = g.mult  # (u, w) ~ (u', w) as u ~ u' in g
+    return Multigraph(mult.reshape(g.n * h.n, g.n * h.n))
 
 
 def canonical_copy(g, h, factor, index):
@@ -300,6 +320,7 @@ def subdivide(g, t=1):
         raise ValueError("subdivision count must be >= 0")
     if t == 0:
         return g
+    _check_order(g.n + t * g.edge_count())
     edges = []
     next_vertex = g.n
     for u, v, k in g.edges():

@@ -37,7 +37,7 @@ class Scramble:
         cleaned = []
         seen = set()
         for egg in eggs:
-            fs = frozenset(int(v) for v in egg)
+            fs = frozenset(map(mg._integer, egg))
             if not all(0 <= v < n for v in fs):
                 raise ValueError("vertex out of range")
             for v in fs:

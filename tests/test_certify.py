@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 
+import networkx as nx
 import pytest
 
 import oracles
@@ -178,10 +179,13 @@ def test_open_bounds_raise_on_a_factor_gonality_below_the_lower_bound():
 
 def _bipartite_cases():
     """Relabelled K_{m,n}, the doubled edge, near misses (an edge removed,
-    added inside a part or doubled, an isolated vertex added) and random
-    graphs and multigraphs."""
+    added inside a part or doubled, an isolated vertex added), every
+    connected simple graph on at most 6 vertices, and random graphs and
+    multigraphs."""
     rng = random.Random(37)
     cases = [mg.path(1), mg.cycle(2), mg.from_edge_list(2, [(0, 1, 1)])]
+    cases += [mg.from_edge_list(len(a), [(u, v, 1) for u, v in a.edges()])
+              for a in nx.graph_atlas_g()[1:] if len(a) <= 6 and nx.is_connected(a)]
     for m in range(1, 5):
         for n in range(m, 6):
             edges = [(u, m + v, 1) for u in range(m) for v in range(n)]
@@ -191,7 +195,7 @@ def _bipartite_cases():
                 g = mg.from_edge_list(m + n, variant)
                 cases.append(mg.relabel(g, rng.sample(range(g.n), g.n)))
             cases.append(mg.from_edge_list(m + n + 1, edges))
-    for i in range(60):
+    for i in range(200):
         g = mg.random_graph(rng.randrange(2, 9), rng.choice([0.3, 0.6, 0.9]), seed=rng.randrange(1 << 30))
         if i % 2:
             g = mg.from_edge_list(g.n, [(u, v, rng.randint(1, 2)) for u, v, _ in g.edges()])

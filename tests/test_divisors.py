@@ -557,7 +557,7 @@ def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
     closed = by_genus = 0
     for g in graphs:
         lower = vertex_scramble_order(g)
-        if lower != dv._gonality_upper(g, inv.independence_number(g)):
+        if lower != dv._scan_bounds(g, 1)[2]:
             continue
         genus_bound = g.edge_count() - g.n + 2
         if lower == genus_bound:
@@ -583,7 +583,7 @@ def test_a_closed_sandwich_has_a_positive_rank_witness(monkeypatch):
 @example(mg.path(5))
 def test_the_upper_bound_is_above_the_gonality_property(g):
     # and genus + 1 chips on one vertex have positive rank (Riemann-Roch)
-    assert dv._gonality_upper(g, inv.independence_number(g)) >= dv.gonality(g)[0]
+    assert dv._scan_bounds(g, 1)[2] >= dv.gonality(g)[0]
     genus_bound = g.edge_count() - g.n + 2
     assert dv.has_positive_rank(dv.Divisor(g, [genus_bound] + [0] * (g.n - 1)))
 

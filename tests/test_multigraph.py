@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from scramblegon import divisors as dv
 from scramblegon import invariants as inv
 from scramblegon import mel
 from scramblegon import multigraph as mg
+from scramblegon import scrambles as sc
 
 
 def test_from_edge_list_accumulates_multiplicity():
@@ -107,6 +110,97 @@ def test_hypercube_is_regular_and_bipartite_sized():
     assert q3.edge_count() == 12
     assert all(q3.valence(v) == 3 for v in range(8))
     assert inv.is_connected(q3)
+
+
+def _explicit(n, edges):
+    """The multiplicity matrix of (u, v, k) triples, built without the library."""
+    mult = np.zeros((n, n), dtype=np.int64)
+    for u, v, k in edges:
+        mult[u, v] += k
+        mult[v, u] += k
+    return mult
+
+
+def test_generators_match_explicit_edge_lists():
+    # each family goes through its general builder: complete through
+    # complete_multipartite, star through complete_bipartite, hypercube
+    # through grid; cycle(2) and random_tree(2) through the general code
+    for n in range(1, 10):
+        pairs = list(itertools.combinations(range(n), 2))
+        assert np.array_equal(mg.path(n).mult, _explicit(n, [(i, i + 1, 1) for i in range(n - 1)]))
+        assert np.array_equal(mg.complete(n).mult, _explicit(n, [(u, v, 1) for u, v in pairs]))
+        assert np.array_equal(mg.star(n).mult, _explicit(n, [(0, i, 1) for i in range(1, n)]))
+        if n >= 2:
+            cycle = [(i, (i + 1) % n, 1) for i in range(n)] if n > 2 else [(0, 1, 2)]
+            assert np.array_equal(mg.cycle(n).mult, _explicit(n, cycle))
+    for a in range(1, 6):
+        for b in range(1, 6):
+            edges = [(u, a + v, 1) for u in range(a) for v in range(b)]
+            assert np.array_equal(mg.complete_bipartite(a, b).mult, _explicit(a + b, edges))
+    for d in range(7):
+        edges = [(x, x ^ 1 << i, 1) for x in range(2**d) for i in range(d) if not x >> i & 1]
+        assert np.array_equal(mg.hypercube(d).mult, _explicit(2**d, edges))
+    for dims in ([], [1], [4], [2, 3], [3, 1, 2], [2, 2, 2, 2]):
+        # vertex (x_1, ..., x_k) is the mixed-radix number x_1 ... x_k
+        cells = list(itertools.product(*(range(d) for d in dims)))
+        index = {cell: i for i, cell in enumerate(cells)}
+        edges = [(index[c], index[c[:j] + (c[j] + 1,) + c[j + 1:]], 1)
+                 for c in cells for j in range(len(dims)) if c[j] + 1 < dims[j]]
+        assert np.array_equal(mg.grid(dims).mult, _explicit(len(cells), edges))
+
+
+def test_random_trees_are_the_pruefer_trees_of_their_seed():
+    for m in range(1, 7):
+        for seed in range(50):
+            tree = mg.random_tree(m, seed)
+            if m <= 2:
+                expected = _explicit(m, [(0, 1, 1)] if m == 2 else [])
+            else:
+                rng = random.Random(seed)
+                seq = [rng.randrange(m) for _ in range(m - 2)]
+                expected = _explicit(m, [(u, v, 1) for u, v in nx.from_prufer_sequence(seq).edges()])
+            assert np.array_equal(tree.mult, expected)
+
+
+def test_grid_and_hypercube_refuse_before_building_a_product(monkeypatch):
+    # the running product of the dimensions is checked first: Q13 has 8,192
+    # vertices, so no product is built on the way to it
+    def refuse(g, h):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(mg, "cartesian_product", refuse)
+    for build, n in ((lambda: mg.hypercube(13), 8192), (lambda: mg.hypercube(10**20), 8192),
+                     (lambda: mg.grid([100, 100, 2]), 10000)):
+        with pytest.raises(ValueError, match="a %d-vertex multiplicity matrix" % n):
+            build()
+
+
+_P2 = mg.path(2)
+
+
+def test_subdivide_refuses_before_building_its_edge_list(monkeypatch):
+    # P2 split a million times would have 1,000,002 vertices
+    def refuse(n, edges):
+        raise AssertionError("the edge list was built")
+
+    monkeypatch.setattr(mg, "from_edge_list", refuse)
+    with pytest.raises(ValueError, match="a 1000002-vertex multiplicity matrix"):
+        mg.subdivide(_P2, 10**6)
+
+
+@pytest.mark.parametrize("refused, value", [
+    pytest.param(lambda: mg.Multigraph([[0, .5], [.5, 0]]), "0.5", id="matrix-float"),
+    pytest.param(lambda: mg.from_edge_list(3, [(0, 1, 1.5)]), "1.5", id="edge-multiplicity"),
+    pytest.param(lambda: mg.from_edge_list(3, [(0.5, 1, 1)]), "0.5", id="edge-vertex"),
+    pytest.param(lambda: dv.Divisor(_P2, [1.5, 0]), "1.5", id="chip-float"),
+    pytest.param(lambda: dv.Divisor(_P2, ["3", 0]), "'3'", id="chip-string"),
+    pytest.param(lambda: dv.Divisor(_P2, [2**70, 0]), str(2**70), id="chip-past-int64"),
+    pytest.param(lambda: sc.Scramble(mg.path(3), [[0.7, 1.2]]), "0.7", id="egg-vertex"),
+])
+def test_non_integral_input_is_refused_not_truncated(refused, value):
+    with pytest.raises(ValueError) as info:
+        refused()
+    assert value in str(info.value)
 
 
 def test_product_edge_count_identity():

@@ -455,7 +455,7 @@ def test_sn_bounds_starts_the_gonality_search_at_the_scramble_bound(monkeypatch)
 
     monkeypatch.setattr(dv, "_first_positive_rank_row", spy)
     petersen = mg.from_edge_list(10, [(u, v, 1) for u, v in nx.petersen_graph().edges()])
-    assert dv._gonality_upper(petersen, inv.independence_number(petersen)) == 6
+    assert dv._scan_bounds(petersen, 1)[2] == 6
     report = sc.sn_bounds(petersen)
     assert scanned == [4]
     assert report == sc.BoundReport("sn", 4, 4, "edge scramble", "gonality")
