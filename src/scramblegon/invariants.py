@@ -7,7 +7,8 @@ kappa(K_n) = n - 1 and kappa = lambda = 0 for disconnected graphs.
 
 Every graph traversal (components, connected vertex sets and eggs, the BFS
 layers of q-reduction, bridge sides, complete-bipartite parts and the
-hitting-set search's egg groups) runs on one BFS routine, `_bfs`; only the
+hitting-set search's egg groups, and the BFS order and base-point orbits of
+the automorphism search) runs on one BFS routine, `_bfs`; only the
 brute-force sn oracle, whose eggs are bitmasks, grows its components on
 adjacency bitmasks.  Every flow (min cuts between vertex sets and eggs, edge
 connectivity, and the local vertex connectivities on the vertex-split
@@ -17,6 +18,10 @@ by its caller, so the connectivities, the egg-cut scan and the brute-force
 oracle build them once per call; each flow starts from the paths of at most
 two arcs between its sides, pushes its paths on those rows and takes them
 back before it returns.  Bridges come from a low-link DFS.
+
+`_automorphism_generators` finds host automorphisms for the egg-cut scan by
+individualisation and refinement, within a fixed node budget, and keeps a
+map only once it has checked that the map is an automorphism.
 """
 
 import math
@@ -381,3 +386,162 @@ def max_independent_set(g):
         grow(everything, 0, 0)
         found |= best[1]
     return frozenset(v for v in range(n) if found >> v & 1)
+
+
+# Search nodes one `_automorphism_generators` call may spend before it
+# returns the generators found so far: a candidate image counts once, and
+# once more for each mapped neighbour it is compared on, and a refinement
+# round counts n times.
+_AUTOMORPHISM_NODES = 500000
+
+
+def _refine(arcs, colour, budget):
+    """The coarsest equitable refinement of the colouring `colour` (ids
+    0..k-1), each round charged to budget[0]: a vertex's colour is split by
+    the sum, wrapping in int64, of its multiplicities to each colour times
+    that colour's hash.  `arcs` holds the head and multiplicity of each arc,
+    sorted by tail, the first arc of each tail and the hashes.  New ids rank
+    the pairs (colour, sum), so two colourings that a permutation maps onto
+    each other refine to colourings it still maps onto each other, whatever
+    the vertex numbering."""
+    head, weight, first, hashes = arcs
+    count = int(colour.max()) + 1
+    step = np.zeros(len(colour), dtype=bool)  # step[0] stays False
+    while True:
+        budget[0] -= len(colour)
+        mark = np.add.reduceat(weight * hashes[colour[head]], first)
+        order = np.lexsort((mark, colour))
+        c, m = colour[order], mark[order]
+        np.not_equal(c[1:], c[:-1], out=step[1:])
+        step[1:] |= m[1:] != m[:-1]
+        colour = np.empty_like(colour)
+        colour[order] = np.cumsum(step)
+        if colour[order[-1]] + 1 == count:
+            return colour
+        count = colour[order[-1]] + 1
+
+
+def _individualise(arcs, colour, v, budget):
+    """`colour` with v given a colour of its own, refined."""
+    colour = colour.copy()
+    colour[v] = colour.max() + 1
+    return _refine(arcs, colour, budget)
+
+
+def _extend(rows, nbrs, order, parent, mine, theirs, image, budget):
+    """A bijection v -> image[v] that extends the entries of `image` other
+    than -1, takes each v to a w with theirs[w] == mine[v] and keeps the
+    multiplicity of every pair of vertices, the preset entries aside; None
+    when the search finds none, or once budget[0] is spent.  The vertices
+    are mapped depth first in `order`, each but the first to a neighbour of
+    its `parent`'s image, with the multiplicity to each mapped neighbour's
+    image that it has to that neighbour.  Every edge then goes to an edge of
+    the same multiplicity, and as both sides hold the same edges, so does
+    every pair."""
+    used = [False] * len(rows)
+    for w in image:
+        if w >= 0:
+            used[w] = True
+    todo = [v for v in order if image[v] < 0]
+
+    def options(v):
+        """v's possible images, as a stack: the least on top."""
+        p = parent[v]
+        pool = range(len(rows)) if p < 0 else nbrs[image[p]]
+        done = [u for u in nbrs[v] if image[u] >= 0]
+        budget[0] -= len(pool) * (1 + len(done))
+        return [w for w in reversed(pool)
+                if not used[w] and theirs[w] == mine[v]
+                and all(rows[w][image[u]] == rows[v][u] for u in done)]
+
+    depth = 0  # todo[:depth] are mapped; stack[d] holds todo[d]'s options left
+    stack = []
+    while depth < len(todo):
+        v = todo[depth]
+        if len(stack) == depth:
+            stack.append(options(v))
+        elif image[v] >= 0:  # back at v: free its image
+            used[image[v]] = False
+            image[v] = -1
+        if not stack[-1]:
+            stack.pop()
+            depth -= 1
+            if depth < 0:
+                return None
+            continue
+        if budget[0] <= 0:
+            return None
+        image[v] = stack[-1].pop()
+        used[image[v]] = True
+        depth += 1
+    return image
+
+
+def _automorphism_generators(g):
+    """Generators of a subgroup of Aut(g), each a permutation P (a list, v
+    -> P[v]) checked to satisfy mult[P][:, P] == mult; none on a
+    disconnected g.
+
+    Individualisation and refinement (B. McKay and A. Piperno, "Practical
+    graph isomorphism, II", J. Symbolic Comput. 60, 2014) with one base
+    point per level.  The base point b of a level is the first vertex in
+    BFS order from vertex 0 whose colour class, in the colouring refined
+    with the earlier base points fixed (`_refine`), holds another vertex.
+    Each other vertex c of that class, unless the generators fixing the
+    earlier base points already map b to it, is tried as b's image: the
+    colourings refined with b fixed and with c fixed must have classes of
+    the same sizes, and `_extend` maps the vertices in BFS order, each to a
+    vertex of the matching colour whose mapped neighbours match.  The
+    search stops at the first level that yields no generator, or once it
+    has spent _AUTOMORPHISM_NODES nodes.  A map that is not an automorphism
+    is never kept, so a faulty search loses generators and nothing more."""
+    n = g.n
+    nbrs = _adjacency(g.mult)
+    dist = _bfs(nbrs, 0)
+    if len(dist) < n or n == 1:
+        return []
+    order = list(dist)
+    parent = [next((u for u in nbrs[v] if dist[u] < dist[v]), -1) for v in range(n)]
+    rows = g.mult.tolist()
+    tail, head = np.nonzero(g.mult)
+    # a multiply and xor-shift mix of 1..n: one pseudo-random word per colour id
+    hashes = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    hashes ^= hashes >> np.uint64(31)
+    hashes *= np.uint64(0xBF58476D1CE4E5B9)
+    hashes = (hashes ^ hashes >> np.uint64(27)).view(np.int64)
+    arcs = head, g.mult[tail, head], np.flatnonzero(np.diff(tail, prepend=-1)), hashes
+    budget = [_AUTOMORPHISM_NODES]
+    colour = _refine(arcs, np.zeros(n, dtype=np.int64), budget)
+    fixed = []
+    generators = []
+    while True:
+        size = np.bincount(colour)
+        base = next((v for v in order if size[colour[v]] > 1), None)
+        if base is None:
+            return generators
+        mine = _individualise(arcs, colour, base, budget)
+        mine_list = mine.tolist()
+        stabiliser = [P for P in generators if all(P[b] == b for b in fixed)]
+        orbit = _bfs([[P[x] for P in stabiliser] for x in range(n)], base)
+        before = len(generators)
+        for c in np.flatnonzero(colour == colour[base]).tolist():
+            if budget[0] <= 0:
+                return generators
+            if c in orbit:
+                continue
+            theirs = _individualise(arcs, colour, c, budget)
+            if not np.array_equal(np.bincount(mine), np.bincount(theirs)):
+                continue
+            image = [-1] * n
+            for b in fixed:
+                image[b] = b
+            image[base] = c
+            P = _extend(rows, nbrs, order, parent, mine_list, theirs.tolist(), image, budget)
+            if P is not None and np.array_equal(g.mult[np.ix_(P, P)], g.mult):
+                generators.append(P)
+                stabiliser.append(P)
+                orbit = _bfs([[P[x] for P in stabiliser] for x in range(n)], base)
+        if len(generators) == before:
+            return generators
+        fixed.append(base)
+        colour = mine

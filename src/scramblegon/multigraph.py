@@ -20,7 +20,19 @@ class Multigraph:
     __slots__ = ("mult",)
 
     def __init__(self, mult):
-        m = _int64_array(mult)
+        self._own(_int64_array(mult))
+
+    @classmethod
+    def _adopt(cls, m):
+        """A graph on the int64 array m itself, with the checks of
+        `Multigraph(m)` and no copy: for a builder that made m and keeps no
+        other reference to it."""
+        g = cls.__new__(cls)
+        g._own(m)
+        return g
+
+    def _own(self, m):
+        """Check the int64 array m and make it this graph's read-only matrix."""
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("multiplicity matrix must be square and nonempty")
         top = int(m.view(np.uint64).max())  # a negative entry reads as 2**63 or more
@@ -133,7 +145,7 @@ def from_edge_list(n, edges):
         _check_total(2 * total)
         mult[u, v] += k
         mult[v, u] += k
-    return Multigraph(mult)
+    return Multigraph._adopt(mult)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +182,7 @@ def complete_multipartite(parts):
         raise ValueError("all parts must have size >= 1")
     _check_order(sum(parts))
     label = np.repeat(np.arange(len(parts)), parts)
-    mult = (label[:, None] != label[None, :]).astype(np.int64)
-    return Multigraph(mult)
+    return Multigraph._adopt((label[:, None] != label[None, :]).astype(np.int64))
 
 
 def star(m):
@@ -259,7 +270,7 @@ def cartesian_product(g, h):
     u, w = np.arange(g.n), np.arange(h.n)
     mult[u, :, u, :] = h.mult  # (u, w) ~ (u, w') as w ~ w' in h
     mult[:, w, :, w] = g.mult  # (u, w) ~ (u', w) as u ~ u' in g
-    return Multigraph(mult.reshape(g.n * h.n, g.n * h.n))
+    return Multigraph._adopt(mult.reshape(g.n * h.n, g.n * h.n))
 
 
 def canonical_copy(g, h, factor, index):
@@ -289,7 +300,7 @@ def cone(g, l):
     mult = np.ones((n + l, n + l), dtype=np.int64)
     np.fill_diagonal(mult, 0)
     mult[:n, :n] = g.mult
-    return Multigraph(mult)
+    return Multigraph._adopt(mult)
 
 
 def smooth_two_valent(g):
@@ -311,7 +322,7 @@ def smooth_two_valent(g):
             mult[v] = 0
             mult[:, v] = 0
             alive[v] = False
-    return Multigraph(mult[np.ix_(alive, alive)])
+    return Multigraph._adopt(mult[np.ix_(alive, alive)])
 
 
 def subdivide(g, t=1):
@@ -336,7 +347,7 @@ def induced_subgraph(g, vertices):
     idx = sorted(vertices)
     if not idx:
         raise ValueError("induced subgraph needs at least one vertex")
-    return Multigraph(g.mult[np.ix_(idx, idx)])
+    return Multigraph._adopt(g.mult[np.ix_(idx, idx)])
 
 
 def relabel(g, perm):
@@ -346,4 +357,4 @@ def relabel(g, perm):
     inv = [0] * g.n
     for v, p in enumerate(perm):
         inv[p] = v
-    return Multigraph(g.mult[np.ix_(inv, inv)])
+    return Multigraph._adopt(g.mult[np.ix_(inv, inv)])

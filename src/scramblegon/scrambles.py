@@ -232,13 +232,17 @@ def _cut_setup(g, eggs):
     return g.mult.tolist(), inv._adjacency(g.mult), member, _cut_bound_table(g, member), [g]
 
 
-def _least_row_cut(eggs, setup, i, first, best, floor):
+def _least_row_cut(eggs, setup, i, first, best, floor, lead=None):
     """(min(best, c), side), c the least cut from egg i to a disjoint egg
     from `first` on, and side the maximal source side of the last flow to
     lower the running minimum, or None.  A pair whose `_pair_bounds` reaches
     that minimum runs no flow, the others are capped at it, and the scan
-    stops once it is at most `floor`.  The spectral bound joins the table
-    before the first flow it could skip, so a call with no flow pays none."""
+    stops once it is at most `floor`.  Given a `lead` test (`_orbit_leads`),
+    a pair {i, j} runs a flow only if lead(i, j), so one flow runs per orbit
+    of egg pairs: a pair left out cuts as an earlier pair of its orbit, so
+    cannot lower the minimum or change the side.  The spectral bound joins
+    the table before the first flow it could skip, so a call with no flow
+    pays none."""
     rows, nbrs, member, table, spectral_due = setup
     bounds = _pair_bounds(table, i, first)
     disjoint = member[first:] @ member[i] == 0
@@ -249,12 +253,63 @@ def _least_row_cut(eggs, setup, i, first, best, floor):
     for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
         if bounds[j] >= best:  # the running minimum fell within this row
             continue
+        if lead is not None and not lead(i, first + j):
+            continue
         value, cut = inv._min_cut(rows, nbrs, eggs[i], eggs[first + j], best)
         if value < best:
             best, side = value, cut
             if best <= floor:
                 break
     return best, side
+
+
+def _pair_labels(g, member):
+    """label[i, j]: i' m + j' for the least pair i' < j', in egg order, of
+    the orbit of the egg pair {i, j} under the host automorphisms of
+    `invariants._automorphism_generators` that map the egg set onto itself;
+    m is the egg count and `member` the 0/1 egg-vertex matrix.  Labels
+    start as each pair's own number and take the least label of the pair's
+    image under each generator and its inverse, with a pointer jump, until
+    none moves."""
+    m = len(member)
+    number = {row.tobytes(): i for i, row in enumerate(np.packbits(member, axis=1))}
+    moves = []
+    for P in inv._automorphism_generators(g):
+        # egg i goes to the egg holding P[v] for each v in egg i
+        moved = np.packbits(member[:, np.argsort(P)], axis=1)
+        to = [number.get(row.tobytes()) for row in moved]
+        if None not in to:
+            moves += [np.array(to), np.argsort(to)]
+    index = np.arange(m * m).reshape(m, m)
+    label, last = np.minimum(index, index.T), None  # label[j, i] = label[i, j]
+    while moves and not np.array_equal(label, last):
+        last = label
+        for to in moves:
+            label = np.minimum(label, label[np.ix_(to, to)])
+        label = label.ravel()[label]
+    return label
+
+
+def _orbit_leads(g, member):
+    """lead(i, j), for the egg numbers i < j of a pair about to run a flow:
+    false when a pair earlier in egg order lies in its orbit (`_pair_labels`).
+    Such a pair has the same cut as that earlier one, which was flowed or
+    skipped at a running minimum no lower than now, so its flow cannot lower
+    the minimum.  The labels are built at the second call, so a scan with at
+    most one flow builds none.  They take about five m x m int64 arrays at
+    their peak, m the egg count, so none are built while one such array
+    would take over an eighth of `multigraph.MATRIX_BUDGET` (m > 2,048)."""
+    label = None
+    calls = 0
+
+    def lead(i, j):
+        nonlocal label, calls
+        calls += 1
+        if calls == 2 and 64 * len(member) ** 2 <= mg.MATRIX_BUDGET:
+            label = _pair_labels(g, member)
+        return label is None or label[i, j] == i * len(member) + j
+
+    return lead
 
 
 def _least_edge_egg_cut(g, eggs, setup, limit):
@@ -296,8 +351,12 @@ def egg_cut_number(scramble):
     pair, in egg order, whose cut attains the minimum.  Each egg's flows to
     the later eggs run in `_least_row_cut`, on its pair bounds (degree
     counting and Fiedler's spectral bound), built one egg row at a time, and
-    on the rows of `_cut_setup`: a skipped or capped pair cannot cut
-    strictly below the running minimum, so cannot replace the witness.
+    on the rows of `_cut_setup`.  One flow runs per orbit of egg pairs under
+    the host automorphisms that map the egg set onto itself
+    (`_orbit_leads`): a pair runs none when its orbit holds an earlier pair,
+    whose cut it shares and which met a running minimum no lower.  A
+    skipped or capped pair cannot cut strictly below the running minimum,
+    so cannot replace the witness.
 
     When the eggs are exactly the adjacent vertex pairs of the host, as in
     `edge_scramble`, the minimum e comes first from the flows at one vertex
@@ -314,8 +373,9 @@ def egg_cut_number(scramble):
             return least, None
         best = least + 1
     witness = None
+    lead = _orbit_leads(g, setup[2])
     for i in range(len(eggs) - 1):
-        best, side = _least_row_cut(eggs, setup, i, i + 1, best, least)
+        best, side = _least_row_cut(eggs, setup, i, i + 1, best, least, lead)
         if side is not None:
             witness = (side, best)
             if best == least:

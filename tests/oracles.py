@@ -311,36 +311,40 @@ def unpruned_gonality(g):
                 return degree
 
 
-def _canonical(mult):
-    n = mult.shape[0]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        p = list(perm)
-        key = mult[np.ix_(p, p)].tobytes()
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def connected_graph_corpus(max_n=5, max_edges=8):
     """All connected simple graphs with at most max_n vertices and max_edges
-    edges, one representative per isomorphism class."""
+    edges, one representative per isomorphism class: the first edge mask of
+    the class, its bit i standing for the i-th pair of combinations order.
+    Masks are classed by their least image under the vertex permutations,
+    found for every mask at once."""
     graphs = []
     for n in range(1, max_n + 1):
         pairs = list(itertools.combinations(range(n), 2))
+        position = {pair: i for i, pair in enumerate(pairs)}
+        bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+        least = np.full(len(bits), np.iinfo(np.int64).max)
+        for perm in itertools.permutations(range(n)):
+            moved = [1 << position[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+            np.minimum(least, bits @ np.array(moved, dtype=np.int64), out=least)
         seen = set()
-        for mask in range(1 << len(pairs)):
-            if bin(mask).count("1") > max_edges:
+        for mask in np.flatnonzero(bits.sum(axis=1) <= max_edges).tolist():
+            if least[mask] in seen:
                 continue
+            seen.add(least[mask])
             edges = [(u, v, 1) for i, (u, v) in enumerate(pairs) if mask >> i & 1]
             g = mg.from_edge_list(n, edges)
-            if not inv.is_connected(g):
-                continue
-            key = _canonical(g.mult)
-            if key not in seen:
-                seen.add(key)
+            if inv.is_connected(g):
                 graphs.append(g)
     return graphs
+
+
+def brute_automorphisms(g):
+    """Every automorphism of g, as a tuple P (v -> P[v]), by trying every
+    vertex permutation; n <= 7."""
+    if g.n > 7:
+        raise ValueError("brute_automorphisms tries n! permutations; refusing n > 7")
+    return [p for p in itertools.permutations(range(g.n))
+            if np.array_equal(g.mult[np.ix_(p, p)], g.mult)]
 
 
 def restart_smooth_two_valent(g):

@@ -494,3 +494,96 @@ def test_max_independent_set_is_witnessed():
         s = inv.max_independent_set(g)
         assert len(s) == inv.independence_number(g)
         assert all(g.mult[u, v] == 0 for u in s for v in s if u != v)
+
+
+def vertex_orbits(n, perms):
+    """The vertex orbits of the group the permutations generate, merged
+    along each permutation's arrows."""
+    orbit_of = {v: {v} for v in range(n)}
+    for P in perms:
+        for v in range(n):
+            if orbit_of[v] is not orbit_of[P[v]]:
+                merged = orbit_of[v] | orbit_of[P[v]]
+                for x in merged:
+                    orbit_of[x] = merged
+    return {frozenset(o) for o in orbit_of.values()}
+
+
+def test_automorphism_generators_find_automorphisms_and_orbits_within_the_true_ones():
+    # every connected graph on at most 6 vertices, 143 of them, and a few
+    # multigraphs, the true group from all n! permutations
+    rng = random.Random(28)
+    graphs = oracles.connected_graph_corpus(max_n=6, max_edges=15)
+    graphs += [oracles.random_connected_multigraph(rng, rng.randrange(2, 7), 0.6) for _ in range(30)]
+    graphs += [mg.from_edge_list(4, [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 0, 1)])]
+    for g in graphs:
+        everything = set(oracles.brute_automorphisms(g))
+        generators = inv._automorphism_generators(g)
+        assert all(tuple(P) in everything for P in generators)
+        true = vertex_orbits(g.n, everything)
+        assert all(any(o <= t for t in true) for o in vertex_orbits(g.n, generators))
+
+
+def test_automorphism_generators_reach_every_vertex_of_a_vertex_transitive_graph():
+    families = [mg.cycle(n) for n in range(3, 8)] + [mg.complete(n) for n in range(2, 8)]
+    families += [mg.complete_bipartite(m, m) for m in (1, 2, 3)] + [mg.hypercube(3)]
+    for g in families:
+        generators = inv._automorphism_generators(g)
+        assert all(np.array_equal(g.mult[np.ix_(P, P)], g.mult) for P in generators)
+        assert vertex_orbits(g.n, generators) == {frozenset(range(g.n))}
+        if g.n <= 7:
+            assert vertex_orbits(g.n, oracles.brute_automorphisms(g)) == {frozenset(range(g.n))}
+
+
+def test_automorphism_generators_of_products_generate_the_whole_group():
+    # |Aut(C4 [] C5)| = |D4| |D5| = 80 and |Aut(Petersen)| = 120: the
+    # generated group, closed under composition, has exactly that order
+    def order(n, generators):
+        elements = {tuple(range(n))}
+        queue = list(elements)
+        for p in queue:
+            for P in generators:
+                q = tuple(P[v] for v in p)
+                if q not in elements:
+                    elements.add(q)
+                    queue.append(q)
+        return len(elements)
+
+    c4c5 = mg.cartesian_product(mg.cycle(4), mg.cycle(5))
+    assert order(20, inv._automorphism_generators(c4c5)) == 80
+    assert order(10, inv._automorphism_generators(petersen())) == 120
+    assert order(5, inv._automorphism_generators(mg.path(5))) == 2
+
+
+def test_automorphism_generators_stop_on_a_disconnected_host_and_at_the_budget(monkeypatch):
+    two_cycles = mg.from_edge_list(6, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)])
+    assert inv._automorphism_generators(two_cycles) == []
+    assert inv._automorphism_generators(mg.complete(1)) == []
+    assert inv._automorphism_generators(mg.random_graph(12, 0.5, 3)) == []  # a rigid graph
+    q3 = mg.hypercube(3)
+    monkeypatch.setattr(inv, "_AUTOMORPHISM_NODES", 0)
+    assert inv._automorphism_generators(q3) == []
+    monkeypatch.setattr(inv, "_AUTOMORPHISM_NODES", 150)
+    fewer = inv._automorphism_generators(q3)
+    assert 0 < len(fewer) < 6
+    assert all(np.array_equal(q3.mult[np.ix_(P, P)], q3.mult) for P in fewer)
+
+
+def test_a_search_that_hands_back_non_automorphisms_loses_only_generators(monkeypatch):
+    extend = inv._extend
+    handed = []
+
+    def faulty(*args):
+        image = extend(*args)
+        if image is not None and len(handed) % 2:
+            image[-1], image[-2] = image[-2], image[-1]
+        handed.append(image)
+        return image
+
+    monkeypatch.setattr(inv, "_extend", faulty)
+    for g in (mg.hypercube(3), mg.cartesian_product(mg.cycle(4), mg.cycle(5)), petersen()):
+        handed.clear()
+        generators = inv._automorphism_generators(g)
+        assert all(np.array_equal(g.mult[np.ix_(P, P)], g.mult) for P in generators)
+        bad = [P for P in handed if P is not None and not np.array_equal(g.mult[np.ix_(P, P)], g.mult)]
+        assert bad and not any(P in generators for P in bad)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -20,6 +21,31 @@ def test_from_edge_list_accumulates_multiplicity():
     assert int(g.mult[0, 1]) == 3
     assert g.edge_count() == 4
     assert g.valence(1) == 4
+
+
+def test_the_public_constructor_copies_and_the_builders_hand_over_their_matrix():
+    m = np.array([[0, 2], [2, 0]])
+    g = mg.Multigraph(m)
+    m[0, 1] = m[1, 0] = 5
+    assert int(g.mult[0, 1]) == 2
+    owned = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    assert mg.Multigraph._adopt(owned).mult is owned and not owned.flags.writeable
+    for bad in ([[0, 1], [2, 0]], [[1, 0], [0, 0]], [[0, -1], [-1, 0]], [[0, 1, 0]]):
+        with pytest.raises(ValueError):
+            mg.Multigraph._adopt(np.array(bad, dtype=np.int64))
+    # a builder's peak holds its one n x n int64 matrix and the checks' n x n
+    # bools, where a copy would hold two matrices
+    matrix = 1200 * 1200 * 8
+    p30, p40, p1199 = mg.path(30), mg.path(40), mg.path(1199)
+    for build in (lambda: mg.cartesian_product(p30, p40), lambda: mg.cone(p1199, 1),
+                  lambda: mg.complete(1200), lambda: mg.from_edge_list(1200, [(0, 1, 1)])):
+        tracemalloc.start()
+        try:
+            g = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 1200 and peak < 1.5 * matrix
 
 
 def test_from_edge_list_rejects_bad_input():

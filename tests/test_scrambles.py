@@ -334,6 +334,124 @@ def test_the_edge_scramble_takes_its_flows_from_one_vertex():
     assert len(flows) <= 100
 
 
+SMALL_FACTORS = [mg.path(2), mg.path(3), mg.cycle(3), mg.cycle(4), mg.cycle(5), mg.complete(4),
+                 mg.star(4), mg.complete_bipartite(2, 3), mg.complete_bipartite(3, 3)]
+
+
+def relabelled(scramble, rng):
+    """The scramble on its host with the vertices renumbered at random."""
+    perm = list(range(scramble.host.n))
+    rng.shuffle(perm)
+    return sc.Scramble(mg.relabel(scramble.host, perm),
+                       [{perm[v] for v in egg} for egg in scramble.eggs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1 << 30))
+def test_product_scramble_egg_cuts_match_the_all_pairs_scan_property(seed):
+    # every admissible k, on relabelled hosts: the orbit scan flows one pair
+    # per orbit of egg pairs and must keep the all-pairs value and witness
+    rng = random.Random(seed)
+    g, h = [rng.choice(SMALL_FACTORS) if rng.random() < 0.7
+            else oracles.random_connected_graph(rng, rng.randrange(2, 5), 0.6) for _ in range(2)]
+    kappa = inv.vertex_connectivity(g)
+    for k in range(1, kappa + 1):
+        if sc._product_k_failure(g.n, kappa, k):
+            continue
+        s = relabelled(sc.product_scramble(g, h, k), rng)
+        value, witness = sc.egg_cut_number(s)
+        assert (value, witness) == oracles.all_pairs_egg_cut_number(s)
+        if s.host.n <= 12:
+            assert value == oracles.brute_egg_cut(s.host, s.eggs)
+
+
+def _symmetric_scramble(rng):
+    """Random eggs closed under every automorphism of a symmetric host of at
+    most 7 vertices, on the host relabelled at random."""
+    g = rng.choice([mg.cycle(6), mg.cycle(7), mg.complete_bipartite(3, 3), mg.complete(5),
+                    mg.cartesian_product(mg.cycle(3), mg.path(2)), mg.complete_bipartite(2, 4),
+                    mg.from_edge_list(6, [(i, (i + 1) % 6, 1 + i % 2) for i in range(6)]),
+                    mg.star(6), mg.path(7)])
+    autos = oracles.brute_automorphisms(g)
+    eggs = {frozenset(P[v] for v in egg) for egg in random_eggs(rng, g, rng.randrange(1, 4))
+            for P in autos}
+    return relabelled(sc.Scramble(g, eggs), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 30), multigraph_with_eggs)
+def test_random_scramble_egg_cuts_match_the_all_pairs_scan_property(seed, case):
+    g, eggs = case
+    for s in (_symmetric_scramble(random.Random(seed)), sc.Scramble(g, eggs)):
+        value, witness = sc.egg_cut_number(s)
+        assert (value, witness) == oracles.all_pairs_egg_cut_number(s)
+        assert value == oracles.brute_egg_cut(s.host, s.eggs)
+
+
+def test_the_orbit_scan_runs_one_flow_per_orbit_of_egg_pairs():
+    # the all-pairs scan flows 160 pairs of C4 [] C5 at k = 2 and 1,350 of
+    # K3,3 [] C4 at k = 3, nearly all of them only confirming the minimum
+    c4 = mg.cycle(4)
+    for g, h, k, value, most in [(c4, mg.cycle(5), 2, 8, 10),
+                                 (mg.complete_bipartite(3, 3), c4, 3, 12, 30)]:
+        s = sc.product_scramble(g, h, k)
+        with oracles.counted_flows() as flows:
+            result = sc.egg_cut_number(s)
+        assert result == oracles.all_pairs_egg_cut_number(s)
+        assert result[0] == value
+        assert len(flows) <= most
+
+
+def test_a_scan_with_one_flow_builds_no_orbit_labels(monkeypatch):
+    # the edge scramble of K4 [] K3 finds its minimum with no flow, and its
+    # witness scan stops at its first flow
+    s = sc.edge_scramble(mg.cartesian_product(mg.complete(4), mg.complete(3)))
+    expected = oracles.all_pairs_egg_cut_number(s)
+
+    def refuse(*args):
+        raise AssertionError("orbit labels were built")
+
+    monkeypatch.setattr(sc, "_pair_labels", refuse)
+    with oracles.counted_flows() as flows:
+        assert sc.egg_cut_number(s) == expected
+    assert len(flows) == 1
+
+
+def test_a_scan_over_the_label_budget_builds_no_orbit_labels(monkeypatch):
+    # 20 eggs: one 20 x 20 int64 label array is 3,200 bytes
+    s = sc.product_scramble(mg.cycle(4), mg.cycle(5), 2)
+    expected = oracles.all_pairs_egg_cut_number(s)
+
+    def refuse(*args):
+        raise AssertionError("orbit labels were built")
+
+    monkeypatch.setattr(sc, "_pair_labels", refuse)
+    monkeypatch.setattr(mg, "MATRIX_BUDGET", 8 * 3200 - 1)
+    with oracles.counted_flows() as flows:
+        assert sc.egg_cut_number(s) == expected
+    assert len(flows) == 160
+
+
+def test_a_search_that_hands_back_non_automorphisms_changes_no_egg_cut(monkeypatch):
+    # every map the search hands back is shifted one place: the maps this
+    # leaves automorphisms may be kept, and every other one must be dropped
+    extend = inv._extend
+
+    def faulty(*args):
+        image = extend(*args)
+        return image and image[1:] + image[:1]
+
+    monkeypatch.setattr(inv, "_extend", faulty)
+    rng = random.Random(28)
+    scrambles = [sc.product_scramble(mg.cycle(4), mg.cycle(5), 2),
+                 sc.product_scramble(mg.complete_bipartite(2, 3), mg.cycle(4), 2),
+                 sc.vertex_scramble(mg.cycle(8))] + [_symmetric_scramble(rng) for _ in range(10)]
+    for s in scrambles:
+        assert all(np.array_equal(s.host.mult[np.ix_(P, P)], s.host.mult)
+                   for P in inv._automorphism_generators(s.host))
+        assert sc.egg_cut_number(s) == oracles.all_pairs_egg_cut_number(s)
+
+
 def test_product_scramble_orders_split_into_copies():
     # one egg group per copy: K5 [] K5 with k = 3 has 5 groups of 10 eggs
     order = sc.scramble_order(sc.product_scramble(mg.complete(5), mg.complete(5), 3))
