@@ -116,11 +116,12 @@ def _burn_rows(burn, chips, q):
     chips = chips.astype(burn.dtype)
     burned = np.zeros(chips.shape, dtype=bool)
     burned[:, q] = True
+    count = len(burned)
     while True:
-        fresh = ~burned & (burned @ burn > chips)
-        if not fresh.any():
+        burned |= burned @ burn > chips
+        last, count = count, np.count_nonzero(burned)
+        if count == last:
             return burned
-        burned |= fresh
 
 
 def dhar_burn(divisor, q):

@@ -196,7 +196,8 @@ def _cut_bound_table(g, member):
     deg(v) - (v's s - 1 largest multiplicities) of its edges leave S: F sums
     t_s over the egg and adds the s - |egg| smallest t_s of all vertices.
     `_least_row_cut` raises F to the spectral bound `_spectral_cut_bounds`,
-    spec[s] for every s-set, before the first flow of its call."""
+    spec[s] for every s-set, before the first flow of its call, unless
+    `_least_edge_egg_cut` has raised it to its size bounds first."""
     n = g.n
     deg = g.mult.sum(axis=1)
     # kept[v, j]: the sum of v's j largest multiplicities, j = 0..n-1
@@ -213,49 +214,52 @@ def _cut_bound_table(g, member):
     return table
 
 
-def _pair_bounds(table, i, first):
-    """B(i, j) for every egg j from `first` on: the least, over the sizes s
-    of the side holding egg i, of max(F[i, s], F[j, n - s]), at most every
-    cut separating the two eggs, as both sides of a cut have its boundary.
-    F's spectral term is the same for s and n - s and holds for every s-set,
-    so B(i, j) takes it in with no change here."""
-    return np.maximum(table[i], table[first:, ::-1]).min(axis=1)
+def _pair_bounds(table, i, others):
+    """B(i, j) for every egg j of `others`, a slice or list of egg numbers:
+    the least, over the sizes s of the side holding egg i, of max(F[i, s],
+    F[j, n - s]), at most every cut separating the two eggs, as both sides
+    of a cut have its boundary.  F's spectral term is the same for s and
+    n - s and holds for every s-set, so B(i, j) takes it in with no change
+    here."""
+    return np.maximum(table[i], table[others, ::-1]).min(axis=1)
 
 
 def _cut_setup(g, eggs):
     """What the egg-cut flows and bounds of one call read, built once: the
     host's capacity rows and neighbour lists, the 0/1 egg-vertex matrix, its
-    `_cut_bound_table`, and [g] until `_least_row_cut` adds g's spectral bound."""
+    `_cut_bound_table`, and [g] until g's spectral bound joins that table."""
     member = np.zeros((len(eggs), g.n), dtype=np.int64)
     for i, egg in enumerate(eggs):
         member[i, list(egg)] = 1
     return g.mult.tolist(), inv._adjacency(g.mult), member, _cut_bound_table(g, member), [g]
 
 
-def _least_row_cut(eggs, setup, i, first, best, floor, lead=None):
-    """(min(best, c), side), c the least cut from egg i to a disjoint egg
-    from `first` on, and side the maximal source side of the last flow to
-    lower the running minimum, or None.  A pair whose `_pair_bounds` reaches
-    that minimum runs no flow, the others are capped at it, and the scan
-    stops once it is at most `floor`.  Given a `lead` test (`_orbit_leads`),
-    a pair {i, j} runs a flow only if lead(i, j), so one flow runs per orbit
-    of egg pairs: a pair left out cuts as an earlier pair of its orbit, so
-    cannot lower the minimum or change the side.  The spectral bound joins
-    the table before the first flow it could skip, so a call with no flow
-    pays none."""
+def _least_row_cut(eggs, setup, i, others, best, floor, lead=None):
+    """(min(best, c), side), c the least cut from egg i to a disjoint egg of
+    `others` (a slice or list of egg numbers), and side the maximal source
+    side of the last flow to lower the running minimum, or None.  A pair
+    whose `_pair_bounds` reaches that minimum runs no flow, the others are
+    capped at it, and the scan stops once it is at most `floor`.  Given a
+    `lead` test (`_orbit_leads`), a pair {i, j} runs a flow only if
+    lead(i, j), so one flow runs per orbit of egg pairs: a pair left out
+    cuts as an earlier pair of its orbit, so cannot lower the minimum or
+    change the side.  The spectral bound joins the table before the first
+    flow it could skip, so a call with no flow pays none."""
     rows, nbrs, member, table, spectral_due = setup
-    bounds = _pair_bounds(table, i, first)
-    disjoint = member[first:] @ member[i] == 0
+    bounds = _pair_bounds(table, i, others)
+    disjoint = member[others] @ member[i] == 0
     if spectral_due and (disjoint & (bounds < best)).any():
         np.maximum(table, _spectral_cut_bounds(spectral_due.pop()), out=table)
-        bounds = _pair_bounds(table, i, first)
+        bounds = _pair_bounds(table, i, others)
+    numbers = range(len(eggs))[others] if isinstance(others, slice) else others
     side = None
     for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
         if bounds[j] >= best:  # the running minimum fell within this row
             continue
-        if lead is not None and not lead(i, first + j):
+        k = numbers[j]
+        if lead is not None and not lead(i, k):
             continue
-        value, cut = inv._min_cut(rows, nbrs, eggs[i], eggs[first + j], best)
+        value, cut = inv._min_cut(rows, nbrs, eggs[i], eggs[k], best)
         if value < best:
             best, side = value, cut
             if best <= floor:
@@ -312,33 +316,69 @@ def _orbit_leads(g, member):
     return lead
 
 
-def _least_edge_egg_cut(g, eggs, setup, limit):
+def _size_cut_bounds(g):
+    """L[s] <= |boundary(S)| for every set S of s vertices, s = 0..n: the
+    larger of the degree count, `_cut_bound_table` for an empty egg, and
+    Fiedler's bound `_spectral_cut_bounds`.  The degree count of a set
+    holding an egg sums t_s over s vertices, the s smallest t_s at least,
+    so L can join any egg's table as its spectral term does."""
+    return np.maximum(_cut_bound_table(g, np.zeros((1, g.n), dtype=np.int64))[0],
+                      _spectral_cut_bounds(g))
+
+
+def _least_edge_egg_cut(g, eggs, limit, setup=None):
     """min(e, limit), e the minimum egg-cut, for eggs that are exactly the
-    adjacent vertex pairs of g (in any order; `setup` is their `_cut_setup`),
-    with no flow capped above limit: the restricted edge connectivity of
-    Esfahanian and Hakimi.
+    adjacent vertex pairs of g (in any order), with no flow capped above
+    limit: the restricted edge connectivity of Esfahanian and Hakimi.
+    `setup`, the eggs' `_cut_setup` if the caller holds one, is otherwise
+    built only where a flow runs.
+
+    The running minimum xi starts at the least boundary of an egg with a
+    disjoint egg, an egg-cut.  A side of an egg-cut holds an egg, and a
+    side of two or n - 2 vertices is one, with a disjoint egg across: its
+    boundary is at least xi.  So where the size bounds `_size_cut_bounds`
+    of every other split, max(L[s], L[n - s]) for 3 <= s <= n - 3, reach
+    xi, e is xi and no flow runs, as on K4 [] K3, Q3, Q4, C3 [] C4 and
+    Petersen; a host of at most five vertices has no other split at all.
+    Otherwise L joins the table of `setup`.
 
     In a least egg-cut every vertex of positive valence has a neighbour on
     its own side: moving one that has none across would cut fewer edges and
-    leave an egg on each side.  So for one such vertex u, the one with the
-    fewest distinct neighbours, the flows from each egg {u, w} to the eggs
-    disjoint from it, run in `_least_row_cut`, reach e.  Their running
-    minimum starts at the least boundary of an egg with a disjoint egg, an
-    egg-cut; where the spectral bound meets it, as on K4 [] K3, Q4,
-    C3 [] C4 and C4 [] K3,3, no flow runs."""
-    nbrs = setup[1]
-    a, b = np.array([sorted(egg) for egg in eggs]).T
-    distinct = np.array([len(x) for x in nbrs])
+    leave an egg on each side.  Take u with the fewest distinct neighbours
+    and its neighbour v with the fewest.  A least egg-cut either keeps u
+    and v on one side, and then separates the egg {u, v} from an egg
+    disjoint from it, one `_least_row_cut` row; or splits them, and then
+    separates some egg {u, w} from some egg {v, x}, the (d(u) - 1)(d(v) - 1)
+    pairs of the split rows."""
+    distinct = np.count_nonzero(g.mult, axis=1)
+    a, b = np.nonzero(np.triu(g.mult))  # the eggs, in any order
     # {a, b} meets itself and distinct[a] + distinct[b] - 2 other eggs
     has_disjoint = distinct[a] + distinct[b] - 1 < len(eggs)
     if not has_disjoint.any():
         return limit  # no two eggs are disjoint: e is infinite
     deg = g.mult.sum(axis=1)
     best = min(limit, int((deg[a] + deg[b] - 2 * g.mult[a, b])[has_disjoint].min()))
-    u = min((v for v in range(g.n) if nbrs[v]), key=lambda v: len(nbrs[v]))
+    n = g.n
+    if n < 6:
+        return best
+    size = _size_cut_bounds(g)
+    settled = bool((np.maximum(size, size[::-1])[3:n - 2] >= best).all())
+    if setup is None:
+        if settled:
+            return best
+        setup = _cut_setup(g, eggs)
+    np.maximum(setup[3], size, out=setup[3])
+    setup[4].clear()  # the spectral term is in the table
+    if settled:
+        return best
+    u = min(np.flatnonzero(distinct).tolist(), key=distinct.__getitem__)
+    v = min(setup[1][u], key=distinct.__getitem__)
     number = {egg: i for i, egg in enumerate(eggs)}
-    for w in nbrs[u]:
-        best = _least_row_cut(eggs, setup, number[frozenset((u, w))], 0, best, 0)[0]
+    best = _least_row_cut(eggs, setup, number[frozenset((u, v))], slice(None), best, 0)[0]
+    at_v = [number[frozenset((v, x))] for x in setup[1][v]]
+    for w in setup[1][u]:
+        if w != v:
+            best = _least_row_cut(eggs, setup, number[frozenset((u, w))], at_v, best, 0)[0]
     return best
 
 
@@ -359,23 +399,24 @@ def egg_cut_number(scramble):
     so cannot replace the witness.
 
     When the eggs are exactly the adjacent vertex pairs of the host, as in
-    `edge_scramble`, the minimum e comes first from the flows at one vertex
-    (`_least_edge_egg_cut`).  The scan in egg order then only finds the
-    witness: its running minimum starts at e + 1 and it stops at the first
-    pair that cuts e."""
+    `edge_scramble`, the minimum e comes first from `_least_edge_egg_cut`:
+    from the size bounds alone, or from the flows of one split edge.  The
+    scan in egg order then only finds the witness, on a table that holds
+    the size bounds where they were worked out: its running minimum starts
+    at e + 1 and it stops at the first pair that cuts e."""
     g = scramble.host
     eggs = scramble.eggs
     setup = _cut_setup(g, eggs)
     least, best = 0, math.inf
     if all(len(egg) == 2 for egg in eggs) and len(eggs) == np.count_nonzero(g.mult) // 2:
-        least = _least_edge_egg_cut(g, eggs, setup, math.inf)
+        least = _least_edge_egg_cut(g, eggs, math.inf, setup)
         if least is math.inf:
             return least, None
         best = least + 1
     witness = None
     lead = _orbit_leads(g, setup[2])
     for i in range(len(eggs) - 1):
-        best, side = _least_row_cut(eggs, setup, i, i + 1, best, least, lead)
+        best, side = _least_row_cut(eggs, setup, i, slice(i + 1, None), best, least, lead)
         if side is not None:
             witness = (side, best)
             if best == least:
@@ -407,7 +448,8 @@ def edge_scramble(g):
 
     Its hitting number is n - alpha by vertex-cover duality, and its egg-cut
     the restricted edge connectivity, which `egg_cut_number` finds from the
-    flows at one vertex.  `_edge_scramble_order` gives the order alone.
+    size bounds or from Esfahanian and Hakimi's split of one edge
+    (`_least_edge_egg_cut`).  `_edge_scramble_order` gives the order alone.
     """
     eggs = [{u, v} for u, v, _ in g.edges()]
     if not eggs:
@@ -420,7 +462,7 @@ def _edge_scramble_order(g, alpha):
     with an edge and independence number alpha: no hitting-set search, no
     witness, and no flow capped above n - alpha."""
     eggs = [frozenset(pair) for pair in np.transpose(np.nonzero(np.triu(g.mult))).tolist()]
-    return _least_edge_egg_cut(g, eggs, _cut_setup(g, eggs), g.n - alpha)
+    return _least_edge_egg_cut(g, eggs, g.n - alpha)
 
 
 def _product_k_failure(n, kappa, k):
@@ -748,15 +790,31 @@ def brute_force_sn(g, max_eggs=None):
             return open_ is not None
 
         if search():
-            return [frozenset(bits(eggs[i])) for i in chosen]
+            return [eggs[i] for i in chosen]
         return None
 
+    def witness(masks):
+        """The Scramble of the egg masks, built from the minimal ones, as
+        Scramble would keep: a table over all 2**n vertex masks marks those
+        holding a chosen egg, one pass per vertex, and a chosen egg is
+        dropped where removing one of its vertices leaves a marked mask."""
+        masks = np.unique(np.array(masks, dtype=np.int64))
+        holds = np.zeros(1 << n, dtype=bool)
+        holds[masks] = True
+        for v in range(n):
+            halves = holds.reshape(-1, 2, 1 << v)
+            halves[:, 1] |= halves[:, 0]
+        inner = np.zeros(len(masks), dtype=bool)
+        for v in range(n):
+            inner |= (masks >> v & 1).astype(bool) & holds[masks & ~(1 << v)]
+        return Scramble(g, [frozenset(bits(m)) for m in masks[~inner].tolist()])
+
     best = 1
-    witness_eggs = [set(range(n))] if inv.is_connected(g) else [{0}]
+    witness_masks = [(1 << n) - 1] if inv.is_connected(g) else [1]
     for k in range(2, n + 1):
         capped[0] = False
-        eggs = decide(k)
-        if eggs is None:
-            return BruteForceResult(best, Scramble(g, witness_eggs), not capped[0])
-        best, witness_eggs = k, eggs
-    return BruteForceResult(best, Scramble(g, witness_eggs), True)
+        masks = decide(k)
+        if masks is None:
+            return BruteForceResult(best, witness(witness_masks), not capped[0])
+        best, witness_masks = k, masks
+    return BruteForceResult(best, witness(witness_masks), True)

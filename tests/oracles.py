@@ -214,7 +214,7 @@ def all_pairs_egg_cut_number(scramble):
     best = math.inf
     witness = None
     for i, a in enumerate(eggs[:-1]):
-        bounds = sc._pair_bounds(table, i, i + 1)
+        bounds = sc._pair_bounds(table, i, slice(i + 1, None))
         disjoint = member[i + 1:] @ member[i] == 0
         for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
             if bounds[j] >= best:
@@ -336,6 +336,15 @@ def connected_graph_corpus(max_n=5, max_edges=8):
             if inv.is_connected(g):
                 graphs.append(g)
     return graphs
+
+
+def petersen():
+    """The Petersen graph: an outer 5-cycle, an inner pentagram and five
+    spokes."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return mg.from_edge_list(10, [(u, v, 1) for u, v in outer + inner + spokes])
 
 
 def brute_automorphisms(g):

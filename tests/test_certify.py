@@ -326,19 +326,12 @@ def test_tree_factor_pairs_read_neither_kappa_nor_a_gonality_search(monkeypatch)
         assert (cert.statement, cert.value) == ("tree-factor", 8)
 
 
-def _petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return mg.from_edge_list(10, [(u, v, 1) for u, v in outer + inner + spokes])
-
-
 def test_an_over_budget_factor_fails_only_the_pairs_that_read_its_gonality(monkeypatch):
     # with no candidate box admitted the Petersen graph's sandwich, which
     # scans degree 4 (its edge scramble's order, below n - alpha = 6),
     # raises; the eager stats raised on every pair with it in it
     monkeypatch.setattr(dv, "CANDIDATE_BOX_BUDGET", 0)
-    petersen = _petersen()
+    petersen = oracles.petersen()
     with pytest.raises(dv.CandidateBudgetError):
         oracles.eager_factor_stats(petersen, 12)
     cert = ct.certify_product(mg.path(4), petersen)
@@ -370,7 +363,7 @@ def test_every_kept_statement_certifies_a_pair_the_table_leaves_open(monkeypatch
     # tight-factor reads gon(H) and lam(H) only, where met-bounds would read
     # gon(Petersen), which no candidate box is admitted to search
     monkeypatch.setattr(dv, "CANDIDATE_BOX_BUDGET", 0)
-    cert = ct.certify_product(_petersen(), mg.cycle(20), budget=20)
+    cert = ct.certify_product(oracles.petersen(), mg.cycle(20), budget=20)
     assert (cert.statement, cert.value) == ("tight-factor", 20)
 
 

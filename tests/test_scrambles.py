@@ -195,7 +195,7 @@ def test_pair_bound_is_below_every_separating_cut_property(case):
     reference = [reference_cut_bounds(g, egg) for egg in s.eggs]
     for i, a in enumerate(s.eggs):
         assert [None if x == sc._NO_SET else x for x in table[i].tolist()] == reference[i]
-        bounds = sc._pair_bounds(table, i, i + 1)
+        bounds = sc._pair_bounds(table, i, slice(i + 1, None))
         for j, b in enumerate(s.eggs[i + 1:]):
             if not a & b:
                 ra, rb = reference[i], reference[i + 1 + j]
@@ -247,6 +247,19 @@ def test_spectral_bound_is_below_the_least_boundary_of_every_size():
         mg.from_edge_list(4, [(u, v, 2**63 - 1) for u, v in itertools.combinations(range(4), 2)])
 
 
+def test_size_bounds_are_below_the_least_boundary_of_every_size():
+    # every connected graph on at most 6 vertices, and random multigraphs on
+    # at most 9, disconnected ones and isolated vertices included
+    rng = random.Random(30)
+    graphs = oracles.connected_graph_corpus(max_n=6, max_edges=15)
+    graphs += [_random_multigraph(rng, rng.randrange(1, 10), rng.choice([0.2, 0.5, 0.8]), True)
+               for _ in range(40)]
+    assert not all(inv.is_connected(g) for g in graphs)
+    for g in graphs:
+        size = sc._size_cut_bounds(g).tolist()
+        assert all(x <= y for x, y in zip(size, oracles.least_boundaries(g))), g.mult.tolist()
+
+
 def test_sn_bounds_and_gonality_refuse_at_one_degree():
     # G(30, .5, 3): both searches count from the vertex scramble's order 9,
     # not from the edge scramble's order 18 where the scan would start
@@ -256,22 +269,27 @@ def test_sn_bounds_and_gonality_refuse_at_one_degree():
             search()
 
 
-def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run():
-    # every flow at one vertex only confirmed the least edge boundary of an
-    # edge egg with a disjoint egg; on these products the spectral bound
-    # reaches it first.  Cycles have a small a(G), so C3 [] C5 keeps its flows
+def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run(monkeypatch):
+    # the flows would only confirm the least edge boundary of an edge egg
+    # with a disjoint egg; on these hosts the size bounds reach it first,
+    # so no per-egg table is built either.  Cycles have a small a(G), so
+    # C3 [] C5 keeps its flows
     P, K, C = mg.cartesian_product, mg.complete, mg.cycle
     cases = [(P(K(4), K(3)), 8), (mg.hypercube(4), 6), (P(C(3), C(4)), 6), (P(K(3), K(3)), 6),
-             (P(C(4), mg.complete_bipartite(3, 3)), 8)]
+             (P(C(4), mg.complete_bipartite(3, 3)), 8), (mg.hypercube(3), 4), (oracles.petersen(), 4)]
+
+    def refuse(*args):
+        raise AssertionError("a per-egg table was built")
+
+    monkeypatch.setattr(sc, "_cut_setup", refuse)
     for g, value in cases:
         alpha = inv.independence_number(g)
         with oracles.counted_flows() as flows:
             assert sc._edge_scramble_order(g, alpha) == value
         assert flows == []
     g = P(C(3), C(5))
-    with oracles.counted_flows() as flows:
-        assert sc._edge_scramble_order(g, inv.independence_number(g)) == 6
-    assert flows
+    with pytest.raises(AssertionError, match="per-egg table"):
+        sc._edge_scramble_order(g, inv.independence_number(g))
 
 
 def test_egg_cut_number_skips_the_pairs_its_bound_rules_out():
@@ -310,9 +328,25 @@ multigraphs_with_an_edge = st.builds(
 # separates it from its first neighbour 1: the egg {0, 2} must be tried too
 @example(mg.from_edge_list(8, [(0, 1, 1), (0, 2, 3), (2, 3, 1), (2, 4, 1), (3, 4, 1)]
                           + [(u, v, 1) for u, v in itertools.combinations((1, 5, 6, 7), 2)]), 0)
+# below the least boundary 3 of an egg with a disjoint egg, the only
+# least egg-cut, 2, has {0, 3, 4, 6} on one side: it keeps u = 3 and v = 0
+# together, so only the row of the egg {u, v} finds it
+@example(mg.from_edge_list(7, [(0, 1, 1), (0, 3, 1), (0, 4, 1), (0, 6, 1), (1, 2, 1), (1, 5, 1),
+                               (2, 5, 1), (4, 6, 1), (5, 6, 1)]), 0)
+# the only least egg-cut, 3 (below 4), has {0, 1, 3, 4, 5} on one side: it
+# splits u = 0 from v = 2, so only a pair {u, w}, {v, x} finds it
+@example(mg.from_edge_list(8, [(0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1),
+                               (1, 6, 1), (2, 6, 1), (2, 7, 1), (3, 5, 1), (4, 5, 1), (4, 7, 1),
+                               (6, 7, 1)]), 0)
+# n - alpha = 4 is below e = 6: the size bounds, 5 at three and four
+# vertices, reach the cap 4 and settle the order with no flow, though they
+# do not reach e
+@example(mg.from_edge_list(7, [(0, 2, 2), (0, 3, 1), (0, 4, 2), (0, 5, 1), (1, 2, 2), (1, 3, 1),
+                               (1, 4, 2), (2, 3, 2), (2, 5, 1), (3, 5, 1), (3, 6, 2), (4, 6, 2)]), 0)
 def test_edge_scramble_egg_cuts_match_the_all_pairs_scan_property(g, seed):
     # values and witnesses: the full edge scramble, which takes its minimum
-    # from one vertex's flows, and a part of its eggs, which scans every pair
+    # from the size bounds or one split edge's flows, and a part of its eggs,
+    # which scans every pair
     s = sc.edge_scramble(g)
     value, witness = sc.egg_cut_number(s)
     assert (value, witness) == oracles.all_pairs_egg_cut_number(s)
@@ -323,15 +357,22 @@ def test_edge_scramble_egg_cuts_match_the_all_pairs_scan_property(g, seed):
     assert sc.egg_cut_number(part) == oracles.all_pairs_egg_cut_number(part)
 
 
-def test_the_edge_scramble_takes_its_flows_from_one_vertex():
-    # every disjoint pair of C3 [] C5's edge scramble ran 345 flows; one
-    # vertex's four eggs against the eggs disjoint from them, and the
-    # witness flow, run at most 100
-    g = mg.cartesian_product(mg.cycle(3), mg.cycle(5))
+def test_the_edge_scramble_takes_its_flows_from_one_split_edge():
+    # every disjoint pair of C3 [] C5's edge scramble ran 345 flows, and the
+    # four eggs at one vertex against every egg disjoint from them, with the
+    # witness flow, 93.  The egg {u, v} against the 23 eggs disjoint from
+    # it, the 3 x 3 pairs {u, w}, {v, x} that split u from v, and the
+    # witness flow run 33
+    P, C = mg.cartesian_product, mg.cycle
+    g = P(C(3), C(5))
     with oracles.counted_flows() as flows:
         value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
     assert value == size == inv.edge_boundary(g, side) == 6
-    assert len(flows) <= 100
+    assert len(flows) <= 33
+    for g, most in ((P(C(3), C(5)), 32), (P(C(5), C(5)), 52)):  # 92 and 172 from one vertex
+        with oracles.counted_flows() as flows:
+            assert sc._edge_scramble_order(g, inv.independence_number(g)) == 6
+        assert len(flows) <= most
 
 
 SMALL_FACTORS = [mg.path(2), mg.path(3), mg.cycle(3), mg.cycle(4), mg.cycle(5), mg.complete(4),
