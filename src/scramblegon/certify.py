@@ -8,6 +8,11 @@ statements in a fixed, documented order and both factor orientations, so the
 emitted certificate is deterministic.  All applicable statements certify the
 same number, so the order only affects provenance.
 
+A certificate names the quantities its value equals (`Certificate.proves`).
+Every statement but `rook` bounds the product from below by a scramble's
+order, so it proves sn = gon.  `rook` proves gon only: on K4 [] K4 it
+certifies 12, where sn is 11 (`brute_force_sn`, exact).
+
 The paper's product lower bounds (Thm 4.1 at each k with kappa(G) >= k >= 1
 and |V(G)| >= 2k-1, a rule kept in `scrambles._product_k_failure`; Prop 4.3 at
 k = 2; Cor 4.2 from the k = 1 values) are one table, `_product_bounds`, read by
@@ -66,6 +71,7 @@ class Certificate:
     value: object                     # certified number, or None when open
     bounds: object = None             # BoundReport when open
     orientation: str = ""             # which factor played G in the statement
+    proves: tuple = ("sn", "gon")     # the quantities equal to value; () when open
 
     @property
     def certified(self):
@@ -271,32 +277,34 @@ def _stmt_doubled_edge_times_complete(a, b):
     return (2 * b.n - 2 if ok else None), checks
 
 
+# each statement: (id, function, the quantities its value equals)
 _STATEMENTS = [
-    ("tree-factor", _stmt_tree_factor),
-    ("tight-factor", _stmt_tight_factor),
-    ("complete-bipartite-factor", _stmt_complete_bipartite_factor),
-    ("rook", _stmt_rook),
-    ("uniform-connectivity", _stmt_uniform),
-    ("doubled-edge-times-complete", _stmt_doubled_edge_times_complete),
+    ("tree-factor", _stmt_tree_factor, ("sn", "gon")),
+    ("tight-factor", _stmt_tight_factor, ("sn", "gon")),
+    ("complete-bipartite-factor", _stmt_complete_bipartite_factor, ("sn", "gon")),
+    ("rook", _stmt_rook, ("gon",)),
+    ("uniform-connectivity", _stmt_uniform, ("sn", "gon")),
+    ("doubled-edge-times-complete", _stmt_doubled_edge_times_complete, ("sn", "gon")),
 ]
 
 
 def certify_product(g, h, budget=12):
     """Try the certifying statements in fixed order, each in both factor
-    orientations; the first passing one proves sn = gon for the product.
+    orientations; the first passing one proves the product's gonality, and
+    its sn too unless the statement is `rook` (`Certificate.proves`).
     Otherwise take the bounds from the closed-form lower formulas and the
-    factor-gonality upper bound: where they meet they prove sn = gon too
+    factor-gonality upper bound: where they meet they prove sn = gon
     (statement "met-bounds"), and else they are emitted as open bounds."""
     return _certify(*_pair_stats(g, h, budget))
 
 
 def _certify(stats_g, stats_h):
-    for statement_id, statement in _STATEMENTS:
+    for statement_id, statement, proves in _STATEMENTS:
         for a, b, orientation in ((stats_g, stats_h, "G,H"), (stats_h, stats_g, "H,G")):
             value, checks = statement(a, b)
             if value is not None:
                 return Certificate(statement=statement_id, hypotheses=checks,
-                                   value=value, orientation=orientation)
+                                   value=value, orientation=orientation, proves=proves)
     bounds = _open_bounds(stats_g, stats_h)
     if bounds.exact:
         # the lower bound is a scramble's order, so sn >= lower, and the
@@ -306,7 +314,7 @@ def _certify(stats_g, stats_h):
                   HypothesisCheck("gon(G [] H) <= upper bound",
                                   "%d by %s" % (bounds.upper, bounds.upper_source), True)]
         return Certificate(statement="met-bounds", hypotheses=checks, value=bounds.lower)
-    return Certificate(statement="open", hypotheses=[], value=None, bounds=bounds)
+    return Certificate(statement="open", hypotheses=[], value=None, bounds=bounds, proves=())
 
 
 def _open_bounds(stats_g, stats_h):

@@ -4,9 +4,11 @@ Graphs travel as MEL v1 text; `-` reads from stdin.  Exit codes: 0 success,
 2 validation or hypothesis failure, 1 internal error.  `--machine` switches
 the report to stable key=value lines.
 
-A call builds only the parser of the verb it names; help, a missing or
-unknown verb and any argument that verb's parser cannot place go through
-the full parser of all verbs, so their messages list every verb.
+A call that names a verb parses its arguments with one flat parser of that
+verb's options, which never prints.  Help, a missing or unknown verb and
+every argument the flat parser refuses or leaves over go through the full
+parser of all verbs, which prints the usage, help or error and exits 2
+(0 for help).
 """
 
 import argparse
@@ -185,7 +187,10 @@ def _cmd_certify(args, out):
                "  [%s] %s (%s)" % ("ok" if check.passed else "FAIL",
                                    check.description, check.value))
     if cert.certified:
-        out.kv("certified", cert.value, "certified sn = gon = %d" % cert.value)
+        out.kv("certified", cert.value,
+               "certified %s = %d" % (" = ".join(cert.proves), cert.value))
+        if out.machine:  # the prose line above names them
+            out.kv("proves", ",".join(cert.proves))
     else:
         out.kv("certified", "open", "not certified; open bounds:")
         _print_bounds(out, cert.bounds)
@@ -252,16 +257,15 @@ VERBS = {
 }
 
 
-def build_parser(verb=None):
-    """The command-line parser with every verb, or with only `verb`."""
+def build_parser():
+    """The command-line parser with every verb."""
     parser = argparse.ArgumentParser(
         prog="scramblegon",
         description="Chip-firing gonality and scramble-number toolkit on multigraphs.")
     parser.add_argument("--machine", action="store_true",
                         help="emit stable key=value lines instead of prose")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name in VERBS if verb is None else [verb]:
-        help_text, func, specs = VERBS[name]
+    for name, (help_text, func, specs) in VERBS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, kwargs in specs:
             p.add_argument(*flags, **kwargs)
@@ -269,18 +273,40 @@ def build_parser(verb=None):
     return parser
 
 
+class _Unparsed(Exception):
+    """The flat parser met an argument list it does not accept."""
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """One verb's arguments, with no help option, in a parser that never
+    prints: its errors raise `_Unparsed` for the full parser to report."""
+
+    def __init__(self, verb, machine):
+        super().__init__(prog="scramblegon " + verb, add_help=False)
+        for flags, kwargs in VERBS[verb][2]:
+            self.add_argument(*flags, **kwargs)
+        self.set_defaults(func=VERBS[verb][1], verb=verb, machine=machine)
+
+    def error(self, message):
+        raise _Unparsed(message)
+
+
 def _parse(argv):
-    """Parse `[--machine ...] VERB ARGS` with only VERB's parser, which
-    prints the same help and errors as it does inside the full parser.
-    Anything else, and arguments VERB's parser leaves over, go through the
-    full parser, whose usage line lists every verb."""
+    """Parse `[--machine ...] VERB ARGS` with one flat parser of VERB's
+    arguments.  Anything else, any argument it leaves over (help among
+    them, as it has no help option) and any error go through the full
+    parser, which prints the usage, help or error and exits."""
     i = 0
     while i < len(argv) and argv[i] == "--machine":
         i += 1
     if i < len(argv) and argv[i] in VERBS:
-        args, rest = build_parser(argv[i]).parse_known_args(argv)
-        if not rest:
-            return args
+        try:
+            args, rest = _VerbParser(argv[i], i > 0).parse_known_args(argv[i + 1:])
+        except _Unparsed:
+            pass
+        else:
+            if not rest:
+                return args
     return build_parser().parse_args(argv)
 
 

@@ -102,21 +102,45 @@ def edge_boundary(g, vertices):
     return int(g.mult[np.ix_(mask, ~mask)].sum())
 
 
+def _dominating_set(nbrs):
+    """A dominating set of the simple graph with neighbour lists `nbrs`, in
+    the order it is picked: each pick, the least vertex on ties, dominates
+    the most vertices not yet dominated."""
+    closed = [1 << v for v in range(len(nbrs))]
+    for v, near in enumerate(nbrs):
+        for u in near:
+            closed[v] |= 1 << u
+    left = (1 << len(nbrs)) - 1
+    out = []
+    while left:
+        gains = [(mask & left).bit_count() for mask in closed]
+        out.append(gains.index(max(gains)))
+        left &= ~closed[out[-1]]
+    return out
+
+
 def edge_connectivity(g):
-    """Minimum edge cut counted with multiplicity: the least cut between
-    vertex 0 and some other vertex, each flow capped at the running minimum,
-    which starts at the minimum degree.  A simple graph with 2 delta >= n - 1
-    is connected with lambda = delta (G. Chartrand, "A graph-theoretic
-    approach to a communications problem", SIAM J. Appl. Math. 14, 1966), so
-    it runs no flow."""
+    """Minimum edge cut counted with multiplicity: the least cut between a
+    source and each of its sinks, each flow capped at the running minimum,
+    which starts at the minimum degree delta.  A simple graph with 2 delta
+    >= n - 1 is connected with lambda = delta (G. Chartrand, "A
+    graph-theoretic approach to a communications problem", SIAM J. Appl.
+    Math. 14, 1966), so it runs no flow.  On any other simple graph the
+    source and sinks are a greedy dominating set D (`_dominating_set`): if
+    lambda < delta, each side of a least cut holds a vertex with no
+    neighbour across, so it holds a vertex of D (D. W. Matula, "Determining
+    edge connectivity in O(nm)", FOCS 1987).  A multigraph flows from
+    vertex 0 to every other vertex."""
     n = g.n
     best = min_degree(g)
-    if 2 * best >= n - 1 and g.is_simple():
+    simple = g.is_simple()
+    if 2 * best >= n - 1 and simple:
         return best
-    rows = g.mult.tolist()
     nbrs = _adjacency(g.mult)
-    for v in range(1, n):
-        best = min(best, _min_cut(rows, nbrs, [0], [v], best)[0])
+    source, *sinks = _dominating_set(nbrs) if simple else range(n)
+    rows = g.mult.tolist()
+    for v in sinks:
+        best = min(best, _min_cut(rows, nbrs, [source], [v], best)[0])
     return best
 
 
@@ -129,12 +153,14 @@ def vertex_connectivity(g):
     (else S - v would separate), so two non-adjacent neighbours of v are cut
     by S.  So local connectivities from v to each non-neighbour and between
     each non-adjacent pair of neighbours reach kappa; each flow is capped at
-    the running minimum, which starts at the minimum degree.  Each common
-    neighbour of a pair is one more internally disjoint path between them,
-    so a pair with at least the running minimum of them runs no flow, and
-    the split digraph is built only for the first pair that does.  With
-    every pair adjacent no pair is flowed, and the minimum degree n - 1 (0
-    on one vertex) is kappa(K_n).
+    the running minimum, which starts at the minimum degree.  Each of the c
+    common neighbours of a pair is one more internally disjoint path between
+    them and lies in every separator of the two, so a pair with c at least
+    the running minimum runs no flow, and any other pair's flow runs with
+    its common neighbours blocked, capped at the running minimum less c,
+    and adds c.  The split digraph is built only for the first pair that
+    runs a flow.  With every pair adjacent no pair is flowed, and the
+    minimum degree n - 1 (0 on one vertex) is kappa(K_n).
     """
     n = g.n
     adj = _adjacency(g.mult)
@@ -145,7 +171,8 @@ def vertex_connectivity(g):
     pairs += [(x, y) for i, x in enumerate(adj[v]) for y in adj[v][i + 1:] if y not in near[x]]
     split = None
     for s, t in pairs:
-        if len(near[s] & near[t]) >= best:
+        common = near[s] & near[t]
+        if len(common) >= best:
             continue
         if split is None:
             # split digraph, a capacity dict per split vertex with reverse arcs
@@ -156,7 +183,12 @@ def vertex_connectivity(g):
                 split.append({2 * x + 1: 1, **{2 * u + 1: 0 for u in adj[x]}})
                 split.append({2 * x: 0, **{2 * u: 1 for u in adj[x]}})
             nbrs = [list(row) for row in split]
-        best = min(best, _min_cut(split, nbrs, [2 * s + 1], [2 * t], best)[0])
+        for x in common:
+            split[2 * x][2 * x + 1] = 0
+        c = len(common)
+        best = min(best, c + _min_cut(split, nbrs, [2 * s + 1], [2 * t], best - c)[0])
+        for x in common:
+            split[2 * x][2 * x + 1] = 1
     return best
 
 

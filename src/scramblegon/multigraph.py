@@ -70,7 +70,7 @@ class Multigraph:
         return list(zip(us.tolist(), vs.tolist(), self.mult[us, vs].tolist()))
 
     def is_simple(self):
-        return bool((self.mult <= 1).all())
+        return bool(self.mult.max() <= 1)
 
     def __eq__(self, other):
         return isinstance(other, Multigraph) and np.array_equal(self.mult, other.mult)

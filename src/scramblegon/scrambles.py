@@ -318,20 +318,26 @@ def _orbit_leads(g, member):
 
 def _size_cut_bounds(g):
     """L[s] <= |boundary(S)| for every set S of s vertices, s = 0..n: the
-    larger of the degree count, `_cut_bound_table` for an empty egg, and
-    Fiedler's bound `_spectral_cut_bounds`.  The degree count of a set
-    holding an egg sums t_s over s vertices, the s smallest t_s at least,
-    so L can join any egg's table as its spectral term does."""
-    return np.maximum(_cut_bound_table(g, np.zeros((1, g.n), dtype=np.int64))[0],
-                      _spectral_cut_bounds(g))
+    larger of the degree count, the sum of the s smallest t_s(v) (see
+    `_cut_bound_table`), and Fiedler's bound `_spectral_cut_bounds`.  The
+    degree count of a set holding an egg sums t_s over s vertices, the s
+    smallest t_s at least, so L can join any egg's table as its spectral
+    term does."""
+    desc = -np.sort(-g.mult, axis=1)
+    # t[v, s - 1] = t_s(v): deg(v) less v's s - 1 largest multiplicities
+    kept = np.cumsum(desc, axis=1)
+    t = kept[:, -1:] - kept + desc
+    least = np.zeros(g.n + 1, dtype=np.int64)
+    least[1:] = np.cumsum(np.sort(t, axis=0), axis=0).diagonal()
+    return np.maximum(least, _spectral_cut_bounds(g))
 
 
-def _least_edge_egg_cut(g, eggs, limit, setup=None):
+def _least_edge_egg_cut(g, limit, eggs=None, setup=None):
     """min(e, limit), e the minimum egg-cut, for eggs that are exactly the
-    adjacent vertex pairs of g (in any order), with no flow capped above
-    limit: the restricted edge connectivity of Esfahanian and Hakimi.
-    `setup`, the eggs' `_cut_setup` if the caller holds one, is otherwise
-    built only where a flow runs.
+    adjacent vertex pairs of g, with no flow capped above limit: the
+    restricted edge connectivity of Esfahanian and Hakimi.  `eggs`, in any
+    order, and their `_cut_setup` are the caller's if it holds them; else
+    both are built only where a flow runs.
 
     The running minimum xi starts at the least boundary of an egg with a
     disjoint egg, an egg-cut.  A side of an egg-cut holds an egg, and a
@@ -351,9 +357,9 @@ def _least_edge_egg_cut(g, eggs, limit, setup=None):
     separates some egg {u, w} from some egg {v, x}, the (d(u) - 1)(d(v) - 1)
     pairs of the split rows."""
     distinct = np.count_nonzero(g.mult, axis=1)
-    a, b = np.nonzero(np.triu(g.mult))  # the eggs, in any order
+    a, b = np.nonzero(np.triu(g.mult))  # the eggs
     # {a, b} meets itself and distinct[a] + distinct[b] - 2 other eggs
-    has_disjoint = distinct[a] + distinct[b] - 1 < len(eggs)
+    has_disjoint = distinct[a] + distinct[b] - 1 < len(a)
     if not has_disjoint.any():
         return limit  # no two eggs are disjoint: e is infinite
     deg = g.mult.sum(axis=1)
@@ -366,6 +372,8 @@ def _least_edge_egg_cut(g, eggs, limit, setup=None):
     if setup is None:
         if settled:
             return best
+        if eggs is None:
+            eggs = [frozenset(pair) for pair in zip(a.tolist(), b.tolist())]
         setup = _cut_setup(g, eggs)
     np.maximum(setup[3], size, out=setup[3])
     setup[4].clear()  # the spectral term is in the table
@@ -409,7 +417,7 @@ def egg_cut_number(scramble):
     setup = _cut_setup(g, eggs)
     least, best = 0, math.inf
     if all(len(egg) == 2 for egg in eggs) and len(eggs) == np.count_nonzero(g.mult) // 2:
-        least = _least_edge_egg_cut(g, eggs, math.inf, setup)
+        least = _least_edge_egg_cut(g, math.inf, eggs, setup)
         if least is math.inf:
             return least, None
         best = least + 1
@@ -461,8 +469,7 @@ def _edge_scramble_order(g, alpha):
     """scramble_order(edge_scramble(g)).order, min(n - alpha, e), for a g
     with an edge and independence number alpha: no hitting-set search, no
     witness, and no flow capped above n - alpha."""
-    eggs = [frozenset(pair) for pair in np.transpose(np.nonzero(np.triu(g.mult))).tolist()]
-    return _least_edge_egg_cut(g, eggs, g.n - alpha)
+    return _least_edge_egg_cut(g, g.n - alpha)
 
 
 def _product_k_failure(n, kappa, k):

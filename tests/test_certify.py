@@ -367,6 +367,36 @@ def test_every_kept_statement_certifies_a_pair_the_table_leaves_open(monkeypatch
     assert (cert.statement, cert.value) == ("tight-factor", 20)
 
 
+def test_every_sn_claiming_certificate_is_the_exact_scramble_number():
+    # the products of at most 12 vertices of small paths, cycles, cliques,
+    # K1,3 and K2,3: every certificate that claims sn equals brute_force_sn
+    factors = [f(m) for f in (mg.path, mg.cycle, mg.complete) for m in range(2, 7)]
+    factors += [mg.star(4), mg.complete_bipartite(2, 3)]
+    claimed = collections.Counter()
+    for g, h in itertools.combinations_with_replacement(factors, 2):
+        if g.n * h.n > 12:
+            continue
+        cert = ct.certify_product(g, h)
+        assert cert.proves == (("sn", "gon") if cert.statement not in ("rook", "open")
+                               else ("gon",) if cert.statement == "rook" else ())
+        if "sn" in cert.proves:
+            result = sc.brute_force_sn(mg.cartesian_product(g, h))
+            assert result.exact and result.value == cert.value, (g, h, cert)
+            claimed[cert.statement] += 1
+    assert claimed == {"tree-factor": 43, "tight-factor": 10, "uniform-connectivity": 4,
+                       "doubled-edge-times-complete": 3}
+
+
+def test_rook_proves_gon_but_not_sn():
+    # gon(K4 [] K4) = 12, but brute_force_sn finds sn = 11 (exact, in about
+    # 40 s, so not rerun here)
+    k4 = mg.complete(4)
+    cert = ct.certify_product(k4, k4)
+    assert (cert.statement, cert.value, cert.proves) == ("rook", 12, ("gon",))
+    assert ct.certify_product(mg.cycle(4), mg.cycle(5)).proves == ("sn", "gon")
+    assert ct.certify_product(mg.cycle(2), mg.cycle(2)).proves == ()
+
+
 def test_one_vertex_factors_bound_the_product_by_the_other_factor():
     # K1 [] H = H, so H's vertex scramble bounds the product from below
     k1, q3 = mg.path(1), mg.hypercube(3)

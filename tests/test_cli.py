@@ -180,6 +180,13 @@ def test_certify_command(capsys, tmp_path):
     got = machine_map(out)
     assert got["statement"] == "uniform-connectivity"
     assert got["certified"] == "8"
+    assert got["proves"] == "sn,gon"
+    assert out.endswith("certified=8\nproves=sn,gon\n")
+    assert run(capsys, "certify", a, b)[1].endswith("\ncertified sn = gon = 8\n")
+    # rook proves gon only: sn(K4 [] K4) = 11
+    k4 = write_graph(tmp_path, "k4.mel", mg.complete(4))
+    assert run(capsys, "--machine", "certify", k4, k4)[1].endswith("certified=12\nproves=gon\n")
+    assert run(capsys, "certify", k4, k4)[1].endswith("\ncertified gon = 12\n")
     k6 = write_graph(tmp_path, "k6.mel", mg.complete(6))
     code, out, _ = run(capsys, "--machine", "certify", k6, k6)
     assert code == 0
@@ -325,58 +332,93 @@ ONE_ARGV_PER_VERB = [
 ]
 
 
-def test_a_verbs_own_parser_reads_its_argv_as_the_full_parser_does():
+def _count_parsers(monkeypatch):
+    """Lists that gather, from here on, the verb of each flat parser built and
+    the name of each verb parser built inside the full parser."""
+    flat, full = [], []
+    init, add_parser = cli._VerbParser.__init__, argparse._SubParsersAction.add_parser
+
+    def flat_spy(self, verb, machine):
+        flat.append(verb)
+        init(self, verb, machine)
+
+    def full_spy(self, name, **kwargs):
+        full.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(cli._VerbParser, "__init__", flat_spy)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", full_spy)
+    return flat, full
+
+
+def test_a_verbs_own_parser_reads_its_argv_as_the_full_parser_does(monkeypatch):
     assert sorted(argv[argv.count("--machine")] for argv in ONE_ARGV_PER_VERB) == sorted(cli.VERBS)
-    for argv in ONE_ARGV_PER_VERB:
-        verb = argv[argv.count("--machine")]
-        assert cli.build_parser(verb).parse_args(argv) == cli.build_parser().parse_args(argv)
-        assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+    want = [cli.build_parser().parse_args(argv) for argv in ONE_ARGV_PER_VERB]
+    flat, full = _count_parsers(monkeypatch)
+    for argv, args in zip(ONE_ARGV_PER_VERB, want):
+        del flat[:], full[:]
+        assert cli._parse(argv) == args
+        assert (flat, full) == ([argv[argv.count("--machine")]], [])
 
 
-def outcome(capsys, argv):
+def outcome(capsys, parse, argv):
+    """(exit code or namespace, stdout, stderr) of parsing argv."""
     try:
-        code = cli.main(list(argv))
+        result = parse(list(argv))
     except SystemExit as exc:
-        code = exc.code
+        result = exc.code
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return result, captured.out, captured.err
 
 
-def test_help_and_errors_match_the_full_parser_byte_for_byte(capsys, monkeypatch, tmp_path):
-    path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
+def _argv_corpus(path):
+    """Help requests, leftovers and errors for every verb, with the flat
+    parser's argument list around them; `path` stands for every file."""
     calls = [[], ["-h"], ["-h", "info"], ["--mach", "info", path], ["--machine", "info", path],
              ["bogus"], ["info", path, "extra"], ["info", path, "--machine"], ["info"],
-             ["rank", path, path, "--cap", "x"], ["--machine", "--", "info", path]]
-    calls += [[verb, "-h"] for verb in cli.VERBS]
-    got = [outcome(capsys, argv) for argv in calls]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
-    want = [outcome(capsys, argv) for argv in calls]
+             ["rank", path, path, "--cap", "x"], ["--machine", "--", "info", path],
+             ["reduce", path, path], ["reduce", path, path, "--q", "x"],
+             ["reduce", path, path, "--q", "-1"], ["reduce", path, path, "--q=0"],
+             ["reduce", path, path, "--q"], ["reduce", "--q", "0", path, path],
+             ["sn-bounds", path, "--brute", "-h"], ["sn-bounds", path, "--b", "3"],
+             ["gen", "path", "-3"], ["info", "-"], ["--machine", "--machine", "info", path, "-h"]]
+    for argv in ONE_ARGV_PER_VERB:
+        lead = argv.count("--machine")
+        verb, rest = argv[lead], [path if a.endswith((".mel", ".txt", ".scr")) else a
+                                  for a in argv[lead + 1:]]
+        calls += [[verb], [verb, "-h"], [verb, "--help"], [verb, "--he"], [verb, "--h"],
+                  [verb] + rest + ["extra"], [verb] + rest + ["--bogus"],
+                  [verb] + rest + ["--b"], [verb] + rest + ["--mach"],
+                  ["--machine", verb] + rest + ["--machine"], [verb, "--"] + rest]
+    return calls
+
+
+def test_help_and_errors_match_the_full_parser_byte_for_byte(capsys, tmp_path):
+    # the flat parser has no help option: a future option spelt `--h...`
+    # would take `--h` and `--he` there, where the full parser prints help
+    path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
+    calls = _argv_corpus(path)
+    assert len(calls) == 176
+    got = [outcome(capsys, cli._parse, argv) for argv in calls]
+    want = [outcome(capsys, lambda argv: cli.build_parser().parse_args(argv), argv)
+            for argv in calls]
     for argv, g, w in zip(calls, got, want):
         assert g == w, argv
+    assert sum(isinstance(g[0], argparse.Namespace) for g in got) == 16
     # a leftover argument is reported under the usage line that lists every verb
     assert "{%s}" % ",".join(cli.VERBS) in got[calls.index(["info", path, "extra"])][2]
 
 
 def test_each_call_builds_only_its_verbs_parser(capsys, monkeypatch, tmp_path):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def spy(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    for argv in ONE_ARGV_PER_VERB:
-        del built[:]
-        cli._parse(argv)
-        assert built == [argv[argv.count("--machine")]]
+    flat, full = _count_parsers(monkeypatch)
     path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
-    del built[:]
     assert run(capsys, "--machine", "info", path)[0] == 0
     assert run(capsys, "--machine", "info", path)[0] == 0
-    assert built == ["info", "info"]  # no parser is kept between calls
-    del built[:]
-    with pytest.raises(SystemExit):
-        cli.main(["-h"])
-    assert built == list(cli.VERBS) and len(built) == 14
+    assert (flat, full) == (["info", "info"], [])  # no parser is kept between calls
+    # help and errors build every verb's parser, on the fallback only
+    for argv, verbs in ((["-h"], []), (["info", "-h"], ["info"]),
+                        (["reduce", path, path], ["reduce"])):
+        del flat[:], full[:]
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert (flat, full) == (verbs, list(cli.VERBS)) and len(full) == 14

@@ -156,6 +156,42 @@ def test_vertex_connectivity_runs_the_esfahanian_hakimi_flows():
     assert len(flows) <= 50
 
 
+def test_connectivity_flows_per_call(monkeypatch):
+    # lambda flows from the first vertex of a greedy dominating set to the
+    # others: {0, 7} on Q3, {0, 2, 6} on Petersen and {4, 1} on G(10, .5)
+    # seed 1.  kappa keeps its Esfahanian-Hakimi pairs, each capped at the
+    # running minimum less its common neighbours: 3 - 2 on Q3 for all but
+    # the antipodal pair
+    cases = [(mg.hypercube(3), [([0], [7])], [1, 1, 1, 3, 1, 1, 1]),
+             (petersen(), [([0], [2]), ([0], [6])], [2] * 9),
+             (mg.random_graph(10, 0.5, 1), [([4], [1])], [2, 1, 3, 1])]
+    cut, limits = inv._min_cut, []
+
+    def capped(*args):
+        limits.append(args[4])
+        return cut(*args)
+
+    for g, lam_flows, kappa_limits in cases:
+        with oracles.counted_flows() as flows:
+            assert inv.edge_connectivity(g) == 3
+        assert flows == lam_flows
+        del limits[:]
+        monkeypatch.setattr(inv, "_min_cut", capped)
+        assert inv.vertex_connectivity(g) == 3
+        monkeypatch.setattr(inv, "_min_cut", cut)
+        assert limits == kappa_limits
+
+
+def test_a_multigraph_edge_connectivity_flows_to_every_vertex():
+    # vertex 4 dominates, but {0, 1} is cut by 3 edges below delta = 4: the
+    # dominating-set shortcut holds on simple graphs only
+    g = mg.from_edge_list(5, [(0, 1, 3), (2, 3, 3), (1, 2, 1)] + [(v, 4, 1) for v in range(4)])
+    assert inv.min_degree(g) == 4
+    with oracles.counted_flows() as flows:
+        assert inv.edge_connectivity(g) == 3
+    assert len(flows) == 4
+
+
 def _split_digraph(g):
     """The vertex-split digraph of g's underlying simple graph, as capacity
     rows and neighbour lists: v_in = 2v -> v_out = 2v + 1 with capacity 1,

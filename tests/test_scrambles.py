@@ -258,6 +258,9 @@ def test_size_bounds_are_below_the_least_boundary_of_every_size():
     for g in graphs:
         size = sc._size_cut_bounds(g).tolist()
         assert all(x <= y for x, y in zip(size, oracles.least_boundaries(g))), g.mult.tolist()
+        # the degree count is the bound table's row for an empty egg
+        empty = sc._cut_bound_table(g, np.zeros((1, g.n), dtype=np.int64))[0]
+        assert size == np.maximum(empty, sc._spectral_cut_bounds(g)).tolist()
 
 
 def test_sn_bounds_and_gonality_refuse_at_one_degree():
@@ -272,7 +275,7 @@ def test_sn_bounds_and_gonality_refuse_at_one_degree():
 def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run(monkeypatch):
     # the flows would only confirm the least edge boundary of an edge egg
     # with a disjoint egg; on these hosts the size bounds reach it first,
-    # so no per-egg table is built either.  Cycles have a small a(G), so
+    # so no egg list or per-egg table is built either.  Cycles have a small a(G), so
     # C3 [] C5 keeps its flows
     P, K, C = mg.cartesian_product, mg.complete, mg.cycle
     cases = [(P(K(4), K(3)), 8), (mg.hypercube(4), 6), (P(C(3), C(4)), 6), (P(K(3), K(3)), 6),
@@ -281,13 +284,20 @@ def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run(monkeypatch)
     def refuse(*args):
         raise AssertionError("a per-egg table was built")
 
+    def no_eggs(*args):
+        raise AssertionError("an egg list was built")
+
     monkeypatch.setattr(sc, "_cut_setup", refuse)
+    monkeypatch.setattr(sc, "frozenset", no_eggs, raising=False)
     for g, value in cases:
         alpha = inv.independence_number(g)
         with oracles.counted_flows() as flows:
             assert sc._edge_scramble_order(g, alpha) == value
         assert flows == []
     g = P(C(3), C(5))
+    with pytest.raises(AssertionError, match="an egg list"):
+        sc._edge_scramble_order(g, inv.independence_number(g))
+    monkeypatch.delattr(sc, "frozenset")
     with pytest.raises(AssertionError, match="per-egg table"):
         sc._edge_scramble_order(g, inv.independence_number(g))
 
