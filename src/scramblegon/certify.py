@@ -217,8 +217,12 @@ def _stmt_tree_factor(a, b):
 
 
 def _stmt_tight_factor(a, b):
-    # gon(H) = lam(H), |V(G)| <= |V(H)|/lam(H)  =>  value |V(G)| lam(H)
+    # gon(H) = lam(H), |V(G)| <= |V(H)|/lam(H)  =>  value |V(G)| lam(H);
+    # the size condition is tested first, so a pair failing it reads no
+    # gon(H) (a failing statement's checks are discarded)
     checks = []
+    if not (b.lam > 0 and a.n * b.lam <= b.n):
+        return None, checks
     ok = (_check(checks, "gon(H) known", str(b.gon), b.gon is not None)
           and _check(checks, "gon(H) = lam(H)", "%s = %d" % (b.gon, b.lam), b.gon == b.lam))
     ok &= _check(checks, "|V(G)| <= |V(H)|/lam(H)",
@@ -254,14 +258,17 @@ def _stmt_rook(a, b):
 
 def _stmt_uniform(a, b):
     # k = kappa(G) = lam(G) = gon(G) <= lam(H), |V(G)| >= 2k-1,
-    # |V(H)| <= |V(G)| - 2k + 4  =>  value k |V(H)|
+    # |V(H)| <= |V(G)| - 2k + 4  =>  value k |V(H)|; as k must be lam(G),
+    # the size conditions are tested with k = lam(G) before gon(G) is read,
+    # and gon(G) = lam(G) before kappa(G) is (a failing statement's checks
+    # are discarded)
     checks = []
-    ok = _check(checks, "gon(G) known", str(a.gon), a.gon is not None)
-    if not ok:
+    k = a.lam
+    if not (k <= b.lam and a.n >= 2 * k - 1 and b.n <= a.n - 2 * k + 4) or a.gon != k:
         return None, checks
-    k = a.gon
-    ok &= _check(checks, "kappa(G) = lam(G) = gon(G)",
-                 "%d = %d = %d" % (a.kappa, a.lam, k), a.kappa == a.lam == k)
+    _check(checks, "gon(G) known", str(a.gon), True)
+    ok = _check(checks, "kappa(G) = lam(G) = gon(G)",
+                "%d = %d = %d" % (a.kappa, a.lam, k), a.kappa == a.lam == k)
     ok &= _check(checks, "gon(G) <= lam(H)", "%d <= %d" % (k, b.lam), k <= b.lam)
     ok &= _check(checks, "|V(G)| >= 2 gon(G) - 1", "%d >= %d" % (a.n, 2 * k - 1), a.n >= 2 * k - 1)
     ok &= _check(checks, "|V(H)| <= |V(G)| - 2 gon(G) + 4",

@@ -5,6 +5,19 @@ Divisors are integer chip vectors on the vertices of a host multigraph.
 Equivalence is always decided through the unique q-reduced representative.
 Every Dhar burn runs on `_burn_rows` and every Dhar firing loop on
 `_batch_reduce_effective`, a single divisor as a one-row matrix.
+
+The kernels do their chip arithmetic in the dtype of the rows.  The
+gonality scan (`_first_positive_rank_row`) keeps its rows in the dtype of
+the burn matrix (`_burn_matrix`: float32 while every valence is below
+2**24, else int64) from the candidate box to the witness, which leaves it
+as int64; counts of a row's chips or burned vertices are products with a
+ones vector.  Rows from q_reduce, rank and the CLI keep int64 chip
+arithmetic, compared in the burn dtype.  The scan is exact in float32: its
+degrees are at most its upper bound, so at most n, and a Multigraph has at
+most 5,792 vertices (`multigraph.MATRIX_BUDGET`); every chip of a scan
+row, and of each q-reduction of it, lies in [0, degree]; each product with
+the burn matrix is at most its vertex's valence, below 2**24; and each row
+count is at most n.
 """
 
 import itertools
@@ -104,24 +117,30 @@ def _burn_matrix(mult):
 
 
 def _burn_rows(burn, chips, q):
-    """Vertices burned by a fire started at q, for every row of a chip matrix;
-    `burn` is _burn_matrix of the host's multiplicities.
+    """Vertices burned by a fire started at q, for every row of a chip matrix,
+    as 0/1 flags in burn's dtype (so `burned @ burn` takes no cast); `burn` is
+    _burn_matrix of the host's multiplicities.
 
     A vertex burns once its burning incident edges outnumber its chips; the
-    closure is monotone, so the iteration order is irrelevant.  chips[:, q] is
-    never consulted.  The chips are compared in the matrix's dtype: a float32
-    product below 2**24 is exact, and rounding a larger chip count keeps it
-    at 2**24 or above, so every comparison is exact.
+    closure is monotone (a burned vertex stays over its chips as the fire
+    grows), so each wave recomputes the whole set and the iteration order is
+    irrelevant.  chips[:, q] is never consulted: the copy compared against
+    holds -1 there, so q burns in every wave.  The chips are compared in
+    burn's dtype (rows already in it are copied, not cast): a float32
+    product is at most its vertex's valence, so below 2**24 and exact, and
+    rounding a larger chip count keeps it at 2**24 or above, so every
+    comparison is exact.
     """
     chips = chips.astype(burn.dtype)
-    burned = np.zeros(chips.shape, dtype=bool)
-    burned[:, q] = True
-    count = len(burned)
+    chips[:, q] = -1
+    fire = burn[q] > chips  # the first wave, from q alone
+    count = len(chips)
     while True:
-        burned |= burned @ burn > chips
-        last, count = count, np.count_nonzero(burned)
+        burned = fire.astype(burn.dtype)
+        last, count = count, np.count_nonzero(fire)
         if count == last:
             return burned
+        fire = burned @ burn > chips
 
 
 def dhar_burn(divisor, q):
@@ -131,7 +150,7 @@ def dhar_burn(divisor, q):
     chips = divisor.chips
     if (np.delete(chips, q) < 0).any():
         raise ValueError("Dhar's algorithm needs the divisor effective away from q")
-    burned = _burn_rows(_burn_matrix(g.mult), chips[None], q)[0]
+    burned = _burn_rows(_burn_matrix(g.mult), chips[None], q)[0] > 0
     verts = np.arange(g.n)
     return BurnResult(verts[burned].tolist(), verts[~burned].tolist())
 
@@ -349,25 +368,40 @@ def _check_box(g, bounds, degree):
 
 
 def _batch_reduce_effective(mult, burn, chips, q, script=None):
-    """q-reduce many chip rows, effective away from q, at once; `burn` is
-    _burn_matrix(mult), and the firing delta is taken through it too.
-    Returns the reduced rows, order preserved; a script list (one row only)
-    gets each fired set appended."""
-    chips = np.array(chips)
-    vals = mult.sum(axis=1)
-    active = np.arange(chips.shape[0])
-    while active.size:
-        burned = _burn_rows(burn, chips[active], q)
-        alive = ~burned.all(axis=1)
-        if not alive.any():
-            break
-        unburned = ~burned[alive]
-        chips[active[alive]] += (unburned @ burn).astype(np.int64) - unburned * vals
+    """q-reduce many chip rows, effective away from q, on a connected host,
+    at once; `burn` is _burn_matrix(mult).  Returns the reduced rows, in the
+    input's dtype and order; a script list (one row only) gets each fired
+    set appended.
+
+    Each wave burns the rows still in work and fires each row's unburned
+    set, its delta taken through burn in burn's dtype and added in the rows'
+    own.  A row is done once nothing is left unburned, tested as
+    `unburned @ vals > 0`: every valence is positive and the terms are
+    nonnegative, so the product is positive exactly when a vertex is
+    unburned, even where a float32 sum rounds (an int64 one is at most
+    2|E|, below 2**63, by the Multigraph check).  Only the rows in work are
+    carried from wave to wave, and a row is written back once, when it is
+    done.  Firing keeps an effective row effective with its degree, so a
+    float32 row's chips stay in [0, degree] and each delta is at most a
+    valence, below 2**24: every sum is exact.
+    """
+    out = np.array(chips)
+    vals = mult.sum(axis=1).astype(burn.dtype)
+    rows, active = out, np.arange(len(out))
+    while True:
+        unburned = 1 - _burn_rows(burn, rows, q)
+        alive = unburned @ vals > 0
+        if not alive.all():
+            if rows is not out:  # else the done rows are out's own, unchanged
+                done = ~alive
+                out[active[done]] = rows[done]
+            if not alive.any():
+                return out
+            rows, unburned, active = rows[alive], unburned[alive], active[alive]
+        rows += (unburned @ burn - unburned * vals).astype(rows.dtype, copy=False)
         if script is not None:
             _check_script(script, 1)
             script.append(frozenset(np.flatnonzero(unburned[0]).tolist()))
-        active = active[alive]
-    return chips
 
 
 def _first_positive_rank_row(g, burn, degree):
@@ -389,11 +423,19 @@ def _first_positive_rank_row(g, burn, degree):
     Positive rank is a property of the divisor class, so these q-filters run
     on the raw box rows, and the burn at 0 only on their survivors: the
     0-reduced rows kept are the same rows in the same order.
+
+    The candidates are built in burn's dtype, chips[0] as degree minus the
+    product of chips[1:] with a ones vector, and the burn at 0 keeps the rows
+    whose burned count, a product too, is n.  degree <= n <= 5,792, so every
+    chip, of a row or of a q-reduction of it, lies in [0, degree] and every
+    count is at most n: all exact in float32 (see the module docstring).
+    The witness is returned as int64.
     """
+    ones = np.ones(g.n, dtype=burn.dtype)
     for rows in _box_chunks(_box_bounds(g), degree - 1):
-        candidates = np.empty((rows.shape[0], g.n), dtype=np.int64)
-        candidates[:, 0] = degree - rows.sum(axis=1)
+        candidates = np.empty((rows.shape[0], g.n), dtype=burn.dtype)
         candidates[:, 1:] = rows
+        candidates[:, 0] = degree - candidates[:, 1:] @ ones[1:]
         covered = candidates > 0
         for q in range(1, g.n):
             if not candidates.shape[0]:
@@ -404,9 +446,9 @@ def _first_positive_rank_row(g, burn, degree):
                 keep = covered[:, q]
                 candidates, covered = candidates[keep], covered[keep]
         if candidates.shape[0]:
-            candidates = candidates[_burn_rows(burn, candidates, 0).all(axis=1)]
+            candidates = candidates[_burn_rows(burn, candidates, 0) @ ones == g.n]
             if candidates.shape[0]:
-                return candidates[0]
+                return candidates[0].astype(np.int64)  # Divisor takes no floats
     return None
 
 

@@ -369,10 +369,8 @@ def max_independent_set(g):
     branch: a maximum set holding its neighbour instead holds it after a
     swap.  So a tree or a path is decided with no branch at all."""
     n = g.n
-    adj = [0] * n
-    for u, v, _ in g.edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    nbrs = _adjacency(g.mult)
+    adj = [sum(1 << u for u in row) for row in nbrs]
 
     def grow(cand, chosen_mask, chosen_size):
         while True:
@@ -405,7 +403,7 @@ def max_independent_set(g):
         grow(cand & ~(1 << v), chosen_mask, chosen_size)
 
     found = 0
-    for comp in components(g):
+    for comp in _flagged_components(nbrs, [True] * n):
         # greedy warm start: repeatedly take a minimum-degree vertex
         cand = everything = sum(1 << v for v in comp)
         greedy = 0

@@ -4,8 +4,7 @@ multiset enumeration, exact rational linear algebra, Dhar's burn in Python
 integers) and shares no search logic with the package under test, except
 the earlier forms of package routines kept as references for their exact
 outputs: `all_pairs_egg_cut_number`, `restart_smooth_two_valent`,
-`recounting_box_chunks`, `sweep_brute_force_sn`, `eager_factor_stats` and
-`basepoint_positive_rank`.
+`recounting_box_chunks`, `sweep_brute_force_sn` and `eager_factor_stats`.
 """
 
 import contextlib
@@ -243,6 +242,41 @@ def dhar_burned(g, chips, q):
     return burned
 
 
+def q_reduced(g, chips, q):
+    """The q-reduced divisor equivalent to `chips` on a connected g, as a list
+    of Python integers, by one firing at a time.  Debt off q is cleared from
+    the layer farthest from q inward: a firing of the vertices nearer to q
+    than that layer hands each of its vertices a chip and touches no farther
+    one.  Then the vertices `dhar_burned` leaves unburned fire until a fire
+    from q burns them all."""
+    mult = g.mult.tolist()
+    chips = [int(c) for c in chips]
+    dist, queue = {q: 0}, [q]
+    for v in queue:
+        for u, k in enumerate(mult[v]):
+            if k and u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+
+    def fire(members):
+        for v in members:
+            for u, k in enumerate(mult[v]):
+                if u not in members:
+                    chips[v] -= k
+                    chips[u] += k
+
+    while True:
+        debt = [dist[v] for v, c in enumerate(chips) if v != q and c < 0]
+        if not debt:
+            break
+        fire({v for v in dist if dist[v] < max(debt)})
+    while True:
+        burned = dhar_burned(g, chips, q)
+        if all(burned):
+            return chips
+        fire({v for v, b in enumerate(burned) if not b})
+
+
 @functools.lru_cache(maxsize=None)
 def _reduced_laplacian_adjugate(g):
     """(adj, det) of the reduced Laplacian L~ of a connected g (the Laplacian
@@ -290,12 +324,12 @@ def laplacian_equivalent(g, chips_a, chips_b):
 
 
 def basepoint_positive_rank(divisor):
-    """has_positive_rank's earlier form: D - (q) is equivalent to an effective
-    divisor exactly when the q-reduced form of D keeps a chip on q, so D has
-    positive rank when that holds at every vertex q."""
+    """Positive rank by the q-reduced forms of `q_reduced`: D - (q) is
+    equivalent to an effective divisor exactly when the q-reduced form of D
+    keeps a chip on q, so D has positive rank when that holds at every
+    vertex q."""
     g = divisor.graph
-    burn = dv._burn_matrix(g.mult)
-    return all(int(dv._reduce_chips(g.mult, burn, divisor.chips, q)[q]) >= 1 for q in range(g.n))
+    return all(q_reduced(g, divisor.chips, q)[q] >= 1 for q in range(g.n))
 
 
 def unpruned_gonality(g):
@@ -401,16 +435,17 @@ def random_connected_graph(rng, n, p):
 def lex_least_gonality_witness(g):
     """(gonality, chips) of the 0-reduced positive-rank divisor of minimal
     degree with the lexicographically least chips[1:], found by 0-reducing
-    every effective divisor of each degree, enumerated as vertex multisets."""
+    every effective divisor of each degree, enumerated as vertex multisets,
+    with `q_reduced` and `basepoint_positive_rank`."""
     n = g.n
     for degree in itertools.count(1):
         reduced = set()
         for probe in itertools.combinations_with_replacement(range(n), degree):
-            chips = np.zeros(n, dtype=np.int64)
+            chips = [0] * n
             for v in probe:
                 chips[v] += 1
-            reduced.add(tuple(dv.q_reduce(dv.Divisor(g, chips), 0).chips.tolist()))
-        witnesses = [c for c in reduced if dv.has_positive_rank(dv.Divisor(g, c))]
+            reduced.add(tuple(q_reduced(g, chips, 0)))
+        witnesses = [c for c in reduced if basepoint_positive_rank(dv.Divisor(g, c))]
         if witnesses:
             return degree, list(min(witnesses, key=lambda c: c[1:]))
 

@@ -314,6 +314,26 @@ def test_lazy_factor_stats_certify_as_the_eager_reference():
             assert ct.certify_product(g, h, budget=budget) == ct._certify(stats_g, stats_h)
 
 
+def test_the_hundred_certify_pairs_run_the_pinned_searches(monkeypatch):
+    # the benchmark's ten certify factors: tight-factor tests its size
+    # condition before gon(H), and uniform-connectivity its size conditions
+    # at k = lam(G) before gon(G) and gon(G) = lam(G) before kappa(G)
+    factors = [mg.path(3), mg.cycle(2), mg.complete(3), mg.cycle(4), mg.cycle(5), mg.complete(4),
+               mg.complete_bipartite(2, 3), mg.star(4), mg.hypercube(3), mg.complete(5)]
+    calls = collections.Counter()
+
+    def count(module, name):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or f(*a))
+
+    count(dv, "_sandwich")
+    count(inv, "vertex_connectivity")
+    count(inv, "max_independent_set")
+    for g, h in itertools.product(factors, repeat=2):
+        ct.certify_product(g, h)
+    assert calls == {"_sandwich": 67, "vertex_connectivity": 61, "max_independent_set": 35}
+
+
 def test_tree_factor_pairs_read_neither_kappa_nor_a_gonality_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("kappa or a gonality search was computed")
@@ -337,7 +357,7 @@ def test_an_over_budget_factor_fails_only_the_pairs_that_read_its_gonality(monke
     cert = ct.certify_product(mg.path(4), petersen)
     assert (cert.statement, cert.value) == ("tree-factor", 10)
     with pytest.raises(dv.CandidateBudgetError):
-        ct.certify_product(mg.cycle(4), petersen)  # tight-factor reads its gonality
+        ct.certify_product(mg.cycle(4), petersen)  # the factor-gonality bound reads it
 
 
 def test_every_kept_statement_certifies_a_pair_the_table_leaves_open(monkeypatch):

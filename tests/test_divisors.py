@@ -205,6 +205,15 @@ def test_q_reduce_agrees_with_lattice_oracle():
         assert same == oracles.laplacian_equivalent(g, d1.chips, d2.chips)
 
 
+def test_q_reduce_agrees_with_the_single_firing_oracle():
+    rng = random.Random(19)
+    for _ in range(300):
+        g = oracles.random_connected_multigraph(rng, rng.randrange(1, 8), 0.5)
+        d = random_divisor(rng, g, low=-3, high=4)
+        q = rng.randrange(g.n)
+        assert dv.q_reduce(d, q).chips.tolist() == oracles.q_reduced(g, d.chips, q)
+
+
 def test_rank_examples():
     c5 = mg.cycle(5)
     assert dv.rank(dv.Divisor(c5, [1, 0, 0, 0, 0]), 2) == 0
@@ -640,8 +649,8 @@ def test_the_basepoint_burn_sees_only_rows_that_passed_the_q_filters(monkeypatch
     burn_rows = dv._burn_rows
 
     def spy(burn, chips, q):
-        if q == 0:
-            burned_at_0.extend(map(tuple, chips.tolist()))
+        if q == 0:  # the scan's rows are in burn's dtype: float32 here
+            burned_at_0.extend(map(tuple, chips.astype(np.int64).tolist()))
         return burn_rows(burn, chips, q)
 
     monkeypatch.setattr(dv, "_burn_rows", spy)
