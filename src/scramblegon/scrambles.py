@@ -187,84 +187,98 @@ def _spectral_cut_bounds(g):
     return np.ceil(a * (s * (n - s)) / n).astype(np.int64)
 
 
-def _cut_bound_table(g, member):
-    """F[i, s] <= |boundary(S)| for every vertex set S of size s holding egg i
-    (its row of the 0/1 egg-vertex matrix `member`); _NO_SET where s is
-    below the egg's size.
+class _CutBounds:
+    """Lower bounds on the boundaries of one host g's vertex sets.
 
-    A vertex v of S has at most s - 1 neighbours in S, so at least t_s(v) =
-    deg(v) - (v's s - 1 largest multiplicities) of its edges leave S: F sums
-    t_s over the egg and adds the s - |egg| smallest t_s of all vertices.
-    `_least_row_cut` raises F to the spectral bound `_spectral_cut_bounds`,
-    spec[s] for every s-set, before the first flow of its call, unless
-    `_least_edge_egg_cut` has raised it to its size bounds first."""
-    n = g.n
-    deg = g.mult.sum(axis=1)
-    # kept[v, j]: the sum of v's j largest multiplicities, j = 0..n-1
-    kept = np.zeros((n, n), dtype=np.int64)
-    kept[:, 1:] = np.cumsum(-np.sort(-g.mult, axis=1), axis=1)[:, :-1]
-    t = np.zeros((n + 1, n), dtype=np.int64)  # t[s, v], row 0 unused
-    t[1:] = (deg[:, None] - kept).T
-    least = np.zeros((n + 1, n + 1), dtype=np.int64)  # sum of the j smallest t[s]
-    least[:, 1:] = np.cumsum(np.sort(t, axis=1), axis=1)
-    s = np.arange(n + 1)
-    others = s - member.sum(axis=1)[:, None]
-    table = member @ t.T + least[s, np.maximum(others, 0)]
-    table[others < 0] = _NO_SET
-    return table
+    A vertex v of a set S of s vertices has at most s - 1 neighbours in S,
+    so at least t_s(v) = deg(v) - (v's s - 1 largest multiplicities) of its
+    edges leave S: t[v, s - 1] = t_s(v), and least[j - 1, s - 1] is the sum
+    of the j smallest t_s.  size[s] <= |boundary(S)| for every S of s
+    vertices, s = 0..n: the larger of the degree count, the sum of the s
+    smallest t_s, and Fiedler's bound `_spectral_cut_bounds`."""
+
+    __slots__ = ("t", "least", "size")
+
+    def __init__(self, g):
+        desc = -np.sort(-g.mult, axis=1)
+        kept = np.cumsum(desc, axis=1)
+        self.t = kept[:, -1:] - kept + desc
+        self.least = np.cumsum(np.sort(self.t, axis=0), axis=0)
+        size = np.zeros(g.n + 1, dtype=np.int64)
+        size[1:] = self.least.diagonal()
+        self.size = np.maximum(size, _spectral_cut_bounds(g))
+
+    def table(self, member):
+        """F[i, s] <= |boundary(S)| for every s-set S holding egg i, row i of
+        the 0/1 egg-vertex matrix `member`: t_s summed over the egg, plus the
+        s - |egg| smallest t_s, raised to size[s]; _NO_SET below |egg|."""
+        n = len(self.t)
+        s = np.arange(1, n + 1)
+        others = s - member.sum(axis=1)[:, None]
+        least = np.zeros((n + 1, n), dtype=np.int64)  # least[j, s - 1], from j = 0
+        least[1:] = self.least
+        table = np.full((len(member), n + 1), _NO_SET)
+        table[:, 1:] = np.maximum(member @ self.t + least[np.maximum(others, 0), s - 1], self.size[1:])
+        table[:, 1:][others < 0] = _NO_SET
+        return table
 
 
-def _pair_bounds(table, i, others):
-    """B(i, j) for every egg j of `others`, a slice or list of egg numbers:
-    the least, over the sizes s of the side holding egg i, of max(F[i, s],
-    F[j, n - s]), at most every cut separating the two eggs, as both sides
-    of a cut have its boundary.  F's spectral term is the same for s and
-    n - s and holds for every s-set, so B(i, j) takes it in with no change
-    here."""
-    return np.maximum(table[i], table[others, ::-1]).min(axis=1)
-
-
-def _cut_setup(g, eggs):
+class _EggCuts:
     """What the egg-cut flows and bounds of one call read, built once: the
-    host's capacity rows and neighbour lists, the 0/1 egg-vertex matrix, its
-    `_cut_bound_table`, and [g] until g's spectral bound joins that table."""
-    member = np.zeros((len(eggs), g.n), dtype=np.int64)
-    for i, egg in enumerate(eggs):
-        member[i, list(egg)] = 1
-    return g.mult.tolist(), inv._adjacency(g.mult), member, _cut_bound_table(g, member), [g]
+    host's capacity rows and neighbour lists, the 0/1 egg-vertex matrix
+    `member`, and its table from the host's `_CutBounds`."""
 
+    __slots__ = ("g", "eggs", "bounds", "rows", "nbrs", "member", "table", "label", "asked")
 
-def _least_row_cut(eggs, setup, i, others, best, floor, lead=None):
-    """(min(best, c), side), c the least cut from egg i to a disjoint egg of
-    `others` (a slice or list of egg numbers), and side the maximal source
-    side of the last flow to lower the running minimum, or None.  A pair
-    whose `_pair_bounds` reaches that minimum runs no flow, the others are
-    capped at it, and the scan stops once it is at most `floor`.  Given a
-    `lead` test (`_orbit_leads`), a pair {i, j} runs a flow only if
-    lead(i, j), so one flow runs per orbit of egg pairs: a pair left out
-    cuts as an earlier pair of its orbit, so cannot lower the minimum or
-    change the side.  The spectral bound joins the table before the first
-    flow it could skip, so a call with no flow pays none."""
-    rows, nbrs, member, table, spectral_due = setup
-    bounds = _pair_bounds(table, i, others)
-    disjoint = member[others] @ member[i] == 0
-    if spectral_due and (disjoint & (bounds < best)).any():
-        np.maximum(table, _spectral_cut_bounds(spectral_due.pop()), out=table)
-        bounds = _pair_bounds(table, i, others)
-    numbers = range(len(eggs))[others] if isinstance(others, slice) else others
-    side = None
-    for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
-        if bounds[j] >= best:  # the running minimum fell within this row
-            continue
-        k = numbers[j]
-        if lead is not None and not lead(i, k):
-            continue
-        value, cut = inv._min_cut(rows, nbrs, eggs[i], eggs[k], best)
-        if value < best:
-            best, side = value, cut
-            if best <= floor:
-                break
-    return best, side
+    def __init__(self, g, eggs, bounds):
+        member = np.zeros((len(eggs), g.n), dtype=np.int64)
+        for i, egg in enumerate(eggs):
+            member[i, list(egg)] = 1
+        self.g, self.eggs, self.bounds, self.member = g, eggs, bounds, member
+        self.rows, self.nbrs = g.mult.tolist(), inv._adjacency(g.mult)
+        self.table = bounds.table(member)
+        self.label, self.asked = None, 0
+
+    def leads(self, i, j):
+        """False, for egg numbers i < j about to run a flow, when an earlier
+        pair in egg order lies in the orbit of {i, j} (`_pair_labels`): it
+        has the same cut and met a running minimum no lower, so this flow
+        cannot lower it.  The labels are built at the second call, so a scan
+        with one flow builds none, and never while one of the m x m int64
+        arrays, about five at their peak, would take over an eighth of
+        `multigraph.MATRIX_BUDGET` (m > 2,048 eggs)."""
+        self.asked += 1
+        m = len(self.eggs)
+        if self.asked == 2 and 64 * m * m <= mg.MATRIX_BUDGET:
+            self.label = _pair_labels(self.g, self.member)
+        return self.label is None or self.label[i, j] == i * m + j
+
+    def least_row_cut(self, i, others, best, floor, orbits=False):
+        """(min(best, c), side), c the least cut from egg i to a disjoint egg
+        of `others` (a slice or list of egg numbers), and side the maximal
+        source side of the last flow to lower the running minimum, or None.
+        A pair {i, j} whose bound, the least over s of max(F[i, s],
+        F[j, n - s]) as both sides of a cut have its boundary, reaches that
+        minimum runs no flow; the others are capped at it, and the scan
+        stops once it is at most `floor`.  With `orbits` a pair runs a flow
+        only if `leads(i, j)`: one flow runs per orbit of egg pairs."""
+        table, member = self.table, self.member
+        bounds = np.maximum(table[i], table[others, ::-1]).min(axis=1)
+        disjoint = member[others] @ member[i] == 0
+        numbers = range(len(self.eggs))[others] if isinstance(others, slice) else others
+        side = None
+        for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
+            if bounds[j] >= best:  # the running minimum fell within this row
+                continue
+            k = numbers[j]
+            if orbits and not self.leads(i, k):
+                continue
+            value, cut = inv._min_cut(self.rows, self.nbrs, self.eggs[i], self.eggs[k], best)
+            if value < best:
+                best, side = value, cut
+                if best <= floor:
+                    break
+        return best, side
 
 
 def _pair_labels(g, member):
@@ -294,66 +308,28 @@ def _pair_labels(g, member):
     return label
 
 
-def _orbit_leads(g, member):
-    """lead(i, j), for the egg numbers i < j of a pair about to run a flow:
-    false when a pair earlier in egg order lies in its orbit (`_pair_labels`).
-    Such a pair has the same cut as that earlier one, which was flowed or
-    skipped at a running minimum no lower than now, so its flow cannot lower
-    the minimum.  The labels are built at the second call, so a scan with at
-    most one flow builds none.  They take about five m x m int64 arrays at
-    their peak, m the egg count, so none are built while one such array
-    would take over an eighth of `multigraph.MATRIX_BUDGET` (m > 2,048)."""
-    label = None
-    calls = 0
-
-    def lead(i, j):
-        nonlocal label, calls
-        calls += 1
-        if calls == 2 and 64 * len(member) ** 2 <= mg.MATRIX_BUDGET:
-            label = _pair_labels(g, member)
-        return label is None or label[i, j] == i * len(member) + j
-
-    return lead
-
-
-def _size_cut_bounds(g):
-    """L[s] <= |boundary(S)| for every set S of s vertices, s = 0..n: the
-    larger of the degree count, the sum of the s smallest t_s(v) (see
-    `_cut_bound_table`), and Fiedler's bound `_spectral_cut_bounds`.  The
-    degree count of a set holding an egg sums t_s over s vertices, the s
-    smallest t_s at least, so L can join any egg's table as its spectral
-    term does."""
-    desc = -np.sort(-g.mult, axis=1)
-    # t[v, s - 1] = t_s(v): deg(v) less v's s - 1 largest multiplicities
-    kept = np.cumsum(desc, axis=1)
-    t = kept[:, -1:] - kept + desc
-    least = np.zeros(g.n + 1, dtype=np.int64)
-    least[1:] = np.cumsum(np.sort(t, axis=0), axis=0).diagonal()
-    return np.maximum(least, _spectral_cut_bounds(g))
-
-
-def _least_edge_egg_cut(g, limit, eggs=None, setup=None):
+def _least_edge_egg_cut(g, limit, cuts=None):
     """min(e, limit), e the minimum egg-cut, for eggs that are exactly the
     adjacent vertex pairs of g, with no flow capped above limit: the
-    restricted edge connectivity of Esfahanian and Hakimi.  `eggs`, in any
-    order, and their `_cut_setup` are the caller's if it holds them; else
-    both are built only where a flow runs.
+    restricted edge connectivity of Esfahanian and Hakimi.  `cuts`, the
+    caller's `_EggCuts` of those eggs in any order, lends its `_CutBounds`;
+    without it the eggs and their `_EggCuts` are built only where a flow
+    runs.
 
     The running minimum xi starts at the least boundary of an egg with a
     disjoint egg, an egg-cut.  A side of an egg-cut holds an egg, and a
     side of two or n - 2 vertices is one, with a disjoint egg across: its
-    boundary is at least xi.  So where the size bounds `_size_cut_bounds`
-    of every other split, max(L[s], L[n - s]) for 3 <= s <= n - 3, reach
-    xi, e is xi and no flow runs, as on K4 [] K3, Q3, Q4, C3 [] C4 and
-    Petersen; a host of at most five vertices has no other split at all.
-    Otherwise L joins the table of `setup`.
+    boundary is at least xi.  So where the size bounds of every other
+    split, max(size[s], size[n - s]) for 3 <= s <= n - 3, reach xi, e is
+    xi and no flow runs, as on K4 [] K3, Q3, Q4, C3 [] C4 and Petersen; a
+    host of at most five vertices has no other split at all.
 
     In a least egg-cut every vertex of positive valence has a neighbour on
     its own side: moving one that has none across would cut fewer edges and
     leave an egg on each side.  Take u with the fewest distinct neighbours
     and its neighbour v with the fewest.  A least egg-cut either keeps u
     and v on one side, and then separates the egg {u, v} from an egg
-    disjoint from it, one `_least_row_cut` row; or splits them, and then
+    disjoint from it, one `least_row_cut` row; or splits them, and then
     separates some egg {u, w} from some egg {v, x}, the (d(u) - 1)(d(v) - 1)
     pairs of the split rows."""
     distinct = np.count_nonzero(g.mult, axis=1)
@@ -367,26 +343,19 @@ def _least_edge_egg_cut(g, limit, eggs=None, setup=None):
     n = g.n
     if n < 6:
         return best
-    size = _size_cut_bounds(g)
-    settled = bool((np.maximum(size, size[::-1])[3:n - 2] >= best).all())
-    if setup is None:
-        if settled:
-            return best
-        if eggs is None:
-            eggs = [frozenset(pair) for pair in zip(a.tolist(), b.tolist())]
-        setup = _cut_setup(g, eggs)
-    np.maximum(setup[3], size, out=setup[3])
-    setup[4].clear()  # the spectral term is in the table
-    if settled:
+    bounds = _CutBounds(g) if cuts is None else cuts.bounds
+    if (np.maximum(bounds.size, bounds.size[::-1])[3:n - 2] >= best).all():
         return best
+    if cuts is None:
+        cuts = _EggCuts(g, [frozenset(pair) for pair in zip(a.tolist(), b.tolist())], bounds)
     u = min(np.flatnonzero(distinct).tolist(), key=distinct.__getitem__)
-    v = min(setup[1][u], key=distinct.__getitem__)
-    number = {egg: i for i, egg in enumerate(eggs)}
-    best = _least_row_cut(eggs, setup, number[frozenset((u, v))], slice(None), best, 0)[0]
-    at_v = [number[frozenset((v, x))] for x in setup[1][v]]
-    for w in setup[1][u]:
+    v = min(cuts.nbrs[u], key=distinct.__getitem__)
+    number = {egg: i for i, egg in enumerate(cuts.eggs)}
+    best = cuts.least_row_cut(number[frozenset((u, v))], slice(None), best, 0)[0]
+    at_v = [number[frozenset((v, x))] for x in cuts.nbrs[v]]
+    for w in cuts.nbrs[u]:
         if w != v:
-            best = _least_row_cut(eggs, setup, number[frozenset((u, w))], at_v, best, 0)[0]
+            best = cuts.least_row_cut(number[frozenset((u, w))], at_v, best, 0)[0]
     return best
 
 
@@ -397,34 +366,31 @@ def egg_cut_number(scramble):
 
     Returns (value, (A, value)) with A the maximal source side of the first
     pair, in egg order, whose cut attains the minimum.  Each egg's flows to
-    the later eggs run in `_least_row_cut`, on its pair bounds (degree
-    counting and Fiedler's spectral bound), built one egg row at a time, and
-    on the rows of `_cut_setup`.  One flow runs per orbit of egg pairs under
-    the host automorphisms that map the egg set onto itself
-    (`_orbit_leads`): a pair runs none when its orbit holds an earlier pair,
-    whose cut it shares and which met a running minimum no lower.  A
-    skipped or capped pair cannot cut strictly below the running minimum,
-    so cannot replace the witness.
+    the later eggs run in `_EggCuts.least_row_cut`, on the egg table of the
+    host's `_CutBounds` (degree counting raised to the size bounds, which
+    take in Fiedler's spectral bound), one flow per orbit of egg pairs
+    under the host automorphisms that map the egg set onto itself
+    (`_EggCuts.leads`).  A skipped or capped pair cannot cut strictly below
+    the running minimum, so cannot replace the witness.
 
     When the eggs are exactly the adjacent vertex pairs of the host, as in
-    `edge_scramble`, the minimum e comes first from `_least_edge_egg_cut`:
-    from the size bounds alone, or from the flows of one split edge.  The
-    scan in egg order then only finds the witness, on a table that holds
-    the size bounds where they were worked out: its running minimum starts
-    at e + 1 and it stops at the first pair that cuts e."""
+    `edge_scramble`, the minimum e comes first from `_least_edge_egg_cut`
+    on the same `_EggCuts`: from the size bounds alone, or from the flows
+    of one split edge.  The scan in egg order then only finds the witness:
+    its running minimum starts at e + 1 and it stops at the first pair that
+    cuts e."""
     g = scramble.host
     eggs = scramble.eggs
-    setup = _cut_setup(g, eggs)
+    cuts = _EggCuts(g, eggs, _CutBounds(g))
     least, best = 0, math.inf
     if all(len(egg) == 2 for egg in eggs) and len(eggs) == np.count_nonzero(g.mult) // 2:
-        least = _least_edge_egg_cut(g, math.inf, eggs, setup)
+        least = _least_edge_egg_cut(g, math.inf, cuts)
         if least is math.inf:
             return least, None
         best = least + 1
     witness = None
-    lead = _orbit_leads(g, setup[2])
     for i in range(len(eggs) - 1):
-        best, side = _least_row_cut(eggs, setup, i, slice(i + 1, None), best, least, lead)
+        best, side = cuts.least_row_cut(i, slice(i + 1, None), best, least, orbits=True)
         if side is not None:
             witness = (side, best)
             if best == least:
@@ -456,8 +422,9 @@ def edge_scramble(g):
 
     Its hitting number is n - alpha by vertex-cover duality, and its egg-cut
     the restricted edge connectivity, which `egg_cut_number` finds from the
-    size bounds or from Esfahanian and Hakimi's split of one edge
-    (`_least_edge_egg_cut`).  `_edge_scramble_order` gives the order alone.
+    size bounds of the host's `_CutBounds` or from Esfahanian and Hakimi's
+    split of one edge (`_least_edge_egg_cut`), on one `_EggCuts` of its
+    eggs.  `_edge_scramble_order` gives the order alone.
     """
     eggs = [{u, v} for u, v, _ in g.edges()]
     if not eggs:

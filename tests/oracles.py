@@ -198,27 +198,18 @@ def networkx_egg_cut_number(scramble):
 
 
 def all_pairs_egg_cut_number(scramble):
-    """`scrambles.egg_cut_number` as it scanned every scramble, the full edge
-    scramble included: every disjoint egg pair in egg order, skipped where
-    its degree bound reaches the running minimum and else one flow capped at
-    it, the first pair attaining the minimum giving the witness."""
+    """`scrambles.egg_cut_number` with no bound and no symmetry: one flow
+    per disjoint egg pair in egg order, the full edge scramble included,
+    each capped at the running minimum, the first pair attaining the
+    minimum giving the witness."""
     g = scramble.host
-    eggs = scramble.eggs
     rows = g.mult.tolist()
     nbrs = inv._adjacency(g.mult)
-    member = np.zeros((len(eggs), g.n), dtype=np.int64)
-    for i, egg in enumerate(eggs):
-        member[i, list(egg)] = 1
-    table = np.maximum(sc._cut_bound_table(g, member), sc._spectral_cut_bounds(g))
     best = math.inf
     witness = None
-    for i, a in enumerate(eggs[:-1]):
-        bounds = sc._pair_bounds(table, i, slice(i + 1, None))
-        disjoint = member[i + 1:] @ member[i] == 0
-        for j in np.flatnonzero(disjoint & (bounds < best)).tolist():
-            if bounds[j] >= best:
-                continue
-            value, side = inv._min_cut(rows, nbrs, a, eggs[i + 1 + j], best)
+    for a, b in itertools.combinations(scramble.eggs, 2):
+        if not a & b:
+            value, side = inv._min_cut(rows, nbrs, a, b, best)
             if value < best:
                 best = value
                 witness = (frozenset(side), value)

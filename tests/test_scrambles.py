@@ -144,15 +144,17 @@ def reference_spectral_bounds(g):
 
 
 def reference_cut_bounds(g, egg):
-    """F(s) for s = 0..n by its definition, loop by loop: the larger of the
-    degree-counting bound and the spectral one; None below |egg|."""
+    """F(s) for s = 0..n by its definition, loop by loop: the largest of the
+    degree-counting bound of a set holding the egg, that of any s-set (the s
+    smallest t_s) and the spectral one; None below |egg|."""
     n = g.n
     rows = g.mult.tolist()
     spectral = reference_spectral_bounds(g)
     out = [None] * (n + 1)
     for s in range(len(egg), n + 1):
         t = [sum(row) - sum(sorted(row, reverse=True)[:s - 1]) for row in rows]
-        out[s] = max(sum(t[v] for v in egg) + sum(sorted(t)[:s - len(egg)]), spectral[s])
+        out[s] = max(sum(t[v] for v in egg) + sum(sorted(t)[:s - len(egg)]), sum(sorted(t)[:s]),
+                     spectral[s])
     return out
 
 
@@ -190,23 +192,21 @@ def test_pair_bound_is_below_every_separating_cut_property(case):
     member = np.zeros((len(s.eggs), g.n), dtype=np.int64)
     for i, egg in enumerate(s.eggs):
         member[i, list(egg)] = 1
-    # the table as the scan reads it once the spectral bound is taken in
-    table = np.maximum(sc._cut_bound_table(g, member), sc._spectral_cut_bounds(g))
+    table = sc._CutBounds(g).table(member)
     reference = [reference_cut_bounds(g, egg) for egg in s.eggs]
     for i, a in enumerate(s.eggs):
         assert [None if x == sc._NO_SET else x for x in table[i].tolist()] == reference[i]
-        bounds = sc._pair_bounds(table, i, slice(i + 1, None))
         for j, b in enumerate(s.eggs[i + 1:]):
             if not a & b:
                 ra, rb = reference[i], reference[i + 1 + j]
-                assert bounds[j] == min(max(ra[k], rb[g.n - k]) for k in range(len(a), g.n - len(b) + 1))
-                assert bounds[j] <= oracles.brute_egg_cut(g, [a, b])
+                bound = min(max(ra[k], rb[g.n - k]) for k in range(len(a), g.n - len(b) + 1))
+                assert bound <= oracles.brute_egg_cut(g, [a, b])
 
 
 def test_cut_bound_is_exact_on_complete_graphs():
     # every s-set of K_n has boundary s(n - s), and the bound reaches it
     for n in (2, 5, 8):
-        table = sc._cut_bound_table(mg.complete(n), np.eye(n, dtype=np.int64))
+        table = sc._CutBounds(mg.complete(n)).table(np.eye(n, dtype=np.int64))
         assert table[:, 1:].tolist() == [[s * (n - s) for s in range(1, n + 1)]] * n
 
 
@@ -239,7 +239,7 @@ def test_spectral_bound_is_below_the_least_boundary_of_every_size():
     huge = mg.from_edge_list(3, [(0, 1, 2**53 + 1), (1, 2, 1), (0, 2, 1)])
     assert sc._spectral_cut_bounds(huge).tolist() == [0, 0, 0, 0]
     assert oracles.least_boundaries(huge) == [0, 2, 2, 0]
-    table = sc._cut_bound_table(huge, np.eye(3, dtype=np.int64))
+    table = sc._CutBounds(huge).table(np.eye(3, dtype=np.int64))
     assert [None if x == sc._NO_SET else x for x in table[0].tolist()] == reference_cut_bounds(huge, {0})
     # K4 with multiplicity 2**63 - 1 would wrap its valences in int64: such
     # a graph is refused when it is built
@@ -256,11 +256,10 @@ def test_size_bounds_are_below_the_least_boundary_of_every_size():
                for _ in range(40)]
     assert not all(inv.is_connected(g) for g in graphs)
     for g in graphs:
-        size = sc._size_cut_bounds(g).tolist()
+        size = sc._CutBounds(g).size.tolist()
         assert all(x <= y for x, y in zip(size, oracles.least_boundaries(g))), g.mult.tolist()
-        # the degree count is the bound table's row for an empty egg
-        empty = sc._cut_bound_table(g, np.zeros((1, g.n), dtype=np.int64))[0]
-        assert size == np.maximum(empty, sc._spectral_cut_bounds(g)).tolist()
+        # the bound of a set holding an empty egg
+        assert size == reference_cut_bounds(g, set())
 
 
 def test_sn_bounds_and_gonality_refuse_at_one_degree():
@@ -287,7 +286,7 @@ def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run(monkeypatch)
     def no_eggs(*args):
         raise AssertionError("an egg list was built")
 
-    monkeypatch.setattr(sc, "_cut_setup", refuse)
+    monkeypatch.setattr(sc, "_EggCuts", refuse)
     monkeypatch.setattr(sc, "frozenset", no_eggs, raising=False)
     for g, value in cases:
         alpha = inv.independence_number(g)
@@ -300,6 +299,39 @@ def test_the_spectral_bound_leaves_the_edge_scramble_no_flow_to_run(monkeypatch)
     monkeypatch.delattr(sc, "frozenset")
     with pytest.raises(AssertionError, match="per-egg table"):
         sc._edge_scramble_order(g, inv.independence_number(g))
+
+
+def test_an_egg_cut_call_builds_its_bounds_once(monkeypatch):
+    # the 3 x 5 grid's size bounds do not settle its edge scramble: the
+    # split edge's flows and the witness scan read one host's bounds, so one
+    # t_s table and one eigenvalue call, where two t_s tables were built
+    calls = []
+    spectral = sc._spectral_cut_bounds
+
+    def counted_spectral(g):
+        calls.append("spectral")
+        return spectral(g)
+
+    class CountedBounds(sc._CutBounds):
+        __slots__ = ()
+
+        def __init__(self, g):
+            calls.append("t_s")
+            super().__init__(g)
+
+    monkeypatch.setattr(sc, "_spectral_cut_bounds", counted_spectral)
+    monkeypatch.setattr(sc, "_CutBounds", CountedBounds)
+    g = mg.grid([3, 5])
+    with oracles.counted_flows() as flows:
+        value, (side, size) = sc.egg_cut_number(sc.edge_scramble(g))
+    assert (value, sorted(side), size) == (3, [0, 1, 5, 6, 10, 11], 3)
+    assert len(flows) == 21
+    assert sorted(calls) == ["spectral", "t_s"]
+    del calls[:]
+    with oracles.counted_flows() as flows:
+        assert sc._edge_scramble_order(g, inv.independence_number(g)) == 3
+    assert len(flows) == 20
+    assert sorted(calls) == ["spectral", "t_s"]
 
 
 def test_egg_cut_number_skips_the_pairs_its_bound_rules_out():
