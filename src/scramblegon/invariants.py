@@ -14,10 +14,12 @@ adjacency bitmasks.  Every flow (min cuts between vertex sets and eggs, edge
 connectivity, and the local vertex connectivities on the vertex-split
 digraph) runs in one capped max-flow routine, `_min_cut`; kappa is found by
 Esfahanian-Hakimi.  `_min_cut` reads capacity rows and neighbour lists built
-by its caller, so the connectivities, the egg-cut scan and the brute-force
-oracle build them once per call; each flow starts from the paths of at most
-two arcs between its sides, pushes its paths on those rows and takes them
-back before it returns.  Bridges come from a low-link DFS.
+by its caller, so the connectivities and the egg-cut scan build them once
+per call; each flow starts from the paths of at most two arcs between its
+sides, pushes its paths on those rows and takes them back before it
+returns.  The brute-force oracle runs no flow: it reads its egg pairs' cuts
+from a table of every vertex set's boundary.  Bridges come from a low-link
+DFS.
 
 `_automorphism_generators` finds host automorphisms for the egg-cut scan by
 individualisation and refinement, within a fixed node budget, and keeps a

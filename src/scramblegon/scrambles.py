@@ -223,17 +223,31 @@ class _CutBounds:
         return table
 
 
+def _membership(eggs, n):
+    """The 0/1 egg-vertex matrix: row i marks the vertices of egg i."""
+    member = np.zeros((len(eggs), n), dtype=np.int64)
+    for i, egg in enumerate(eggs):
+        member[i, list(egg)] = 1
+    return member
+
+
+def _pairwise_meeting(member):
+    """Whether every two rows of the 0/1 egg-vertex matrix `member` share a
+    vertex: at once where one vertex lies in every egg, else row by row up
+    to the first row that misses a later one."""
+    if member.all(axis=0).any():
+        return True
+    return all((member[i + 1:] @ member[i]).all() for i in range(len(member) - 1))
+
+
 class _EggCuts:
     """What the egg-cut flows and bounds of one call read, built once: the
     host's capacity rows and neighbour lists, the 0/1 egg-vertex matrix
-    `member`, and its table from the host's `_CutBounds`."""
+    `member` (`_membership`), and its table from the host's `_CutBounds`."""
 
     __slots__ = ("g", "eggs", "bounds", "rows", "nbrs", "member", "table", "label", "asked")
 
-    def __init__(self, g, eggs, bounds):
-        member = np.zeros((len(eggs), g.n), dtype=np.int64)
-        for i, egg in enumerate(eggs):
-            member[i, list(egg)] = 1
+    def __init__(self, g, eggs, member, bounds):
         self.g, self.eggs, self.bounds, self.member = g, eggs, bounds, member
         self.rows, self.nbrs = g.mult.tolist(), inv._adjacency(g.mult)
         self.table = bounds.table(member)
@@ -347,7 +361,8 @@ def _least_edge_egg_cut(g, limit, cuts=None):
     if (np.maximum(bounds.size, bounds.size[::-1])[3:n - 2] >= best).all():
         return best
     if cuts is None:
-        cuts = _EggCuts(g, [frozenset(pair) for pair in zip(a.tolist(), b.tolist())], bounds)
+        eggs = [frozenset(pair) for pair in zip(a.tolist(), b.tolist())]
+        cuts = _EggCuts(g, eggs, _membership(eggs, n), bounds)
     u = min(np.flatnonzero(distinct).tolist(), key=distinct.__getitem__)
     v = min(cuts.nbrs[u], key=distinct.__getitem__)
     number = {egg: i for i, egg in enumerate(cuts.eggs)}
@@ -362,7 +377,7 @@ def _least_edge_egg_cut(g, limit, cuts=None):
 def egg_cut_number(scramble):
     """Minimum egg-cut over disjoint egg pairs, via max-flow with the two
     eggs contracted to source and sink.  (inf, None) when no two eggs are
-    disjoint.
+    disjoint (`_pairwise_meeting`), before any bound is built.
 
     Returns (value, (A, value)) with A the maximal source side of the first
     pair, in egg order, whose cut attains the minimum.  Each egg's flows to
@@ -381,12 +396,13 @@ def egg_cut_number(scramble):
     cuts e."""
     g = scramble.host
     eggs = scramble.eggs
-    cuts = _EggCuts(g, eggs, _CutBounds(g))
+    member = _membership(eggs, g.n)
+    if _pairwise_meeting(member):
+        return math.inf, None
+    cuts = _EggCuts(g, eggs, member, _CutBounds(g))
     least, best = 0, math.inf
     if all(len(egg) == 2 for egg in eggs) and len(eggs) == np.count_nonzero(g.mult) // 2:
         least = _least_edge_egg_cut(g, math.inf, cuts)
-        if least is math.inf:
-            return least, None
         best = least + 1
     witness = None
     for i in range(len(eggs) - 1):
@@ -566,6 +582,34 @@ class BruteForceResult:
     exact: bool
 
 
+def _boundary_table(g):
+    """delta[S] = |boundary(S)|, multiplicities counted, for every vertex
+    mask S of g (bit v for vertex v), by doubling: the masks holding v
+    follow the 2**v below it, each the mask without v plus deg(v) less twice
+    v's multiplicity into it, read from a table doubled the same way over
+    the vertices below v.  O(n 2**n) int64 entries, none of which can wrap:
+    `Multigraph` keeps the multiplicities' total below 2**63."""
+    deg = g.mult.sum(axis=1)
+    delta = np.zeros(1, dtype=np.int64)
+    for v in range(g.n):
+        into = np.zeros(1, dtype=np.int64)  # into[S]: v's multiplicity into S
+        for u in range(v):
+            into = np.concatenate((into, into + g.mult[v, u]))
+        delta = np.concatenate((delta, delta + deg[v] - 2 * into))
+    return delta
+
+
+def _holding(masks, n):
+    """holds[S] for every vertex mask S of n bits: whether S holds one of
+    `masks` (an int64 array), one pass per vertex."""
+    holds = np.zeros(1 << n, dtype=bool)
+    holds[masks] = True
+    for v in range(n):
+        halves = holds.reshape(-1, 2, 1 << v)
+        halves[:, 1] |= halves[:, 0]
+    return holds
+
+
 def brute_force_sn(g, max_eggs=None):
     """Exact scramble number by exhausting the definition (tiny graphs only).
 
@@ -577,21 +621,32 @@ def brute_force_sn(g, max_eggs=None):
     the witness size; when the cap prunes a failed search the result is
     flagged as a lower bound only (exact=False).
 
-    Eggs are vertex bitmasks and constraints are numbered in combinations
-    order.  Per k the distinct component eggs are numbered by smallest
-    member, and each constraint's options, its components, are one bitset
-    of egg numbers.  The search branches on the first open constraint with
-    the fewest options, found from bitsets of the constraints by option
+    No flow runs.  `_boundary_table` gives every vertex set's boundary once
+    per call, and at each k the light cuts are the sets S holding vertex 0
+    with |boundary(S)| < k and a whole component egg inside S and another
+    inside V - S.  By max-flow/min-cut two disjoint eggs cut below k exactly
+    when a light cut holds one inside S and the other inside V - S, so a
+    family of eggs is pairwise compatible exactly when each light cut has a
+    whole egg of it on at most one side.  sn >= k is decided by `orient`, a
+    depth-first search that closes one side of each light cut in turn,
+    branching only where both sides still hold a live egg, one that no
+    closed side holds whole, and tests every constraint's options after
+    each choice, until every constraint keeps a live egg.
+
+    The witness comes from one egg search, at the largest k that passes
+    (with max_eggs, at every k, since the cap decides where a failing search
+    is pruned).  Eggs are vertex bitmasks and constraints are numbered in
+    combinations order.  Per k the distinct component eggs are numbered by
+    smallest member, and each constraint's options, its components, are one
+    bitset of egg numbers.  The search branches on the first open constraint
+    with the fewest options, found from bitsets of the constraints by option
     count.  Choosing egg i closes the constraints it avoids with one AND
     against its bitset of constraints meeting it.  Of the rest it narrows
-    only those offering an egg not yet known to be compatible with i, found
-    from per-egg bitsets of the constraints offering it; each is narrowed,
-    in constraint order, by one AND with i's bitset of compatible eggs:
-    those meeting it, and the disjoint ones whose cut reaches k.  A disjoint
-    pair's cut is settled by one `invariants._min_cut` flow the first time a
-    narrowing meets it, on capacity rows and neighbour lists built once per
-    call and left as they were, with no copy, between the two eggs' vertex
-    lists, each built at most once per k.  A branch stops at the first
+    only those offering an egg a light cut separates from i, found from
+    per-egg bitsets of the constraints offering it; each is narrowed, in
+    constraint order, by one AND.  The eggs apart from i are the union, over
+    the light cuts with i whole on one side, of the eggs whole on the other,
+    built the first time i is chosen.  A branch stops at the first
     constraint it empties, and its narrowings are undone from a trail when
     the search backtracks.
     """
@@ -600,9 +655,8 @@ def brute_force_sn(g, max_eggs=None):
         raise ValueError("max_eggs must be at least 1, got %d" % max_eggs)
     if n > 16:
         raise ValueError("brute-force oracle is exponential; refusing n > 16")
-
-    rows = g.mult.tolist()
-    nbrs = inv._adjacency(g.mult)
+    full = (1 << n) - 1
+    delta = _boundary_table(g)
 
     def bits(mask):
         """The positions of the set bits of mask, ascending."""
@@ -629,12 +683,12 @@ def brute_force_sn(g, max_eggs=None):
         return [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
                 for col in held.T.astype(np.uint8)]
 
-    near_lo, near_hi = union_tables([sum(1 << u for u in a) for a in nbrs])
+    near_lo, near_hi = union_tables([sum(1 << u for u in a) for a in inv._adjacency(g.mult)])
 
     def comp_masks(avoid_mask):
         """Components of the graph minus the avoided vertices, as bitmasks
         sorted by smallest member."""
-        rest = ((1 << n) - 1) & ~avoid_mask
+        rest = full & ~avoid_mask
         out = []
         while rest:
             comp = frontier = rest & -rest
@@ -647,7 +701,11 @@ def brute_force_sn(g, max_eggs=None):
 
     capped = [False]
 
-    def decide(k):
+    def level(k):
+        """(orient, search) on one build of k's constraints, component eggs
+        and light cuts: orient() is True iff sn >= k, and search() returns
+        the witness egg masks at k, or None.  search narrows the options in
+        place, so orient, if asked, is asked first."""
         constraints = [sum(c) for c in itertools.combinations([1 << v for v in range(n)], k - 1)]
         comps = [comp_masks(c) for c in constraints]
         eggs = sorted({e for cs in comps for e in cs}, key=lambda e: (e & -e, e))
@@ -666,80 +724,99 @@ def brute_force_sn(g, max_eggs=None):
                 offers[i] |= 1 << t
             options.append(opts)
             by_count[len(cs)] |= 1 << t
-        # the eggs, and the constraints, meeting a vertex mask
-        eggs_lo, eggs_hi = union_tables(holders(eggs))
-        held_lo, held_hi = union_tables(holders(constraints))
-        # compatible[i]: the eggs known to be compatible with egg i, at first
-        # those meeting it; unsettled[i]: the disjoint eggs no flow has
-        # settled against it yet
-        compatible = [eggs_lo[e & 255] | eggs_hi[e >> 8] for e in eggs]
         everything = (1 << len(eggs)) - 1
-        unsettled = [everything ^ meets for meets in compatible]
-        trail = []  # (constraint, its options before a narrowing)
-        chosen = []
-        vertex_lists = [None] * len(eggs)
+        # the light cuts, as the side S holding vertex 0, with a whole egg on
+        # each side; inside[c] and outside[c]: the eggs whole in S and in V - S
+        holds = _holding(np.array(eggs, dtype=np.int64), n)
+        sides = np.arange(1, full, 2)
+        sides = sides[(delta[1:full:2] < k) & holds[1:full:2] & holds[full - 1:0:-2]].tolist()
+        eggs_lo, eggs_hi = union_tables(holders(eggs))
+        inside = [everything & ~(eggs_lo[(full ^ s) & 255] | eggs_hi[(full ^ s) >> 8]) for s in sides]
+        outside = [everything & ~(eggs_lo[s & 255] | eggs_hi[s >> 8]) for s in sides]
 
-        def vertices(i):
-            """Egg i's vertex list, built on first use."""
-            if vertex_lists[i] is None:
-                vertex_lists[i] = list(bits(eggs[i]))
-            return vertex_lists[i]
-
-        def settle(i, fresh):
-            """One flow from egg i to each egg numbered in fresh."""
-            side = vertices(i)
-            for j in bits(fresh):
-                if inv._min_cut(rows, nbrs, side, vertices(j), k)[0] >= k:
-                    compatible[i] |= 1 << j
-                    compatible[j] |= 1 << i
-                unsettled[j] &= ~(1 << i)
-            unsettled[i] &= ~fresh
-
-        def replace(t, opts):
-            """Set constraint t's options to opts, keeping the index."""
-            bit = 1 << t
-            by_count[options[t].bit_count()] ^= bit
-            by_count[opts.bit_count()] ^= bit
-            for j in bits(options[t] ^ opts):
-                offers[j] ^= bit
-            options[t] = opts
-
-        def undo(mark):
-            while len(trail) > mark:
-                replace(*trail.pop())
-
-        def choose(i, open_):
-            """The constraints left open by choosing egg i, narrowed on the
-            trail, or None when one of them is left no egg."""
-            open_ &= held_lo[eggs[i] & 255] | held_hi[eggs[i] >> 8]
-            offering = 0
-            for j in bits(everything & ~compatible[i]):
-                offering |= offers[j]
-            for t in bits(open_ & offering):
-                opts = options[t]
-                fresh = opts & unsettled[i]
-                if fresh:
-                    settle(i, fresh)
-                narrowed = opts & compatible[i]
-                if narrowed != opts:
-                    if not narrowed:
-                        return None
-                    trail.append((t, opts))
-                    replace(t, narrowed)
-            return open_
-
-        def branch_options(open_):
-            """The options of the first open constraint with fewest options."""
-            for group in by_count:
-                fewest = open_ & group
-                if fewest:
-                    return options[(fewest & -fewest).bit_length() - 1]
+        def orient():
+            """Depth first over a stack of (next cut, live eggs): a cut with
+            a live egg on each side branches on the side it closes, which
+            kills the live eggs whole in it, and a branch lives while every
+            constraint keeps a live option.  True once every cut is passed."""
+            stack = [(0, everything)]
+            while stack:
+                c, live = stack.pop()
+                while c < len(sides) and not (inside[c] & live and outside[c] & live):
+                    c += 1
+                if c == len(sides):
+                    return True
+                for closed in (inside[c], outside[c]):
+                    left = live & ~closed
+                    if all(opts & left for opts in options):
+                        stack.append((c + 1, left))
+            return False
 
         def search():
             """Depth first over a stack of frames [options left to try, open
             constraints, trail mark], one per chosen egg and the root, as a
-            witness can hold more eggs than Python allows nested calls.
-            True when every constraint is closed."""
+            witness can hold more eggs than Python allows nested calls; the
+            chosen eggs' masks when every constraint is closed, else None."""
+            held_lo, held_hi = union_tables(holders(constraints))
+            # the light cuts meeting a vertex mask, and meeting its complement
+            cuts_lo, cuts_hi = union_tables(holders(sides))
+            rest_lo, rest_hi = union_tables(holders([full ^ s for s in sides]))
+            all_cuts = (1 << len(sides)) - 1
+            apart_rows = [None] * len(eggs)
+            trail = []  # (constraint, its options before a narrowing)
+            chosen = []
+
+            def apart(i):
+                """The eggs that a light cut separates from egg i."""
+                if apart_rows[i] is None:
+                    e = eggs[i]
+                    row = 0
+                    for c in bits(all_cuts & ~(rest_lo[e & 255] | rest_hi[e >> 8])):
+                        row |= outside[c]
+                    for c in bits(all_cuts & ~(cuts_lo[e & 255] | cuts_hi[e >> 8])):
+                        row |= inside[c]
+                    apart_rows[i] = row
+                return apart_rows[i]
+
+            def replace(t, opts):
+                """Set constraint t's options to opts, keeping the index."""
+                bit = 1 << t
+                by_count[options[t].bit_count()] ^= bit
+                by_count[opts.bit_count()] ^= bit
+                for j in bits(options[t] ^ opts):
+                    offers[j] ^= bit
+                options[t] = opts
+
+            def undo(mark):
+                while len(trail) > mark:
+                    replace(*trail.pop())
+
+            def choose(i, open_):
+                """The constraints left open by choosing egg i, narrowed on
+                the trail, or None when one of them is left no egg."""
+                open_ &= held_lo[eggs[i] & 255] | held_hi[eggs[i] >> 8]
+                separated = apart(i)
+                offering = 0
+                for j in bits(separated):
+                    offering |= offers[j]
+                for t in bits(open_ & offering):
+                    opts = options[t]
+                    narrowed = opts & ~separated
+                    if narrowed != opts:
+                        if not narrowed:
+                            return None
+                        trail.append((t, opts))
+                        replace(t, narrowed)
+                return open_
+
+            def branch_options(open_):
+                """The options of the first open constraint with fewest
+                options."""
+                for group in by_count:
+                    fewest = open_ & group
+                    if fewest:
+                        return options[(fewest & -fewest).bit_length() - 1]
+
             open_ = (1 << len(constraints)) - 1
             stack = []
             while open_:
@@ -761,34 +838,40 @@ def brute_force_sn(g, max_eggs=None):
                     open_ = choose(i, frame[1])
                     if open_ is not None:
                         chosen.append(i)
-            return open_ is not None
+            return None if open_ is None else [eggs[i] for i in chosen]
 
-        if search():
-            return [eggs[i] for i in chosen]
-        return None
+        return orient, search
 
     def witness(masks):
         """The Scramble of the egg masks, built from the minimal ones, as
-        Scramble would keep: a table over all 2**n vertex masks marks those
-        holding a chosen egg, one pass per vertex, and a chosen egg is
-        dropped where removing one of its vertices leaves a marked mask."""
+        Scramble would keep: `_holding` marks the vertex masks holding a
+        chosen egg, and a chosen egg is dropped where removing one of its
+        vertices leaves a marked mask."""
         masks = np.unique(np.array(masks, dtype=np.int64))
-        holds = np.zeros(1 << n, dtype=bool)
-        holds[masks] = True
-        for v in range(n):
-            halves = holds.reshape(-1, 2, 1 << v)
-            halves[:, 1] |= halves[:, 0]
+        holds = _holding(masks, n)
         inner = np.zeros(len(masks), dtype=bool)
         for v in range(n):
             inner |= (masks >> v & 1).astype(bool) & holds[masks & ~(1 << v)]
         return Scramble(g, [frozenset(bits(m)) for m in masks[~inner].tolist()])
 
     best = 1
-    witness_masks = [(1 << n) - 1] if inv.is_connected(g) else [1]
+    witness_masks = [full] if inv.is_connected(g) else [1]
+    found = None
     for k in range(2, n + 1):
-        capped[0] = False
-        masks = decide(k)
-        if masks is None:
-            return BruteForceResult(best, witness(witness_masks), not capped[0])
-        best, witness_masks = k, masks
+        orient, search = level(k)
+        if max_eggs is not None:
+            capped[0] = False
+            masks = search()
+            if masks is None:
+                return BruteForceResult(best, witness(witness_masks), not capped[0])
+            best, witness_masks = k, masks
+        elif orient():
+            best, found = k, search
+        else:
+            break
+    if found is not None:
+        witness_masks = found()
+        if witness_masks is None:
+            raise RuntimeError("soundness bug: the light cuts pass sn >= %d, "
+                               "but the egg search finds no scramble" % best)
     return BruteForceResult(best, witness(witness_masks), True)

@@ -544,12 +544,19 @@ def test_product_scramble_orders_split_into_copies():
     assert (order.order, order.hitting, order.egg_cut) == (10, 10, 10)
 
 
-def test_egg_cut_is_infinite_without_disjoint_eggs():
-    g = mg.cycle(5)
-    s = sc.Scramble(g, [{0, 1}, {1, 2}])
-    value, witness = sc.egg_cut_number(s)
-    assert value is math.inf and witness is None
-    assert sc.scramble_order(s).order == sc.hitting_number(s)[0]
+def test_egg_cut_is_infinite_without_disjoint_eggs(monkeypatch):
+    # no bound is built, so Fiedler's eigenvalue is never asked for: one egg,
+    # eggs through one vertex, and the triangle's edges, which share none
+    def refused(a):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    q3 = mg.hypercube(3)
+    for s in (sc.Scramble(mg.cycle(5), [{0, 1}, {1, 2}]), sc.Scramble(q3, [{0, 1}]),
+              sc.Scramble(q3, [{0, 1}, {0, 2}, {0, 4, 5}]), sc.edge_scramble(mg.complete(3))):
+        value, witness = sc.egg_cut_number(s)
+        assert value is math.inf and witness is None
+        assert sc.scramble_order(s).order == sc.hitting_number(s)[0]
 
 
 def test_the_edge_scramble_of_a_disconnected_host_has_egg_cut_zero():
@@ -750,6 +757,19 @@ def test_sn_bounds_of_long_sparse_graphs_needs_no_nesting():
         assert report.lower_source == "bridge split: vertex scramble"
 
 
+def test_the_boundary_table_counts_every_boundary_with_multiplicity():
+    k33 = mg.complete_bipartite(3, 3)
+    tripled = mg.from_edge_list(6, [(u, v, 3 if (u, v) == (0, 3) else 1) for u, v, _ in k33.edges()])
+    graphs = [mg.from_edge_list(2, [(0, 1, 2)]), tripled,
+              mg.from_edge_list(6, [(0, 1, 2), (1, 2, 1), (3, 4, 3)]),
+              mg.cone(mg.cycle(4), 4)]
+    for g in graphs:
+        delta = sc._boundary_table(g)
+        assert len(delta) == 1 << g.n and delta[0] == delta[-1] == 0
+        for mask in range(1, (1 << g.n) - 1):
+            assert delta[mask] == inv.edge_boundary(g, [v for v in range(g.n) if mask >> v & 1])
+
+
 def test_brute_force_sn_known_values():
     assert sc.brute_force_sn(mg.path(6)).value == 1
     assert sc.brute_force_sn(mg.cycle(6)).value == 2
@@ -795,16 +815,17 @@ def test_brute_force_sn_witness_may_outgrow_the_recursion_limit():
 
 
 def _oracle_records():
-    """(graph, value, exact, pair-cut flows, witness eggs as sorted vertex
-    bitmasks) of brute_force_sn, recorded from the search that filtered
-    Python lists of eggs through a cached pair predicate."""
+    """(graph, value, exact, witness eggs as sorted vertex bitmasks) of
+    brute_force_sn, recorded from the search that filtered Python lists of
+    eggs through a cached pair predicate, and later from the search that
+    settled each egg pair with a flow."""
     return [
-        (mg.hypercube(3), 4, True, 25,
+        (mg.hypercube(3), 4, True,
          [23, 43, 61, 62, 77, 91, 94, 103, 110, 113, 118, 122, 124, 142, 155, 157, 167,
           173, 178, 181, 185, 188, 199, 203, 211, 212, 217, 218, 227, 229, 230, 232]),
-        (mg.complete_bipartite(3, 3), 3, True, 7,
+        (mg.complete_bipartite(3, 3), 3, True,
          [15, 23, 27, 29, 30, 39, 43, 45, 46, 51, 53, 54, 57, 58, 60]),
-        (mg.cartesian_product(mg.cycle(3), mg.cycle(4)), 6, True, 1453,
+        (mg.cartesian_product(mg.cycle(3), mg.cycle(4)), 6, True,
          [17, 34, 257, 478, 508, 514, 749, 764, 892, 956, 988, 1004, 1012, 1016, 1102,
           1260, 1404, 1438, 1468, 1494, 1496, 1524, 1645, 1660, 1709, 1724, 1741, 1756,
           1764, 1769, 1784, 1852, 1884, 1900, 1904, 1948, 1964, 1972, 1976, 1996, 2004,
@@ -814,21 +835,33 @@ def _oracle_records():
           3358, 3388, 3414, 3416, 3436, 3444, 3468, 3478, 3480, 3508, 3526, 3528, 3536,
           3629, 3644, 3660, 3684, 3689, 3704, 3740, 3748, 3753, 3768, 3780, 3785, 3808,
           3868, 3884, 3892, 3896, 3924, 3944, 3988, 4008]),
-        (mg.random_graph(10, 0.5, 0), 5, True, 238,
+        (mg.random_graph(10, 0.5, 0), 5, True,
          [42, 77, 103, 153, 179, 213, 220, 246, 258, 297, 357, 364, 433, 440, 500, 537,
           563, 597, 604, 630, 641, 664, 690, 716, 724, 742, 817, 824, 884, 936, 944, 996]),
-        (fx.immersion_g(), 3, True, 32,
+        (fx.immersion_g(), 3, True,
          [6, 17, 40]),
-        (fx.immersion_h(), 2, True, 12,
+        (fx.immersion_h(), 2, True,
          [3, 61, 62]),
-        (fx.immersion_h_prime(), 2, True, 7,
+        (fx.immersion_h_prime(), 2, True,
          [3, 61, 62]),
-        # disconnected: a search that meets a settled pair again reflows it
-        (mg.random_graph(6, 0.3, 0), 1, True, 8,
+        # light cuts of many sizes: the apex pairs of the cone, and the rows,
+        # columns and triangles of K3 x K3; recorded from the flow search
+        (mg.cone(mg.cycle(5), 5), 8, True,
+         [3, 6, 12, 17, 24, 37, 41, 42, 50, 52, 69, 73, 74, 82, 84, 97, 98, 100, 104, 112,
+          133, 137, 138, 146, 148, 161, 162, 164, 168, 176, 193, 194, 196, 200, 208, 224,
+          261, 265, 266, 274, 276, 289, 290, 292, 296, 304, 321, 322, 324, 328, 336, 352,
+          385, 386, 388, 392, 400, 416, 448, 517, 521, 522, 530, 532, 545, 546, 548, 552,
+          560, 577, 578, 580, 584, 592, 608, 641, 642, 644, 648, 656, 672, 704, 769, 770,
+          772, 776, 784, 800, 832, 896]),
+        (mg.cartesian_product(mg.complete(3), mg.complete(3)), 6, True,
+         [3, 5, 6, 9, 18, 36, 65, 88, 104, 130, 152, 176, 200, 208, 260, 296, 304, 328,
+          352, 400, 416]),
+        # disconnected: its components are light cuts of boundary 0
+        (mg.random_graph(6, 0.3, 0), 1, True,
          [1]),
         # recorded from the search that narrowed every open constraint for
         # every branch it tried, now `oracles.sweep_brute_force_sn`
-        (mg.cartesian_product(mg.cycle(3), mg.cycle(5)), 6, True, 6338,
+        (mg.cartesian_product(mg.cycle(3), mg.cycle(5)), 6, True,
          [33, 66, 1025, 2050, 4092, 6078, 6140, 7133, 7164, 7676, 7932, 8060, 8124,
           8156, 8172, 8180, 8184, 10174, 10236, 11229, 11260, 11772, 12028, 12156,
           12220, 12252, 12268, 12276, 12280, 12702, 13276, 13820, 14014, 14076, 14142,
@@ -870,7 +903,6 @@ def test_every_flow_runs_in_the_one_cut_routine():
         "min_cut_between": lambda: inv.min_cut_between(g, [0], [8]),
         "egg_cut_number": lambda: sc.egg_cut_number(sc.vertex_scramble(g)),
         "_edge_scramble_order": lambda: sc._edge_scramble_order(g, alpha),
-        "brute_force_sn": lambda: sc.brute_force_sn(g),
     }
     for name, call in sources.items():
         with oracles.counted_flows() as flows:
@@ -883,12 +915,14 @@ def egg_masks(scramble):
 
 
 def test_brute_force_sn_answers_as_the_list_search_did_with_no_more_flows():
-    for g, value, exact, pair_cuts, eggs in _oracle_records():
+    # the light cuts settle every egg pair, capped or not: no flow runs
+    for g, value, exact, eggs in _oracle_records():
         with oracles.counted_flows() as flows:
             result = sc.brute_force_sn(g)
+            sc.brute_force_sn(g, max_eggs=3)
         assert (result.value, result.exact) == (value, exact)
         assert egg_masks(result.witness) == eggs
-        assert len(flows) <= pair_cuts
+        assert flows == []
 
 
 # a random multigraph of at most 9 vertices, connected or not, and a cap
