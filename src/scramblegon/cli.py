@@ -145,8 +145,7 @@ def _cmd_sn_bounds(args, out):
     if args.scramble:
         extras.append(sc.Scramble(g, mel.parse_scramble(_read_text(args.scramble), g.n)))
     report = sc.sn_bounds(g, extra_scrambles=extras, gonality_budget=args.budget,
-                          use_brute=args.brute is not None,
-                          max_eggs=args.brute if args.brute else None)
+                          use_brute=args.brute)
     _print_bounds(out, report)
     out.kv("exact", report.exact)
 
@@ -240,8 +239,8 @@ VERBS = {
                   [_arg("graph"),
                    _arg("--scramble", default=None, help="extra user scramble file"),
                    _arg("--budget", type=int, default=12, help="gonality vertex budget"),
-                   _arg("--brute", type=int, nargs="?", const=0, default=None,
-                        metavar="MAX_EGGS", help="fold in the exact tiny-graph oracle")]),
+                   _arg("--brute", action="store_true",
+                        help="fold in the exact brute-force oracle (at most 16 vertices)")]),
     "edge-scramble": ("emit the edge scramble of a graph", _cmd_edge_scramble, [_arg("graph")]),
     "product-scramble": ("emit the k-deleted product scramble", _cmd_product_scramble,
                          [_arg("graph_g"), _arg("graph_h"), _arg("--k", type=int, required=True)]),

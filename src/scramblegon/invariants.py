@@ -95,10 +95,10 @@ def is_connected_subset(g, vertices):
 def edge_boundary(g, vertices):
     """|E(A, A^C)| counted with multiplicity; rejects empty and full A."""
     vs = sorted(set(vertices))
-    if not vs or len(vs) == g.n:
-        raise ValueError("edge boundary needs a proper nonempty vertex subset")
     if not all(0 <= v < g.n for v in vs):
         raise ValueError("vertex out of range")
+    if not vs or len(vs) == g.n:
+        raise ValueError("edge boundary needs a proper nonempty vertex subset")
     mask = np.zeros(g.n, dtype=bool)
     mask[vs] = True
     return int(g.mult[np.ix_(mask, ~mask)].sum())

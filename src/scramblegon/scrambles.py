@@ -502,7 +502,7 @@ class BoundReport:
         return self.lower == self.upper
 
 
-def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
+def _core_sn_bounds(g, gonality_budget, use_brute):
     """Bounds for a piece of sn_bounds' one pass: connected, smooth, and
     bridgeless (smoothing keeps it so) or on at most two vertices.  The
     edge scramble's order is the sandwich's scan start
@@ -516,7 +516,7 @@ def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
         (_, start, upper), usrc = dv._scan_bounds(g, order), "positive-rank bound"
     lower, lsrc = (start, "edge scramble") if start > order else (order, "vertex scramble")
     if use_brute:
-        result = brute_force_sn(g, max_eggs=max_eggs)
+        result = brute_force_sn(g)
         if result.value > lower:
             lower, lsrc = result.value, "brute force"
         if result.exact and result.value < upper:
@@ -524,19 +524,19 @@ def _core_sn_bounds(g, gonality_budget, use_brute, max_eggs):
     return BoundReport("sn", lower, upper, lsrc, usrc)
 
 
-def _split_sn_bounds(g, gonality_budget, use_brute, max_eggs):
+def _split_sn_bounds(g, gonality_budget, use_brute):
     parts = []
     for comp in inv.components(g):
         h = mg.smooth_two_valent(mg.induced_subgraph(g, comp))
         cut_edges = inv.bridges(h)
         if not cut_edges or h.n <= 2:
-            parts.append(_core_sn_bounds(h, gonality_budget, use_brute, max_eggs))
+            parts.append(_core_sn_bounds(h, gonality_budget, use_brute))
             continue
         mult = np.array(h.mult)
         for u, v in cut_edges:
             mult[u, v] = mult[v, u] = 0
         pieces = [_core_sn_bounds(mg.smooth_two_valent(mg.induced_subgraph(h, piece)),
-                                  gonality_budget, use_brute, max_eggs)
+                                  gonality_budget, use_brute)
                   for piece in inv.components(mg.Multigraph(mult))]
         parts.append(_combine_max(pieces, "bridge split"))
     return parts[0] if len(parts) == 1 else _combine_max(parts, "component split")
@@ -552,7 +552,7 @@ def _combine_max(parts, label):
                        "%s: %s" % (label, pick_u.upper_source))
 
 
-def sn_bounds(g, extra_scrambles=(), gonality_budget=12, use_brute=False, max_eggs=None):
+def sn_bounds(g, extra_scrambles=(), gonality_budget=12, use_brute=False):
     """Lower/upper bounds on the scramble number.
 
     Reduces first, keeping sn: the maximum over the components, and in each
@@ -564,7 +564,7 @@ def sn_bounds(g, extra_scrambles=(), gonality_budget=12, use_brute=False, max_eg
     vertex budget.  User scrambles are evaluated on the original graph.
     With use_brute the exact tiny-graph oracle is folded in.
     """
-    report = _split_sn_bounds(g, gonality_budget, use_brute, max_eggs)
+    report = _split_sn_bounds(g, gonality_budget, use_brute)
     lower, lsrc = report.lower, report.lower_source
     for scramble in extra_scrambles:
         if scramble.host != g:
@@ -610,16 +610,14 @@ def _holding(masks, n):
     return holds
 
 
-def brute_force_sn(g, max_eggs=None):
+def brute_force_sn(g):
     """Exact scramble number by exhausting the definition (tiny graphs only).
 
     sn >= k iff every (k-1)-subset C admits an egg avoiding it, with all
     chosen eggs pairwise either intersecting or separated by cuts >= k.  Any
     such egg may be grown to a full component of G - C: growing preserves
     avoidance and only raises pairwise cuts, so searching over components of
-    G - C per constraint C is lossless.  max_eggs, None or at least 1, caps
-    the witness size; when the cap prunes a failed search the result is
-    flagged as a lower bound only (exact=False).
+    G - C per constraint C is lossless.  The result is always exact.
 
     No flow runs.  `_boundary_table` gives every vertex set's boundary once
     per call, and at each k the light cuts are the sets S holding vertex 0
@@ -633,26 +631,14 @@ def brute_force_sn(g, max_eggs=None):
     closed side holds whole, and tests every constraint's options after
     each choice, until every constraint keeps a live egg.
 
-    The witness comes from one egg search, at the largest k that passes
-    (with max_eggs, at every k, since the cap decides where a failing search
-    is pruned).  Eggs are vertex bitmasks and constraints are numbered in
-    combinations order.  Per k the distinct component eggs are numbered by
-    smallest member, and each constraint's options, its components, are one
-    bitset of egg numbers.  The search branches on the first open constraint
-    with the fewest options, found from bitsets of the constraints by option
-    count.  Choosing egg i closes the constraints it avoids with one AND
-    against its bitset of constraints meeting it.  Of the rest it narrows
-    only those offering an egg a light cut separates from i, found from
-    per-egg bitsets of the constraints offering it; each is narrowed, in
-    constraint order, by one AND.  The eggs apart from i are the union, over
-    the light cuts with i whole on one side, of the eggs whole on the other,
-    built the first time i is chosen.  A branch stops at the first
-    constraint it empties, and its narrowings are undone from a trail when
-    the search backtracks.
+    The witness is the live eggs of the orientation that passes at the
+    largest k: no light cut has a whole live egg on each side, so they are
+    pairwise compatible at k, and every constraint keeps one, so no k - 1
+    vertices hit them all.  Eggs are vertex bitmasks, numbered per k by
+    smallest member, and each constraint's options, its components, and
+    the live eggs are bitsets of egg numbers.
     """
     n = g.n
-    if max_eggs is not None and max_eggs < 1:
-        raise ValueError("max_eggs must be at least 1, got %d" % max_eggs)
     if n > 16:
         raise ValueError("brute-force oracle is exponential; refusing n > 16")
     full = (1 << n) - 1
@@ -676,13 +662,6 @@ def brute_force_sn(g, max_eggs=None):
             tables.append(table)
         return tables
 
-    def holders(masks):
-        """For each vertex, the bitset of the positions of the masks
-        holding it."""
-        held = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-        return [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
-                for col in held.T.astype(np.uint8)]
-
     near_lo, near_hi = union_tables([sum(1 << u for u in a) for a in inv._adjacency(g.mult)])
 
     def comp_masks(avoid_mask):
@@ -699,154 +678,49 @@ def brute_force_sn(g, max_eggs=None):
             out.append(comp)
         return out
 
-    capped = [False]
-
-    def level(k):
-        """(orient, search) on one build of k's constraints, component eggs
-        and light cuts: orient() is True iff sn >= k, and search() returns
-        the witness egg masks at k, or None.  search narrows the options in
-        place, so orient, if asked, is asked first."""
+    def orient(k):
+        """The live egg masks of an orientation of k's light cuts that
+        leaves every (k - 1)-set constraint a live egg, so sn >= k, or None
+        when none does.  Depth first over a stack of (next cut, live eggs):
+        a cut with a live egg on each side branches on the side it closes,
+        which kills the live eggs whole in it, and a branch lives while
+        every constraint keeps a live option."""
         constraints = [sum(c) for c in itertools.combinations([1 << v for v in range(n)], k - 1)]
         comps = [comp_masks(c) for c in constraints]
         eggs = sorted({e for cs in comps for e in cs}, key=lambda e: (e & -e, e))
         number = {e: i for i, e in enumerate(eggs)}
-        # options[t]: the eggs constraint t may still take; offers[i]: the
-        # constraints whose options hold egg i; by_count[s]: the constraints
-        # with s options
-        options = []
-        offers = [0] * len(eggs)
-        by_count = [0] * (n + 1)
-        for t, cs in enumerate(comps):
-            opts = 0
-            for e in cs:
-                i = number[e]
-                opts |= 1 << i
-                offers[i] |= 1 << t
-            options.append(opts)
-            by_count[len(cs)] |= 1 << t
+        options = [sum(1 << number[e] for e in cs) for cs in comps]
         everything = (1 << len(eggs)) - 1
         # the light cuts, as the side S holding vertex 0, with a whole egg on
         # each side; inside[c] and outside[c]: the eggs whole in S and in V - S
         holds = _holding(np.array(eggs, dtype=np.int64), n)
         sides = np.arange(1, full, 2)
         sides = sides[(delta[1:full:2] < k) & holds[1:full:2] & holds[full - 1:0:-2]].tolist()
-        eggs_lo, eggs_hi = union_tables(holders(eggs))
+        # holders[v]: the bitset of the eggs holding vertex v
+        held = (np.array(eggs, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+        holders = [int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
+                   for col in held.T.astype(np.uint8)]
+        eggs_lo, eggs_hi = union_tables(holders)
         inside = [everything & ~(eggs_lo[(full ^ s) & 255] | eggs_hi[(full ^ s) >> 8]) for s in sides]
         outside = [everything & ~(eggs_lo[s & 255] | eggs_hi[s >> 8]) for s in sides]
-
-        def orient():
-            """Depth first over a stack of (next cut, live eggs): a cut with
-            a live egg on each side branches on the side it closes, which
-            kills the live eggs whole in it, and a branch lives while every
-            constraint keeps a live option.  True once every cut is passed."""
-            stack = [(0, everything)]
-            while stack:
-                c, live = stack.pop()
-                while c < len(sides) and not (inside[c] & live and outside[c] & live):
-                    c += 1
-                if c == len(sides):
-                    return True
-                for closed in (inside[c], outside[c]):
-                    left = live & ~closed
-                    if all(opts & left for opts in options):
-                        stack.append((c + 1, left))
-            return False
-
-        def search():
-            """Depth first over a stack of frames [options left to try, open
-            constraints, trail mark], one per chosen egg and the root, as a
-            witness can hold more eggs than Python allows nested calls; the
-            chosen eggs' masks when every constraint is closed, else None."""
-            held_lo, held_hi = union_tables(holders(constraints))
-            # the light cuts meeting a vertex mask, and meeting its complement
-            cuts_lo, cuts_hi = union_tables(holders(sides))
-            rest_lo, rest_hi = union_tables(holders([full ^ s for s in sides]))
-            all_cuts = (1 << len(sides)) - 1
-            apart_rows = [None] * len(eggs)
-            trail = []  # (constraint, its options before a narrowing)
-            chosen = []
-
-            def apart(i):
-                """The eggs that a light cut separates from egg i."""
-                if apart_rows[i] is None:
-                    e = eggs[i]
-                    row = 0
-                    for c in bits(all_cuts & ~(rest_lo[e & 255] | rest_hi[e >> 8])):
-                        row |= outside[c]
-                    for c in bits(all_cuts & ~(cuts_lo[e & 255] | cuts_hi[e >> 8])):
-                        row |= inside[c]
-                    apart_rows[i] = row
-                return apart_rows[i]
-
-            def replace(t, opts):
-                """Set constraint t's options to opts, keeping the index."""
-                bit = 1 << t
-                by_count[options[t].bit_count()] ^= bit
-                by_count[opts.bit_count()] ^= bit
-                for j in bits(options[t] ^ opts):
-                    offers[j] ^= bit
-                options[t] = opts
-
-            def undo(mark):
-                while len(trail) > mark:
-                    replace(*trail.pop())
-
-            def choose(i, open_):
-                """The constraints left open by choosing egg i, narrowed on
-                the trail, or None when one of them is left no egg."""
-                open_ &= held_lo[eggs[i] & 255] | held_hi[eggs[i] >> 8]
-                separated = apart(i)
-                offering = 0
-                for j in bits(separated):
-                    offering |= offers[j]
-                for t in bits(open_ & offering):
-                    opts = options[t]
-                    narrowed = opts & ~separated
-                    if narrowed != opts:
-                        if not narrowed:
-                            return None
-                        trail.append((t, opts))
-                        replace(t, narrowed)
-                return open_
-
-            def branch_options(open_):
-                """The options of the first open constraint with fewest
-                options."""
-                for group in by_count:
-                    fewest = open_ & group
-                    if fewest:
-                        return options[(fewest & -fewest).bit_length() - 1]
-
-            open_ = (1 << len(constraints)) - 1
-            stack = []
-            while open_:
-                if max_eggs is not None and len(chosen) >= max_eggs:
-                    capped[0] = True
-                else:
-                    stack.append([branch_options(open_), open_, len(trail)])
-                open_ = None
-                while open_ is None and stack:
-                    frame = stack[-1]
-                    undo(frame[2])
-                    del chosen[len(stack) - 1:]  # keep the eggs of the frames below
-                    if not frame[0]:
-                        stack.pop()
-                        continue
-                    low = frame[0] & -frame[0]
-                    frame[0] ^= low
-                    i = low.bit_length() - 1
-                    open_ = choose(i, frame[1])
-                    if open_ is not None:
-                        chosen.append(i)
-            return None if open_ is None else [eggs[i] for i in chosen]
-
-        return orient, search
+        stack = [(0, everything)]
+        while stack:
+            c, live = stack.pop()
+            while c < len(sides) and not (inside[c] & live and outside[c] & live):
+                c += 1
+            if c == len(sides):
+                return [eggs[i] for i in bits(live)]
+            for closed in (inside[c], outside[c]):
+                left = live & ~closed
+                if all(opts & left for opts in options):
+                    stack.append((c + 1, left))
+        return None
 
     def witness(masks):
         """The Scramble of the egg masks, built from the minimal ones, as
-        Scramble would keep: `_holding` marks the vertex masks holding a
-        chosen egg, and a chosen egg is dropped where removing one of its
-        vertices leaves a marked mask."""
+        Scramble would keep: `_holding` marks the vertex masks holding one
+        of them, and an egg is dropped where removing one of its vertices
+        leaves a marked mask."""
         masks = np.unique(np.array(masks, dtype=np.int64))
         holds = _holding(masks, n)
         inner = np.zeros(len(masks), dtype=bool)
@@ -856,22 +730,9 @@ def brute_force_sn(g, max_eggs=None):
 
     best = 1
     witness_masks = [full] if inv.is_connected(g) else [1]
-    found = None
     for k in range(2, n + 1):
-        orient, search = level(k)
-        if max_eggs is not None:
-            capped[0] = False
-            masks = search()
-            if masks is None:
-                return BruteForceResult(best, witness(witness_masks), not capped[0])
-            best, witness_masks = k, masks
-        elif orient():
-            best, found = k, search
-        else:
+        masks = orient(k)
+        if masks is None:
             break
-    if found is not None:
-        witness_masks = found()
-        if witness_masks is None:
-            raise RuntimeError("soundness bug: the light cuts pass sn >= %d, "
-                               "but the egg search finds no scramble" % best)
+        best, witness_masks = k, masks
     return BruteForceResult(best, witness(witness_masks), True)

@@ -408,11 +408,17 @@ def test_every_sn_claiming_certificate_is_the_exact_scramble_number():
 
 
 def test_rook_proves_gon_but_not_sn():
-    # gon(K4 [] K4) = 12, but brute_force_sn finds sn = 11 (exact, in about
-    # 40 s, so not rerun here)
+    # gon(K4 [] K4) = 12, but brute_force_sn finds sn = 11, exact, with a
+    # witness whose order an enumeration confirms
     k4 = mg.complete(4)
     cert = ct.certify_product(k4, k4)
     assert (cert.statement, cert.value, cert.proves) == ("rook", 12, ("gon",))
+    product = mg.cartesian_product(k4, k4)
+    result = sc.brute_force_sn(product)
+    assert (result.value, result.exact) == (11, True)
+    eggs = [set(e) for e in result.witness.eggs]
+    assert oracles.brute_hitting_number(product.n, eggs) >= 11
+    assert oracles.brute_egg_cut(product, eggs) >= 11
     assert ct.certify_product(mg.cycle(4), mg.cycle(5)).proves == ("sn", "gon")
     assert ct.certify_product(mg.cycle(2), mg.cycle(2)).proves == ()
 

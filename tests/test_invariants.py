@@ -305,6 +305,10 @@ def test_edge_boundary():
         inv.edge_boundary(q3, [])
     with pytest.raises(ValueError):
         inv.edge_boundary(q3, range(8))
+    # three distinct labels on C3, but not three of its vertices
+    for vertices in ([0, 1, 7], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            inv.edge_boundary(mg.cycle(3), vertices)
 
 
 def test_min_cut_between_respects_multiplicities():

@@ -781,7 +781,7 @@ def test_brute_force_sn_known_values():
 def test_brute_force_sn_witness_has_the_claimed_order():
     rng = random.Random(61)
     graphs = [oracles.random_connected_graph(rng, 6, 0.5) for _ in range(6)]
-    # its search backtracks out of a branch that had chosen eggs
+    # disconnected, with a doubled edge
     graphs.append(mg.from_edge_list(6, [(0, 4, 1), (1, 3, 1), (1, 4, 1), (2, 5, 2)]))
     for g in graphs:
         result = sc.brute_force_sn(g)
@@ -789,36 +789,32 @@ def test_brute_force_sn_witness_has_the_claimed_order():
         assert sc.scramble_order(result.witness).order >= result.value
 
 
-def test_brute_force_sn_cap_is_conservative():
-    full = sc.brute_force_sn(mg.hypercube(3))
-    capped = sc.brute_force_sn(mg.hypercube(3), max_eggs=2)
-    assert capped.value <= full.value
-    if capped.exact:
-        assert capped.value == full.value
-    with pytest.raises(ValueError):
+def test_brute_force_sn_refuses_more_than_16_vertices():
+    with pytest.raises(ValueError, match="n > 16"):
         sc.brute_force_sn(mg.grid([3, 6]))  # 18 > 16 vertices
-    # a cap below one egg would cap every branch; None, not 0, means no cap
-    for cap in (0, -3):
-        with pytest.raises(ValueError, match="max_eggs"):
-            sc.brute_force_sn(mg.hypercube(3), max_eggs=cap)
 
 
 def test_brute_force_sn_witness_may_outgrow_the_recursion_limit():
-    # the C3 x C4 witness holds 114 eggs, the search far fewer nested calls
+    # the orientation keeps its branches on a stack, not in nested calls,
+    # so a low recursion limit does not bind; the C3 x C4 witness holds 12
+    # eggs, the live eggs of the orientation that passes at sn = 6
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
         result = sc.brute_force_sn(mg.cartesian_product(mg.cycle(3), mg.cycle(4)))
     finally:
         sys.setrecursionlimit(limit)
-    assert (result.value, result.exact, len(result.witness.eggs)) == (6, True, 114)
+    assert (result.value, result.exact, len(result.witness.eggs)) == (6, True, 12)
 
 
 def _oracle_records():
     """(graph, value, exact, witness eggs as sorted vertex bitmasks) of
-    brute_force_sn, recorded from the search that filtered Python lists of
-    eggs through a cached pair predicate, and later from the search that
-    settled each egg pair with a flow."""
+    brute_force_sn.  Values and exactness were recorded from the search that
+    filtered Python lists of eggs through a cached pair predicate, and later
+    from the search that settled each egg pair with a flow; the witnesses
+    are the live eggs of the orientation that passes at sn, each verified at
+    order >= sn by `oracles.brute_hitting_number` and
+    `oracles.brute_egg_cut` before it was recorded."""
     return [
         (mg.hypercube(3), 4, True,
          [23, 43, 61, 62, 77, 91, 94, 103, 110, 113, 118, 122, 124, 142, 155, 157, 167,
@@ -826,26 +822,18 @@ def _oracle_records():
         (mg.complete_bipartite(3, 3), 3, True,
          [15, 23, 27, 29, 30, 39, 43, 45, 46, 51, 53, 54, 57, 58, 60]),
         (mg.cartesian_product(mg.cycle(3), mg.cycle(4)), 6, True,
-         [17, 34, 257, 478, 508, 514, 749, 764, 892, 956, 988, 1004, 1012, 1016, 1102,
-          1260, 1404, 1438, 1468, 1494, 1496, 1524, 1645, 1660, 1709, 1724, 1741, 1756,
-          1764, 1769, 1784, 1852, 1884, 1900, 1904, 1948, 1964, 1972, 1976, 1996, 2004,
-          2024, 2189, 2268, 2398, 2428, 2462, 2492, 2510, 2518, 2520, 2540, 2548, 2669,
-          2684, 2748, 2788, 2793, 2808, 2876, 2908, 2924, 2932, 2936, 2972, 2988, 2992,
-          3020, 3028, 3048, 3181, 3196, 3230, 3260, 3271, 3275, 3286, 3288, 3300, 3305,
-          3358, 3388, 3414, 3416, 3436, 3444, 3468, 3478, 3480, 3508, 3526, 3528, 3536,
-          3629, 3644, 3660, 3684, 3689, 3704, 3740, 3748, 3753, 3768, 3780, 3785, 3808,
-          3868, 3884, 3892, 3896, 3924, 3944, 3988, 4008]),
+         [17, 34, 68, 136, 257, 272, 514, 544, 1028, 1088, 2056, 2176]),
         (mg.random_graph(10, 0.5, 0), 5, True,
-         [42, 77, 103, 153, 179, 213, 220, 246, 258, 297, 357, 364, 433, 440, 500, 537,
-          563, 597, 604, 630, 641, 664, 690, 716, 724, 742, 817, 824, 884, 936, 944, 996]),
+         [24, 34, 77, 213, 258, 297, 357, 364, 433, 500, 597, 641, 716, 724, 817, 884,
+          936, 944, 996]),
         (fx.immersion_g(), 3, True,
          [6, 17, 40]),
         (fx.immersion_h(), 2, True,
-         [3, 61, 62]),
+         [3, 48]),
         (fx.immersion_h_prime(), 2, True,
-         [3, 61, 62]),
+         [3, 48]),
         # light cuts of many sizes: the apex pairs of the cone, and the rows,
-        # columns and triangles of K3 x K3; recorded from the flow search
+        # columns and triangles of K3 x K3
         (mg.cone(mg.cycle(5), 5), 8, True,
          [3, 6, 12, 17, 24, 37, 41, 42, 50, 52, 69, 73, 74, 82, 84, 97, 98, 100, 104, 112,
           133, 137, 138, 146, 148, 161, 162, 164, 168, 176, 193, 194, 196, 200, 208, 224,
@@ -854,43 +842,15 @@ def _oracle_records():
           560, 577, 578, 580, 584, 592, 608, 641, 642, 644, 648, 656, 672, 704, 769, 770,
           772, 776, 784, 800, 832, 896]),
         (mg.cartesian_product(mg.complete(3), mg.complete(3)), 6, True,
-         [3, 5, 6, 9, 18, 36, 65, 88, 104, 130, 152, 176, 200, 208, 260, 296, 304, 328,
-          352, 400, 416]),
+         [3, 5, 6, 9, 18, 24, 36, 40, 48, 65, 72, 130, 144, 192, 260, 288, 320, 384]),
         # disconnected: its components are light cuts of boundary 0
         (mg.random_graph(6, 0.3, 0), 1, True,
          [1]),
-        # recorded from the search that narrowed every open constraint for
-        # every branch it tried, now `oracles.sweep_brute_force_sn`
+        # value recorded from the search that narrowed every open constraint
+        # for every branch it tried, now `oracles.sweep_brute_force_sn`
         (mg.cartesian_product(mg.cycle(3), mg.cycle(5)), 6, True,
-         [33, 66, 1025, 2050, 4092, 6078, 6140, 7133, 7164, 7676, 7932, 8060, 8124,
-          8156, 8172, 8180, 8184, 10174, 10236, 11229, 11260, 11772, 12028, 12156,
-          12220, 12252, 12268, 12276, 12280, 12702, 13276, 13820, 14014, 14076, 14142,
-          14204, 14254, 14262, 14264, 14316, 14324, 14813, 14844, 15069, 15100, 15197,
-          15228, 15261, 15292, 15308, 15317, 15321, 15348, 15352, 15612, 15740, 15804,
-          15836, 15844, 15864, 15996, 16060, 16092, 16108, 16116, 16120, 16188, 16220,
-          16236, 16244, 16248, 16284, 16300, 16308, 16340, 16344, 16360, 16368, 18366,
-          18428, 19421, 19452, 19964, 20220, 20348, 20412, 20444, 20460, 20468, 20472,
-          21407, 21438, 21469, 21500, 21950, 22012, 22206, 22268, 22334, 22396, 22430,
-          22446, 22454, 22456, 22492, 22508, 22516, 23005, 23036, 23261, 23292, 23389,
-          23420, 23453, 23484, 23500, 23509, 23513, 23540, 23544, 23804, 23932, 23996,
-          24028, 24044, 24052, 24056, 24188, 24252, 24284, 24300, 24308, 24312, 24380,
-          24412, 24428, 24436, 24440, 24476, 24492, 24500, 24532, 24536, 24548, 24552,
-          24560, 25373, 25532, 26046, 26108, 26302, 26364, 26430, 26492, 26526, 26542,
-          26550, 26552, 26588, 26604, 26612, 27101, 27132, 27357, 27388, 27516, 27596,
-          27605, 27609, 27636, 27640, 27900, 28028, 28092, 28124, 28140, 28148, 28152,
-          28284, 28348, 28380, 28396, 28404, 28408, 28476, 28508, 28524, 28528, 28572,
-          28588, 28596, 28628, 28632, 28644, 28648, 29149, 29180, 29343, 29374, 29405,
-          29436, 29502, 29564, 29583, 29591, 29595, 29614, 29622, 29624, 29644, 29653,
-          29657, 29684, 29886, 29948, 30014, 30076, 30126, 30134, 30136, 30172, 30188,
-          30196, 30270, 30332, 30366, 30382, 30390, 30392, 30428, 30444, 30452, 30492,
-          30510, 30518, 30520, 30572, 30580, 30606, 30614, 30616, 30630, 30632, 30640,
-          30676, 30692, 30941, 30972, 31069, 31100, 31132, 31180, 31189, 31193, 31220,
-          31224, 31325, 31356, 31389, 31420, 31436, 31445, 31449, 31476, 31480, 31548,
-          31564, 31573, 31577, 31604, 31608, 31628, 31637, 31641, 31668, 31684, 31688,
-          31697, 31728, 31868, 31932, 31964, 31980, 31988, 31992, 32060, 32092, 32108,
-          32116, 32120, 32172, 32180, 32212, 32216, 32232, 32240, 32316, 32348, 32364,
-          32372, 32376, 32412, 32428, 32436, 32468, 32472, 32484, 32488, 32496, 32556,
-          32564, 32596, 32600, 32612, 32616, 32660, 32676, 32720, 32736]),
+         [33, 66, 132, 264, 528, 1025, 1056, 2050, 2112, 4100, 4224, 8200, 8448, 16400,
+          16896]),
     ]
 
 
@@ -915,21 +875,28 @@ def egg_masks(scramble):
 
 
 def test_brute_force_sn_answers_as_the_list_search_did_with_no_more_flows():
-    # the light cuts settle every egg pair, capped or not: no flow runs
+    # the light cuts settle every egg pair: no flow runs
     for g, value, exact, eggs in _oracle_records():
         with oracles.counted_flows() as flows:
             result = sc.brute_force_sn(g)
-            sc.brute_force_sn(g, max_eggs=3)
         assert (result.value, result.exact) == (value, exact)
         assert egg_masks(result.witness) == eggs
         assert flows == []
+        assert_witness_order(g, result)
 
 
-# a random multigraph of at most 9 vertices, connected or not, and a cap
-graph_and_cap = st.builds(
-    lambda seed, n, p, multiple, cap: (_random_multigraph(random.Random(seed), n, p, multiple), cap),
+def assert_witness_order(g, result):
+    """The witness's order, by enumeration, is at least the claimed sn."""
+    eggs = [set(e) for e in result.witness.eggs]
+    assert oracles.brute_hitting_number(g.n, eggs) >= result.value
+    assert oracles.brute_egg_cut(g, eggs) >= result.value
+
+
+# a random multigraph of at most 9 vertices, connected or not
+random_multigraph = st.builds(
+    lambda seed, n, p, multiple: _random_multigraph(random.Random(seed), n, p, multiple),
     st.integers(0, 1 << 30), st.integers(1, 9), st.sampled_from([0.2, 0.4, 0.6, 0.9]),
-    st.booleans(), st.sampled_from([None, 1, 2, 3]))
+    st.booleans())
 
 
 def _random_multigraph(rng, n, p, multiple):
@@ -938,16 +905,15 @@ def _random_multigraph(rng, n, p, multiple):
 
 
 @settings(max_examples=80, deadline=None)
-@given(graph_and_cap)
-def test_brute_force_sn_matches_the_sweep_search_with_no_more_flows_property(case):
-    g, cap = case
+@given(random_multigraph)
+def test_brute_force_sn_matches_the_sweep_search_with_no_more_flows_property(g):
     with oracles.counted_flows() as flows:
-        result = sc.brute_force_sn(g, max_eggs=cap)
+        result = sc.brute_force_sn(g)
     with oracles.counted_flows() as reference_flows:
-        reference = oracles.sweep_brute_force_sn(g, max_eggs=cap)
+        reference = oracles.sweep_brute_force_sn(g)
     assert (result.value, result.exact) == (reference.value, reference.exact)
-    assert egg_masks(result.witness) == egg_masks(reference.witness)
     assert len(flows) <= len(reference_flows)
+    assert_witness_order(g, result)
 
 
 def test_bound_report_rejects_crossed_bounds():
