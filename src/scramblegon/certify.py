@@ -302,6 +302,8 @@ def certify_product(g, h, budget=12):
     Otherwise take the bounds from the closed-form lower formulas and the
     factor-gonality upper bound: where they meet they prove sn = gon
     (statement "met-bounds"), and else they are emitted as open bounds."""
+    if budget < 0:
+        raise ValueError("gonality budget must be >= 0, got %d" % budget)
     return _certify(*_pair_stats(g, h, budget))
 
 

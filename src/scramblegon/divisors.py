@@ -296,11 +296,11 @@ def _add_column(ways, b):
 
 
 def _box_rows(bounds, total_max):
-    """Row count of _bounded_vectors(bounds, total_max), without building it."""
+    """rows[t], the row count of _bounded_vectors(bounds, t), for t <= total_max."""
     ways = [1] + [0] * total_max  # ways[s]: rows of the columns so far summing to s
     for b in bounds:
         ways = _add_column(ways, b)
-    return sum(ways)
+    return list(itertools.accumulate(ways))
 
 
 def _bounded_vectors(bounds, total_max):
@@ -357,10 +357,10 @@ def _box_bounds(g):
     return [int(val) - 1 for val in g.valences()[1:]]
 
 
-def _check_box(g, bounds, degree):
-    """Raise CandidateBudgetError when the degree's candidate box, of columns
-    `bounds` (_box_bounds(g)), would take over CANDIDATE_BOX_BUDGET."""
-    box_bytes = _box_rows(bounds, degree - 1) * g.n * 8
+def _check_box(g, rows, degree):
+    """Raise CandidateBudgetError when the degree's candidate box, of
+    rows[degree - 1] rows (`_box_rows`), would take over CANDIDATE_BOX_BUDGET."""
+    box_bytes = rows[degree - 1] * g.n * 8
     if box_bytes > CANDIDATE_BOX_BUDGET:
         raise CandidateBudgetError(
             "the degree-%d candidate box would take %.1f MiB of chips, over the "
@@ -485,13 +485,14 @@ def _sandwich(g, lower, witness=False):
     below it (none there proves gon = upper); each positive-rank class has a
     0-reduced representative with a chip on vertex 0.  Where any degree is
     scanned, each degree's candidate box from lower up is checked before it
-    is, so a refusal names the first over-budget degree from lower up."""
+    is, on one `_box_rows` count of every total the search may check, so a
+    refusal names the first over-budget degree from lower up."""
     lower, start, upper = _scan_bounds(g, lower)
     stop = upper + 1 if witness else upper
     if start < stop:  # else nothing is scanned or checked: gon = upper
-        bounds, burn = _box_bounds(g), _burn_matrix(g.mult)
+        rows, burn = _box_rows(_box_bounds(g), stop - 2), _burn_matrix(g.mult)
         for degree in range(lower, stop):
-            _check_box(g, bounds, degree)
+            _check_box(g, rows, degree)
             row = _first_positive_rank_row(g, burn, degree) if degree >= start else None
             if row is not None:
                 return start, degree, row
@@ -511,7 +512,7 @@ def gonality(g):
     if lam == 0 and g.n > 1:  # exactly a disconnected g
         raise ValueError("gonality needs a connected graph")
     lower = sc.vertex_scramble_order(g.n, lam)
-    _check_box(g, _box_bounds(g), lower)  # before alpha is computed
+    _check_box(g, _box_rows(_box_bounds(g), lower - 1), lower)  # before alpha is computed
     _, value, row = _sandwich(g, lower, witness=True)
     if row is None:
         raise RuntimeError("soundness bug: no positive-rank divisor of degree <= %d found" % value)

@@ -10,16 +10,18 @@ layers of q-reduction, bridge sides, complete-bipartite parts and the
 hitting-set search's egg groups, and the BFS order and base-point orbits of
 the automorphism search) runs on one BFS routine, `_bfs`; only the
 brute-force sn oracle, whose eggs are bitmasks, grows its components on
-adjacency bitmasks.  Every flow (min cuts between vertex sets and eggs, edge
-connectivity, and the local vertex connectivities on the vertex-split
-digraph) runs in one capped max-flow routine, `_min_cut`; kappa is found by
-Esfahanian-Hakimi.  `_min_cut` reads capacity rows and neighbour lists built
-by its caller, so the connectivities and the egg-cut scan build them once
-per call; each flow starts from the paths of at most two arcs between its
-sides, pushes its paths on those rows and takes them back before it
-returns.  The brute-force oracle runs no flow: it reads its egg pairs' cuts
-from a table of every vertex set's boundary.  Bridges come from a low-link
-DFS.
+adjacency bitmasks.  lambda's dominating set and the hitting-set search's
+warm start are one greedy cover, `_greedy_cover`, and bitmasks become
+vertices through `_bits`.  Every flow (min cuts between vertex sets and
+eggs, edge connectivity, and the local vertex connectivities on the
+vertex-split digraph) runs in one capped max-flow routine, `_min_cut`; kappa
+is found by Esfahanian-Hakimi.  `_min_cut` reads capacity rows and neighbour
+lists built by its caller, so the connectivities and the egg-cut scan build
+them once per call; each flow starts from the paths of at most two arcs
+between its sides, pushes its paths on those rows and takes them back
+before it returns.  The brute-force oracle runs no flow: it reads its egg
+pairs' cuts from a table of every vertex set's boundary.  Bridges come from
+a low-link DFS.
 
 `_automorphism_generators` finds host automorphisms for the egg-cut scan by
 individualisation and refinement, within a fixed node budget, and keeps a
@@ -104,20 +106,23 @@ def edge_boundary(g, vertices):
     return int(g.mult[np.ix_(mask, ~mask)].sum())
 
 
-def _dominating_set(nbrs):
-    """A dominating set of the simple graph with neighbour lists `nbrs`, in
-    the order it is picked: each pick, the least vertex on ties, dominates
-    the most vertices not yet dominated."""
-    closed = [1 << v for v in range(len(nbrs))]
-    for v, near in enumerate(nbrs):
-        for u in near:
-            closed[v] |= 1 << u
-    left = (1 << len(nbrs)) - 1
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _greedy_cover(covers, left):
+    """Indices of the bitmasks `covers` that cover the bits of `left`, in the
+    order picked: each pick, the least index on ties, covers the most bits
+    still uncovered.  Every bit of `left` must lie in some cover."""
     out = []
     while left:
-        gains = [(mask & left).bit_count() for mask in closed]
+        gains = [(mask & left).bit_count() for mask in covers]
         out.append(gains.index(max(gains)))
-        left &= ~closed[out[-1]]
+        left &= ~covers[out[-1]]
     return out
 
 
@@ -128,18 +133,19 @@ def edge_connectivity(g):
     >= n - 1 is connected with lambda = delta (G. Chartrand, "A
     graph-theoretic approach to a communications problem", SIAM J. Appl.
     Math. 14, 1966), so it runs no flow.  On any other simple graph the
-    source and sinks are a greedy dominating set D (`_dominating_set`): if
-    lambda < delta, each side of a least cut holds a vertex with no
-    neighbour across, so it holds a vertex of D (D. W. Matula, "Determining
-    edge connectivity in O(nm)", FOCS 1987).  A multigraph flows from
-    vertex 0 to every other vertex."""
+    source and sinks are a dominating set D, the `_greedy_cover` of the
+    closed neighbourhoods: if lambda < delta, each side of a least cut holds
+    a vertex with no neighbour across, so it holds a vertex of D (D. W.
+    Matula, "Determining edge connectivity in O(nm)", FOCS 1987).  A
+    multigraph flows from vertex 0 to every other vertex."""
     n = g.n
     best = min_degree(g)
     simple = g.is_simple()
     if 2 * best >= n - 1 and simple:
         return best
     nbrs = _adjacency(g.mult)
-    source, *sinks = _dominating_set(nbrs) if simple else range(n)
+    closed = [sum(1 << u for u in near) | 1 << v for v, near in enumerate(nbrs)]
+    source, *sinks = _greedy_cover(closed, (1 << n) - 1) if simple else range(n)
     rows = g.mult.tolist()
     for v in sinks:
         best = min(best, _min_cut(rows, nbrs, [source], [v], best)[0])
@@ -410,14 +416,13 @@ def max_independent_set(g):
         cand = everything = sum(1 << v for v in comp)
         greedy = 0
         while cand:
-            v = min((x for x in range(n) if cand >> x & 1),
-                    key=lambda x: (adj[x] & cand).bit_count())
+            v = min(_bits(cand), key=lambda x: (adj[x] & cand).bit_count())
             greedy |= 1 << v
             cand &= ~(adj[v] | 1 << v)
         best = [greedy.bit_count(), greedy]  # size, mask
         grow(everything, 0, 0)
         found |= best[1]
-    return frozenset(v for v in range(n) if found >> v & 1)
+    return frozenset(_bits(found))
 
 
 # Search nodes one `_automorphism_generators` call may spend before it

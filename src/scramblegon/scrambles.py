@@ -120,25 +120,18 @@ def hitting_number(scramble):
 
 def _group_hitting_number(eggs):
     """Branch and bound for the minimum hitting set of `eggs`, warm-started
-    by a greedy cover; returns (size, witness set).  Each step narrows its
-    list of missed eggs, in egg order, by the one vertex it adds.
+    by the greedy cover of the eggs by vertices (`invariants._greedy_cover`,
+    the least vertex on ties); returns (size, witness set).  Each step
+    narrows its list of missed eggs, in egg order, by the one vertex it adds.
 
     `eggs` must be sorted by size, as a Scramble's are and `hitting_number`
     keeps them within a group; narrowing keeps the order, so every missed
     list is sorted too: the disjoint-egg bound takes its eggs smallest
     first and the branching egg, a smallest one, is the first."""
-    best_set = set()
-    # greedy warm start on most-frequent vertices
-    missed = list(eggs)
-    while missed:
-        counts = {}
-        for e in missed:
-            for v in e:
-                counts[v] = counts.get(v, 0) + 1
-        v = max(sorted(counts), key=counts.get)
-        best_set.add(v)
-        missed = [e for e in missed if v not in e]
-    best, witness = len(best_set), frozenset(best_set)
+    vertices = sorted(set().union(*eggs))
+    holders = [sum(1 << i for i, egg in enumerate(eggs) if v in egg) for v in vertices]
+    picks = inv._greedy_cover(holders, (1 << len(eggs)) - 1)
+    best, witness = len(picks), frozenset(vertices[j] for j in picks)
 
     def disjoint_lower_bound(missed):
         used = set()
@@ -519,7 +512,7 @@ def _core_sn_bounds(g, gonality_budget, use_brute):
         result = brute_force_sn(g)
         if result.value > lower:
             lower, lsrc = result.value, "brute force"
-        if result.exact and result.value < upper:
+        if result.value < upper:
             upper, usrc = result.value, "brute force"
     return BoundReport("sn", lower, upper, lsrc, usrc)
 
@@ -564,6 +557,8 @@ def sn_bounds(g, extra_scrambles=(), gonality_budget=12, use_brute=False):
     vertex budget.  User scrambles are evaluated on the original graph.
     With use_brute the exact tiny-graph oracle is folded in.
     """
+    if gonality_budget < 0:
+        raise ValueError("gonality budget must be >= 0, got %d" % gonality_budget)
     report = _split_sn_bounds(g, gonality_budget, use_brute)
     lower, lsrc = report.lower, report.lower_source
     for scramble in extra_scrambles:
@@ -577,6 +572,8 @@ def sn_bounds(g, extra_scrambles=(), gonality_budget=12, use_brute=False):
 
 @dataclass
 class BruteForceResult:
+    """`brute_force_sn`'s answer.  exact is always True, and stays while
+    perfbench's `check_brute` and self-test read it (ROADMAP item 12)."""
     value: int
     witness: Scramble
     exact: bool
@@ -644,13 +641,6 @@ def brute_force_sn(g):
     full = (1 << n) - 1
     delta = _boundary_table(g)
 
-    def bits(mask):
-        """The positions of the set bits of mask, ascending."""
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
     def union_tables(values):
         """Tables lo, hi such that lo[m & 255] | hi[m >> 8] is the union of
         values[v] over the vertices v of the vertex mask m."""
@@ -709,7 +699,7 @@ def brute_force_sn(g):
             while c < len(sides) and not (inside[c] & live and outside[c] & live):
                 c += 1
             if c == len(sides):
-                return [eggs[i] for i in bits(live)]
+                return [eggs[i] for i in inv._bits(live)]
             for closed in (inside[c], outside[c]):
                 left = live & ~closed
                 if all(opts & left for opts in options):
@@ -726,7 +716,7 @@ def brute_force_sn(g):
         inner = np.zeros(len(masks), dtype=bool)
         for v in range(n):
             inner |= (masks >> v & 1).astype(bool) & holds[masks & ~(1 << v)]
-        return Scramble(g, [frozenset(bits(m)) for m in masks[~inner].tolist()])
+        return Scramble(g, [frozenset(inv._bits(m)) for m in masks[~inner].tolist()])
 
     best = 1
     witness_masks = [full] if inv.is_connected(g) else [1]

@@ -4,7 +4,8 @@ multiset enumeration, exact rational linear algebra, Dhar's burn in Python
 integers) and shares no search logic with the package under test, except
 the earlier forms of package routines kept as references for their exact
 outputs: `all_pairs_egg_cut_number`, `restart_smooth_two_valent`,
-`recounting_box_chunks`, `sweep_brute_force_sn` and `eager_factor_stats`.
+`recounting_box_chunks`, `sweep_brute_force_sn`, `eager_factor_stats` and
+`most_hitting_greedy`.
 """
 
 import contextlib
@@ -46,6 +47,37 @@ def brute_hitting_number(host_n, eggs):
             if all(s & e for e in eggs):
                 return size
     raise AssertionError("unhittable scramble")
+
+
+def recounting_greedy_cover(families, universe):
+    """The greedy cover of the set `universe` by the sets `families`, gains
+    recounted from scratch at every pick: the index of the family covering
+    the most elements still uncovered, the least index on ties, in the order
+    picked."""
+    uncovered = set(universe)
+    picks = []
+    while uncovered:
+        gains = [len(family & uncovered) for family in families]
+        picks.append(max(range(len(families)), key=lambda i: (gains[i], -i)))
+        uncovered -= families[picks[-1]]
+    return picks
+
+
+def most_hitting_greedy(eggs):
+    """`scrambles._group_hitting_number`'s greedy start as it counted, for
+    every pick, the missed eggs holding each vertex in a dict: the vertex in
+    the most missed eggs, the least on ties, until every egg is hit."""
+    chosen = set()
+    missed = list(eggs)
+    while missed:
+        counts = {}
+        for e in missed:
+            for v in e:
+                counts[v] = counts.get(v, 0) + 1
+        v = max(sorted(counts), key=counts.get)
+        chosen.add(v)
+        missed = [e for e in missed if v not in e]
+    return frozenset(chosen)
 
 
 def brute_egg_cut(g, eggs):
@@ -554,7 +586,7 @@ def recounting_box_chunks(bounds, total_max):
     a chunk of rows, never the whole box.
     """
     k = max(len(bounds) - 1, 0)
-    while k and dv._box_rows(bounds[k - 1:], total_max) <= dv.CHUNK_ROWS:
+    while k and dv._box_rows(bounds[k - 1:], total_max)[-1] <= dv.CHUNK_ROWS:
         k -= 1
     tails, tail_sums = dv._bounded_vectors(bounds[k:], total_max)
     # fits[first[t]:first[t + 1]]: indices of the tail rows with sum <= t
@@ -574,7 +606,7 @@ def recounting_box_chunks(bounds, total_max):
             yield np.hstack([heads[h], tails[fits[shift[h] + r]]])
 
 
-def sweep_brute_force_sn(g, max_eggs=None):
+def sweep_brute_force_sn(g):
     """`scrambles.brute_force_sn` as a search that narrows every open
     constraint for every branch it tries, kept as the reference for its
     values, witness eggs and flows.
@@ -585,9 +617,7 @@ def sweep_brute_force_sn(g, max_eggs=None):
     chosen eggs pairwise either intersecting or separated by cuts >= k.  Any
     such egg may be grown to a full component of G - C: growing preserves
     avoidance and only raises pairwise cuts, so searching over components of
-    G - C per constraint C is lossless.  max_eggs, None or at least 1, caps
-    the witness size; when the cap prunes a failed search the result is
-    flagged as a lower bound only (exact=False).
+    G - C per constraint C is lossless.
 
     Eggs are vertex bitmasks.  Per k the distinct component eggs are
     numbered by smallest member, and each constraint's options, its
@@ -599,8 +629,6 @@ def sweep_brute_force_sn(g, max_eggs=None):
     meets it, on capacity rows and neighbour lists built once per call.
     """
     n = g.n
-    if max_eggs is not None and max_eggs < 1:
-        raise ValueError("max_eggs must be at least 1, got %d" % max_eggs)
     if n > 16:
         raise ValueError("brute-force oracle is exponential; refusing n > 16")
 
@@ -631,8 +659,6 @@ def sweep_brute_force_sn(g, max_eggs=None):
             rest &= ~comp
             out.append(comp)
         return out
-
-    capped = [False]
 
     def decide(k):
         constraints = [sum(1 << v for v in c)
@@ -691,10 +717,7 @@ def sweep_brute_force_sn(g, max_eggs=None):
             Python allows nested calls; todo ends {} on success."""
             stack = []
             while todo:
-                if max_eggs is not None and len(set(chosen)) >= max_eggs:
-                    capped[0] = True
-                else:
-                    stack.append(branches(todo))
+                stack.append(branches(todo))
                 todo = None
                 while todo is None and stack:
                     del chosen[len(stack) - 1:]  # keep the eggs of the frames below
@@ -712,9 +735,8 @@ def sweep_brute_force_sn(g, max_eggs=None):
     best = 1
     witness_eggs = [set(range(n))] if inv.is_connected(g) else [{0}]
     for k in range(2, n + 1):
-        capped[0] = False
         eggs = decide(k)
         if eggs is None:
-            return sc.BruteForceResult(best, sc.Scramble(g, witness_eggs), not capped[0])
+            break
         best, witness_eggs = k, eggs
     return sc.BruteForceResult(best, sc.Scramble(g, witness_eggs), True)

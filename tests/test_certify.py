@@ -108,6 +108,12 @@ def test_certify_open_case_reports_bounds():
     assert (bounds.lower, bounds.lower_source) == (4, "k=1 product scramble (G,H)")
 
 
+def test_certify_product_rejects_a_negative_gonality_budget():
+    c4 = mg.cycle(4)
+    with pytest.raises(ValueError, match="gonality budget must be >= 0, got -5"):
+        ct.certify_product(c4, c4, budget=-5)
+
+
 def test_open_bounds_equal_the_best_public_lower_formula():
     # the public formulas give the oracle's closed-form values where its
     # hypotheses hold and refuse elsewhere; budget 0 leaves the factor

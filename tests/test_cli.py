@@ -306,6 +306,14 @@ def test_a_failure_inside_a_verb_exits_1_as_an_internal_error(capsys, monkeypatc
     assert err == "internal error: flow lost its way\n"
 
 
+def test_a_negative_gonality_budget_exits_2_and_names_it(capsys, tmp_path):
+    path = write_graph(tmp_path, "c4.mel", mg.cycle(4))
+    assert run(capsys, "--machine", "sn-bounds", path, "--budget", "-1") == (
+        2, "", "error: gonality budget must be >= 0, got -1\n")
+    assert run(capsys, "--machine", "certify", path, path, "--budget", "-5") == (
+        2, "", "error: gonality budget must be >= 0, got -5\n")
+
+
 def test_over_budget_gonality_exits_2(capsys, tmp_path):
     path = write_graph(tmp_path, "k14.mel", mg.complete(14))
     code, _, err = run(capsys, "gonality", path)

@@ -416,8 +416,8 @@ def test_box_row_count_matches_enumeration():
     for _ in range(20):
         bounds = [rng.randrange(0, 4) for _ in range(rng.randrange(0, 7))]
         total = rng.randrange(0, 9)
-        rows, _ = dv._bounded_vectors(bounds, total)
-        assert dv._box_rows(bounds, total) == rows.shape[0]
+        _, sums = dv._bounded_vectors(bounds, total)
+        assert dv._box_rows(bounds, total) == [int((sums <= t).sum()) for t in range(total + 1)]
 
 
 def test_gonality_refuses_an_over_budget_box_without_building_it(monkeypatch):
@@ -636,12 +636,39 @@ def test_the_sandwich_answers_where_only_the_upper_degree_is_over_budget(monkeyp
     # search is refused at degree 4, which the value-only sandwich never scans
     q3 = mg.hypercube(3)
     bounds = [int(val) - 1 for val in q3.valences()[1:]]
-    box = [dv._box_rows(bounds, degree - 1) * q3.n * 8 for degree in (3, 4)]
+    box = [dv._box_rows(bounds, 3)[degree - 1] * q3.n * 8 for degree in (3, 4)]
     assert box[0] < box[1]
     monkeypatch.setattr(dv, "CANDIDATE_BOX_BUDGET", box[0])
     with pytest.raises(dv.CandidateBudgetError, match="degree-4"):
         dv.gonality(q3)
     assert sandwiched_gonality(q3, 3) == 4
+
+
+def test_a_gonality_search_counts_its_candidate_boxes_twice_whatever_degrees_it_checks(
+        monkeypatch):
+    # K4 [] K3 checks degrees 5 to 8 and C3 [] C5 degrees 4 to 6: one count
+    # for the check at min(lam, n) before alpha, and one for every total up
+    # to the sandwich's upper bound, where a count per checked degree ran 5
+    # and 4 times
+    counts, checked = [], []
+    box_rows, check_box = dv._box_rows, dv._check_box
+
+    def counted(bounds, total_max):
+        counts.append(total_max)
+        return box_rows(bounds, total_max)
+
+    def spy(g, rows, degree):
+        checked.append(degree)
+        return check_box(g, rows, degree)
+
+    monkeypatch.setattr(dv, "_box_rows", counted)
+    monkeypatch.setattr(dv, "_check_box", spy)
+    for g, degrees in ((mg.cartesian_product(mg.complete(4), mg.complete(3)), [5, 6, 7, 8]),
+                       (mg.cartesian_product(mg.cycle(3), mg.cycle(5)), [4, 5, 6])):
+        del counts[:], checked[:]
+        dv.gonality(g)
+        assert checked == degrees[:1] + degrees
+        assert len(counts) == 2 and counts[0] == degrees[0] - 1 and counts[1] >= degrees[-1] - 1
 
 
 def test_the_basepoint_burn_sees_only_rows_that_passed_the_q_filters(monkeypatch):

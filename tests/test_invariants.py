@@ -627,3 +627,24 @@ def test_a_search_that_hands_back_non_automorphisms_loses_only_generators(monkey
         assert all(np.array_equal(g.mult[np.ix_(P, P)], g.mult) for P in generators)
         bad = [P for P in handed if P is not None and not np.array_equal(g.mult[np.ix_(P, P)], g.mult)]
         assert bad and not any(P in generators for P in bad)
+
+
+def test_the_greedy_cover_picks_as_a_set_greedy_that_recounts_every_gain(corpus):
+    def mask(items):
+        return sum(1 << x for x in items)
+
+    rng = random.Random(37)
+    cases = []
+    for _ in range(300):
+        size = rng.randrange(1, 14)
+        p = rng.choice([0.15, 0.4, 0.7])
+        families = [{x for x in range(size) if rng.random() < p} for _ in range(rng.randrange(1, 10))]
+        covered = sorted(set().union(*families))
+        cases.append((families, rng.sample(covered, rng.randrange(len(covered) + 1))))
+    # the closed neighbourhoods of a graph cover its vertices: a dominating set
+    for g in corpus:
+        nbrs = inv._adjacency(g.mult)
+        cases.append(([set(near) | {v} for v, near in enumerate(nbrs)], range(g.n)))
+    for families, universe in cases:
+        picks = inv._greedy_cover([mask(f) for f in families], mask(universe))
+        assert picks == oracles.recounting_greedy_cover(families, universe)

@@ -77,6 +77,24 @@ def test_hitting_number_improves_on_its_greedy_start():
     assert hitting == [set(witness)] == [{3, 4}]
 
 
+def test_the_hitting_search_keeps_its_greedy_start_where_nothing_smaller_hits():
+    # the greedy start, the vertex in the most missed eggs first and the
+    # least on ties, is the witness wherever the branch and bound finds no
+    # smaller hitting set
+    rng = random.Random(47)
+    kept = 0
+    for _ in range(60):
+        g = oracles.random_connected_graph(rng, 8, 0.4)
+        eggs = list(sc.Scramble(g, random_eggs(rng, g, rng.randrange(2, 9))).eggs)
+        greedy = oracles.most_hitting_greedy(eggs)
+        size, witness = sc._group_hitting_number(eggs)
+        assert size <= len(greedy)
+        if size == len(greedy):
+            kept += 1
+            assert witness == greedy
+    assert kept >= 30
+
+
 def test_egg_cut_number_against_brute_force():
     rng = random.Random(47)
     for _ in range(10):
@@ -914,6 +932,12 @@ def test_brute_force_sn_matches_the_sweep_search_with_no_more_flows_property(g):
     assert (result.value, result.exact) == (reference.value, reference.exact)
     assert len(flows) <= len(reference_flows)
     assert_witness_order(g, result)
+
+
+def test_sn_bounds_rejects_a_negative_gonality_budget():
+    with pytest.raises(ValueError, match="gonality budget must be >= 0, got -1"):
+        sc.sn_bounds(mg.cycle(4), gonality_budget=-1)
+    assert sc.sn_bounds(mg.cycle(4), gonality_budget=0).upper == 2
 
 
 def test_bound_report_rejects_crossed_bounds():
